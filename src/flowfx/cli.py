@@ -245,7 +245,7 @@ def cmd_train_fm(cfg: RunConfig) -> None:
         if not math.isfinite(loss):
             raise DivergenceError(step)
         net.adam_step(opt, model, tape)
-        rows.append((step, loss, distill.effective_lr(opt)))
+        rows.append((step, loss, opt.effective_lr()))
     meta = {"dataset": "ring", "seed": cfg.seed, "steps": v["steps"]}
     net.save_checkpoint(cfg.out_dir / "fm_teacher.json", model, meta=meta)
     _write_log(cfg.out_dir / "fm_log.csv", ["step", "loss", "lr"], rows)

@@ -28,28 +28,21 @@ from .net import GradTape
 DISC_HEADS = 4
 HEAD_HIDDEN = 64
 EMBED_GRID_SIZE = 64
-# Joint audio-video distillation runs the same loop with a stronger
-# adversarial term than the audio-only default of 0.5.
-AV_ADV_WEIGHT = 1.0
 
 
 @dataclass(frozen=True)
 class DistillConfig:
     warmup_steps: int = 5000
     adv_weight: float = 0.5
-    epochs: int = 1
     lr: float = 5e-6
     cfg_scale_range: tuple = (1.0, 9.0)
     cfg_drop_prob: float = 0.1
-    embed_match_steps: int = 1000
 
     def __post_init__(self):
-        if self.warmup_steps < 0 or self.embed_match_steps < 0:
-            raise DomainError("step counts must be >= 0")
+        if self.warmup_steps < 0:
+            raise DomainError("warmup_steps must be >= 0")
         if self.adv_weight < 0.0:
             raise DomainError("adv_weight must be >= 0")
-        if self.epochs < 1:
-            raise DomainError("epochs must be >= 1")
         if self.lr <= 0.0:
             raise DomainError("lr must be positive")
         lo, hi = self.cfg_scale_range
@@ -158,16 +151,30 @@ def disc_step(
     u = net.forward(student, batch.xt, t, r, cond)
     x_fake = batch.xt - (t - r)[:, None] * u
     x_true = (1.0 - r)[:, None] * batch.x0 + r[:, None] * batch.x1
-    s_true, cache_true = disc_scores(disc, x_true, r)
-    s_fake, cache_fake = disc_scores(disc, x_fake, r)
+    scores, cache = disc_scores(
+        disc, np.concatenate([x_true, x_fake]), np.concatenate([r, r])
+    )
+    s_true, s_fake = scores[:n], scores[n:]
     loss = losses.hinge_disc_loss(s_true, s_fake)
-    up_true = np.where(1.0 - s_true > 0.0, -1.0, 0.0) / s_true.size
-    up_fake = np.where(1.0 + s_fake > 0.0, 1.0, 0.0) / s_fake.size
-    g_true, _ = _head_backward(disc, cache_true, up_true)
-    g_fake, _ = _head_backward(disc, cache_fake, up_fake)
-    grads = {k: g_true[k] + g_fake[k] for k in g_true}
+    up_scores = np.concatenate([
+        np.where(1.0 - s_true > 0.0, -1.0, 0.0) / s_true.size,
+        np.where(1.0 + s_fake > 0.0, 1.0, 0.0) / s_fake.size,
+    ])
+    grads, _ = _head_backward(disc, cache, up_scores)
     net.adam_step(opt, disc, GradTape(grads, np.zeros(disc.trunk.config.dim)))
     return loss
+
+
+def _adversarial_upstream(disc: Discriminator, xt, t, r, u):
+    """The generator's hinge term -mean D(x_r) at x_r = x_t - (t-r) u, and
+    its upstream on u, -(t-r) dD/dx_r, with the whole discriminator frozen.
+    Returns (adv_loss, upstream)."""
+    x_fake = xt - (t - r)[:, None] * u
+    scores, cache = disc_scores(disc, x_fake, r)
+    adv_loss = losses.hinge_gen_loss(scores)
+    up_scores = np.full(scores.shape, -1.0 / scores.size)
+    d_dx = disc_input_gradient(disc, cache, up_scores)
+    return adv_loss, -(t - r)[:, None] * d_dx
 
 
 def adversarial_grads(
@@ -183,15 +190,9 @@ def adversarial_grads(
     x_r = x_t - (t-r) u(x_t, t, r); the loss gradient reaches the student
     only through u, as dL/du = -(t-r) dD/dx_r with the trunk frozen.
     """
-    u = net.forward(student, xt, t, r, cond)
-    x_fake = xt - (t - r)[:, None] * u
-    scores, cache = disc_scores(disc, x_fake, r)
-    adv_loss = losses.hinge_gen_loss(scores)
-    up_scores = np.full(scores.shape, -1.0 / scores.size)
-    d_dx = disc_input_gradient(disc, cache, up_scores)
-    upstream_u = -(t - r)[:, None] * d_dx
-    tape = net.backward(student, xt, t, r, cond, upstream_u)
-    return adv_loss, tape
+    u, _, tape, _ = net._core(student, xt, t, r, cond, want_tape=True)
+    adv_loss, upstream = _adversarial_upstream(disc, xt, t, r, u)
+    return adv_loss, net._tape_backward(student, tape, upstream)
 
 
 def gen_step(
@@ -211,29 +212,32 @@ def gen_step(
     warmup ends, adv_weight times the adversarial term.  Returns
     (mf_loss, adv_loss or None, total); the discriminator is read-only here.
 
+    The student runs once, with the jvp tangent and a tape; both terms'
+    upstreams on u are summed and backpropagated in one reverse pass.  Both
+    terms see the condition ids after guidance dropout: the discriminator
+    trunk is unconditional, and it judges the x_r made by that same student
+    call.
+
     The adversarial branch draws nothing from rng, so runs with the term
     gated off consume exactly the same random stream as a plain
-    meanflow_distill_loss loop.
+    meanflow_distill_loss loop and update the student bit for bit as it does.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     n = x0.shape[0]
     t, r = scheduler.sample(rng, n)
     batch = flow.sample_path(x0, rng, t=t)
-    mf_loss, tape = flow.meanflow_distill_loss(
-        student, teacher, batch, r, cond, cfg, rng
+    v_tgt, cond_ids = flow._distill_target(teacher, batch, cond, cfg, rng)
+    mf_loss, u, upstream, tape = flow._interval_loss(
+        student, batch.xt, t, r, cond_ids, v_tgt, flow.CLIP_BOUNDS
     )
     adv_loss = None
     total = mf_loss
     if step > config.warmup_steps and config.adv_weight != 0.0 and disc is not None:
-        adv_loss, adv_tape = adversarial_grads(student, disc, batch.xt, t, r, cond)
-        net.accumulate_grads(tape, adv_tape, config.adv_weight)
+        adv_loss, adv_upstream = _adversarial_upstream(disc, batch.xt, t, r, u)
+        upstream = upstream + config.adv_weight * adv_upstream
         total = mf_loss + config.adv_weight * adv_loss
-    net.adam_step(opt, student, tape)
+    net.adam_step(opt, student, net._tape_backward(student, tape, upstream))
     return mf_loss, adv_loss, total
-
-
-def effective_lr(opt: net.OptimizerState) -> float:
-    return opt.lr * min(1.0, opt.step / opt.warmup)
 
 
 def distill_loop(
@@ -283,7 +287,7 @@ def distill_loop(
             student, teacher, disc, x0, scheduler, gen_opt, rng_gen,
             step, config, cond, cfg,
         )
-        rows.append((step, mf_loss, adv_loss, disc_loss, effective_lr(gen_opt)))
+        rows.append((step, mf_loss, adv_loss, disc_loss, gen_opt.effective_lr()))
     return rows, disc
 
 

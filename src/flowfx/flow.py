@@ -6,7 +6,8 @@ objectives come in three forms: plain flow matching (regress the velocity at
 r = t), the mean-velocity objective (regress an average velocity over [r, t]
 using an exact directional derivative), and its distillation variant where a
 frozen teacher supplies the target velocity, optionally with classifier-free
-guidance applied.
+guidance applied.  All three are one interval loss that differs only in
+its target and clipping, and each runs the network's primal pass once.
 
 All losses return (value, GradTape) and are deterministic given their
 inputs; (t, r) sampling and noise draws happen in the callers through
@@ -105,16 +106,39 @@ def _check_batch(batch: PathSample, r=None):
     return None
 
 
+def _interval_loss(model, xt, t, r, cond, v_tgt, clip):
+    """The one training objective behind fm_loss and both mean-velocity
+    losses, on a single primal pass.
+
+    Regresses u(xt, t, r, cond) onto v_tgt - (t - r) * du/dt, where du/dt is
+    the exact directional derivative along (v_tgt, 1, 0), treated as a
+    constant.  The tangent is propagated only when some r != t, so r = t
+    regresses u onto v_tgt itself.  The residual is clipped to ``clip``
+    unless it is None, the loss is mean(g^2), and its upstream on u is 2g/n.
+
+    Returns (loss, u, upstream, tape): the pass's tape goes straight to
+    net._tape_backward, so a caller can add its own upstream on u and still
+    run one reverse pass.
+    """
+    tangent = (v_tgt, 1.0, 0.0) if np.any(r != t) else None
+    u, dudt, tape, _ = net._core(model, xt, t, r, cond, want_tape=True, tangent=tangent)
+    target = v_tgt if dudt is None else v_tgt - (t - r)[:, None] * dudt
+    g = u - target
+    if clip is not None:
+        g = np.clip(g, clip[0], clip[1])
+    loss = float(np.mean(g * g))
+    upstream = (2.0 / g.size) * g
+    return loss, u, upstream, tape
+
+
 def fm_loss(model, batch: PathSample, cond=None):
     """Flow-matching objective: mean squared error between u(xt, t, t) and
     the path velocity.  Returns (loss, GradTape)."""
     _check_batch(batch)
-    u = net.forward(model, batch.xt, batch.t, batch.t, cond)
-    diff = u - batch.v_target
-    loss = float(np.mean(diff * diff))
-    upstream = (2.0 / diff.size) * diff
-    tape = net.backward(model, batch.xt, batch.t, batch.t, cond, upstream)
-    return loss, tape
+    loss, _, upstream, tape = _interval_loss(
+        model, batch.xt, batch.t, batch.t, cond, batch.v_target, None
+    )
+    return loss, net._tape_backward(model, tape, upstream)
 
 
 def meanflow_loss(model, batch: PathSample, r, cond=None, clip_bounds=CLIP_BOUNDS):
@@ -129,15 +153,10 @@ def meanflow_loss(model, batch: PathSample, r, cond=None, clip_bounds=CLIP_BOUND
     the clip bounds.
     """
     r = _check_batch(batch, r)
-    u, dudt = net.jvp(
-        model, batch.xt, batch.t, r, cond, (batch.v_target, 1.0, 0.0)
+    loss, _, upstream, tape = _interval_loss(
+        model, batch.xt, batch.t, r, cond, batch.v_target, clip_bounds
     )
-    v_tgt_total = batch.v_target - (batch.t - r)[:, None] * dudt
-    g = np.clip(u - v_tgt_total, clip_bounds[0], clip_bounds[1])
-    loss = float(np.mean(g * g))
-    upstream = (2.0 / g.size) * g
-    tape = net.backward(model, batch.xt, batch.t, r, cond, upstream)
-    return loss, tape
+    return loss, net._tape_backward(model, tape, upstream)
 
 
 @dataclass(frozen=True)
@@ -154,6 +173,33 @@ class CfgSpec:
             raise DomainError("scale_range must be ordered")
         if not (0.0 <= self.drop_prob <= 1.0):
             raise DomainError("drop_prob must lie in [0, 1]")
+
+
+def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng):
+    """The frozen teacher's target velocity for meanflow_distill_loss.
+
+    Returns (v_tgt, cond_ids): cond_ids are the condition ids after any
+    dropout, the ids the student is evaluated at.  Under guidance, rng
+    supplies the dropout coins, then the per-sample scales.
+    """
+    if cfg is not None and rng is None:
+        raise DomainError("guided distillation needs an rng for scale/dropout draws")
+    if cond is None:
+        cond_ids = np.full(batch.xt.shape[0], teacher.config.null_cond, dtype=np.intp)
+    else:
+        cond_ids = np.asarray(cond, dtype=np.intp)
+
+    if cfg is None:
+        return net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids), cond_ids
+    cond_ids = apply_cond_dropout(cond_ids, cfg.drop_prob, rng, teacher.config.null_cond)
+    lo, hi = cfg.scale_range
+    w = rng.uniform(lo, hi, batch.xt.shape[0]) if hi > lo else np.full(
+        batch.xt.shape[0], lo
+    )
+    v_c = net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids)
+    v_u = net.forward(teacher, batch.xt, batch.t, batch.t, None)
+    scale = float(w[0]) if np.all(w == w[0]) else w[:, None]
+    return cfg_combine(v_c, v_u, scale, mode=cfg.mode), cond_ids
 
 
 def meanflow_distill_loss(
@@ -175,34 +221,8 @@ def meanflow_distill_loss(
     The jvp tangent is (v_tgt, 1, 0); gradients reach only the student.
     """
     r = _check_batch(batch, r)
-    if cfg is not None and rng is None:
-        raise DomainError("guided distillation needs an rng for scale/dropout draws")
-    if cond is None:
-        cond_ids = np.full(batch.xt.shape[0], teacher.config.null_cond, dtype=np.intp)
-    else:
-        cond_ids = np.asarray(cond, dtype=np.intp)
-
-    if cfg is None:
-        v_tgt = net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids)
-    else:
-        cond_ids = apply_cond_dropout(
-            cond_ids, cfg.drop_prob, rng, teacher.config.null_cond
-        )
-        lo, hi = cfg.scale_range
-        w = rng.uniform(lo, hi, batch.xt.shape[0]) if hi > lo else np.full(
-            batch.xt.shape[0], lo
-        )
-        v_c = net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids)
-        v_u = net.forward(teacher, batch.xt, batch.t, batch.t, None)
-        if np.all(w == w[0]):
-            v_tgt = cfg_combine(v_c, v_u, float(w[0]), mode=cfg.mode)
-        else:
-            v_tgt = cfg_combine(v_c, v_u, w[:, None], mode=cfg.mode)
-
-    u, dudt = net.jvp(student, batch.xt, batch.t, r, cond_ids, (v_tgt, 1.0, 0.0))
-    v_tgt_total = v_tgt - (batch.t - r)[:, None] * dudt
-    g = np.clip(u - v_tgt_total, clip_bounds[0], clip_bounds[1])
-    loss = float(np.mean(g * g))
-    upstream = (2.0 / g.size) * g
-    tape = net.backward(student, batch.xt, batch.t, r, cond_ids, upstream)
-    return loss, tape
+    v_tgt, cond_ids = _distill_target(teacher, batch, cond, cfg, rng)
+    loss, _, upstream, tape = _interval_loss(
+        student, batch.xt, batch.t, r, cond_ids, v_tgt, clip_bounds
+    )
+    return loss, net._tape_backward(student, tape, upstream)

@@ -9,7 +9,9 @@ use SiLU; the output layer is linear.
 
 Forward, backward, and jvp all run the same primal expressions in the same
 order, so the jvp value is bit-identical to forward and the tape replays
-exactly what forward computed.
+exactly what forward computed.  A training loss records the tape during its
+one primal pass and hands it to the chain rule, instead of running the pass
+again in backward.
 """
 
 from __future__ import annotations
@@ -139,8 +141,9 @@ def _resolve_cond(cond, n, config):
 
 
 def _core(model, x, t, r, cond, want_tape=False, tangent=None):
-    """Shared primal pass.  Optionally records a tape for backward and/or
-    propagates a (dx, dt, dr) tangent in lockstep with the primal ops."""
+    """Shared primal pass.  Optionally records a tape for _tape_backward
+    and/or propagates a (dx, dt, dr) tangent in lockstep with the primal ops.
+    Returns (u, du or None, tape or None, squeeze)."""
     cfg = model.config
     p = model.params
     x2, squeeze = _as_batch(x, cfg.dim)
@@ -215,24 +218,40 @@ def forward(model: VelocityModel, x, t, r, cond=None) -> np.ndarray:
 def backward(model: VelocityModel, x, t, r, cond, upstream) -> GradTape:
     """Exact gradients of <forward(model, x, t, r, cond), upstream> with
     respect to every parameter and to x."""
-    cfg = model.config
-    p = model.params
     u, _, tape, squeeze = _core(model, x, t, r, cond, want_tape=True)
-    up, up_squeeze = _as_batch(upstream, cfg.dim)
+    up, up_squeeze = _as_batch(upstream, model.config.dim)
     if up_squeeze != squeeze or up.shape[0] != np.atleast_2d(u).shape[0]:
         raise DomainError("upstream shape does not match output")
+    grad = _tape_backward(model, tape, up)
+    if squeeze:
+        grad.grad_x = grad.grad_x[0]
+    return grad
 
-    grads = {}
-    h_last = tape["inputs"][-1]
-    grads["w_out"] = up.T @ h_last
-    grads["b_out"] = up.sum(axis=0)
-    g = up @ p["w_out"]
-    for i in reversed(range(len(cfg.hidden))):
-        a, s, inp = tape["pre"][i], tape["sig"][i], tape["inputs"][i]
+
+def _hidden_chain(model, tape, g, grads=None):
+    """Chain rule from the last hidden activations back to the network input
+    [x, e, c], replaying a tape from _core.  When ``grads`` is a dict, the
+    hidden layers' parameter gradients are written into it."""
+    p = model.params
+    for i in reversed(range(len(model.config.hidden))):
+        a, s = tape["pre"][i], tape["sig"][i]
         ga = g * (s * (1.0 + a * (1.0 - s)))
-        grads[f"w{i}"] = ga.T @ inp
-        grads[f"b{i}"] = ga.sum(axis=0)
+        if grads is not None:
+            grads[f"w{i}"] = ga.T @ tape["inputs"][i]
+            grads[f"b{i}"] = ga.sum(axis=0)
         g = ga @ p[f"w{i}"]
+    return g
+
+
+def _tape_backward(model, tape, upstream) -> GradTape:
+    """Gradients of <u, upstream> for the pass that recorded ``tape``;
+    ``upstream`` is (batch, dim) and the input gradient comes back batched."""
+    cfg = model.config
+    p = model.params
+    grads = {}
+    grads["w_out"] = upstream.T @ tape["inputs"][-1]
+    grads["b_out"] = upstream.sum(axis=0)
+    g = _hidden_chain(model, tape, upstream @ p["w_out"], grads)
 
     dim, ed = cfg.dim, cfg.embed_dim
     gx = g[:, :dim]
@@ -243,7 +262,7 @@ def backward(model: VelocityModel, x, t, r, cond, upstream) -> GradTape:
     gtab = np.zeros_like(p["cond_table"])
     np.add.at(gtab, tape["ids"], gc)
     grads["cond_table"] = gtab
-    return GradTape(grads, gx[0] if squeeze else gx)
+    return GradTape(grads, gx)
 
 
 def jvp(model: VelocityModel, x, t, r, cond, tangent):
@@ -267,14 +286,8 @@ def hidden_forward(model: VelocityModel, x, t, r, cond=None):
 def hidden_input_gradient(model: VelocityModel, tape, upstream) -> np.ndarray:
     """Gradient of <hidden_forward features, upstream> with respect to x,
     holding every parameter fixed (the net acts as a frozen feature map)."""
-    cfg = model.config
-    p = model.params
     g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    for i in reversed(range(len(cfg.hidden))):
-        a, s = tape["pre"][i], tape["sig"][i]
-        ga = g * (s * (1.0 + a * (1.0 - s)))
-        g = ga @ p[f"w{i}"]
-    return g[:, : cfg.dim]
+    return _hidden_chain(model, tape, g)[:, : model.config.dim]
 
 
 def zero_grads(model: VelocityModel) -> GradTape:
@@ -282,11 +295,6 @@ def zero_grads(model: VelocityModel) -> GradTape:
         {k: np.zeros_like(v) for k, v in model.params.items()},
         np.zeros(model.config.dim),
     )
-
-
-def accumulate_grads(total: GradTape, part: GradTape, weight: float = 1.0) -> None:
-    for k in total.grads:
-        total.grads[k] += weight * part.grads[k]
 
 
 def global_grad_norm(tape: GradTape) -> float:
@@ -312,6 +320,10 @@ class OptimizerState:
         if not (0.0 < self.ema_decay < 1.0):
             raise DomainError("ema_decay must lie in (0, 1)")
 
+    def effective_lr(self) -> float:
+        """Learning rate of the latest step under the linear warmup."""
+        return self.lr * min(1.0, self.step / self.warmup)
+
 
 def init_optimizer(model: VelocityModel, **kwargs) -> OptimizerState:
     state = OptimizerState(**kwargs)
@@ -336,7 +348,7 @@ def adam_step(state: OptimizerState, model: VelocityModel, tape: GradTape) -> bo
     norm = global_grad_norm(tape)
     scale = state.clip_norm / norm if norm > state.clip_norm else 1.0
     state.step += 1
-    lr_t = state.lr * min(1.0, state.step / state.warmup)
+    lr_t = state.effective_lr()
     b1c = 1.0 - state.beta1**state.step
     b2c = 1.0 - state.beta2**state.step
     for k, p in model.params.items():

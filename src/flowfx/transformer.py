@@ -23,8 +23,6 @@ from .errors import DomainError
 
 MODALITIES = ("text", "video", "audio")
 ROPE_BASE = 10000.0
-AUDIO_RATE_HZ = 100.0  # latent frames per second
-VIDEO_RATE_HZ = 24.0
 LN_EPS = 1e-5
 
 # Full-scale stack shape: 6 multi-stream + 6 single-stream blocks.

@@ -5,10 +5,12 @@ config/flag precedence rules, and byte-level determinism are all asserted
 against the documented contracts.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from flowfx import dsp, metrics, net
+from flowfx import distill, dsp, flow, metrics, net
 from flowfx.cli import load_config_file, main, ring_model_config
 from flowfx.errors import ConfigError
 
@@ -256,6 +258,40 @@ class TestDistillCommand:
         assert main(args + ["--out", str(out_b)]) == 0
         for name in ("distill_log.csv", "student.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestPrimalPasses:
+    def test_one_primal_pass_per_training_step(self, tmp_path, monkeypatch):
+        # Every primal pass runs net._core, looked up as a module global, and
+        # the loops call flow.fm_loss and distill.gen_step as module
+        # attributes, so counting wrappers installed there see every call.
+        counts = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(net, "_core")
+        count(flow, "fm_loss")
+        count(distill, "gen_step")
+        fm_out = tmp_path / "fm"
+        assert main(["train-fm", "--steps", "5", "--batch-size", "16",
+                     "--hidden", "8,8", "--out", str(fm_out)]) == 0
+        assert counts == {"fm_loss": 5, "_core": 5}
+
+        counts.clear()
+        assert main(["distill", str(fm_out / "fm_teacher.json"), "--steps", "4",
+                     "--warmup-steps", "2", "--batch-size", "16",
+                     "--out", str(tmp_path / "d")]) == 0
+        # warm-up: teacher target + student jvp; adversarial adds the
+        # discriminator trunk on x_r plus the disc step's student pass and
+        # its one stacked [real; fake] trunk pass
+        assert counts == {"gen_step": 4, "_core": 2 * 2 + 2 * 5}
 
 
 class TestSampleCommand:

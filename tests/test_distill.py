@@ -7,6 +7,8 @@ asserted bitwise; one discriminator step is regression-locked to a frozen
 value from the first verified run.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,86 @@ class TestGenStep:
         assert mf == 0.0 and total == 0.0 and adv is None
 
 
+def _captured_gen_step(monkeypatch, student, teacher, disc, x0, cond, cfg, seed, config):
+    """Run gen_step with net.adam_step replaced by a recorder; returns the
+    losses it reported and the gradient it handed to the optimizer."""
+    captured = []
+
+    def record(opt, model, tape):
+        captured.append(tape)
+        return True
+
+    monkeypatch.setattr(net, "adam_step", record)
+    result = gen_step(
+        student, teacher, disc, x0, flow.TrScheduler(), net.init_optimizer(student),
+        np.random.default_rng(seed), step=config.warmup_steps + 1, config=config,
+        cond=cond, cfg=cfg,
+    )
+    (tape,) = captured
+    return result, tape
+
+
+def _assert_relative_close(got, want, rel):
+    assert set(got) == set(want)
+    for k in want:
+        err = np.linalg.norm(got[k] - want[k])
+        assert err <= rel * max(np.linalg.norm(want[k]), 1e-300), (k, err)
+
+
+class TestFusedGenStep:
+    """gen_step runs the student once and backpropagates the summed
+    upstream; the result must match the two separately computed terms."""
+
+    def _setup(self, seed):
+        teacher = _teacher(seed)
+        student = teacher.clone()
+        student.params["w_out"] = student.params["w_out"] * 0.7  # imperfect student
+        disc = init_discriminator(teacher, np.random.default_rng(seed + 1), 4, 16)
+        rng = np.random.default_rng(seed + 2)
+        x0, cond = _two_mode_batch(rng, 16)
+        return teacher, student, disc, x0, cond
+
+    def test_unguided_gradient_is_mf_plus_weighted_adversarial(self, monkeypatch):
+        teacher, student, disc, x0, cond = self._setup(101)
+        config = DistillConfig(warmup_steps=0, adv_weight=0.5, lr=1e-3)
+        (mf, adv, total), tape = _captured_gen_step(
+            monkeypatch, student, teacher, disc, x0, cond, None, 104, config
+        )
+
+        rng = np.random.default_rng(104)
+        t, r = flow.TrScheduler().sample(rng, 16)
+        batch = flow.sample_path(x0, rng, t=t)
+        mf_ref, mf_tape = flow.meanflow_distill_loss(student, teacher, batch, r, cond)
+        adv_ref, adv_tape = adversarial_grads(student, disc, batch.xt, t, r, cond)
+        assert (mf, adv, total) == (mf_ref, adv_ref, mf_ref + 0.5 * adv_ref)
+        want = {k: mf_tape.grads[k] + 0.5 * adv_tape.grads[k] for k in mf_tape.grads}
+        _assert_relative_close(tape.grads, want, 1e-12)
+
+    def test_guided_terms_share_the_dropped_condition_ids(self, monkeypatch):
+        teacher, student, disc, x0, cond = self._setup(111)
+        config = DistillConfig(warmup_steps=0, adv_weight=0.5, lr=1e-3)
+        guide = flow.CfgSpec(scale_range=(1.0, 3.0), drop_prob=0.5)
+        (mf, adv, total), tape = _captured_gen_step(
+            monkeypatch, student, teacher, disc, x0, cond, guide, 114, config
+        )
+
+        rng = np.random.default_rng(114)
+        t, r = flow.TrScheduler().sample(rng, 16)
+        batch = flow.sample_path(x0, rng, t=t)
+        # dropout is the first draw of the guided target: replay it on a copy
+        dropped = flow.apply_cond_dropout(
+            cond, guide.drop_prob, copy.deepcopy(rng), teacher.config.null_cond
+        )
+        assert not np.array_equal(dropped, cond)
+        mf_ref, mf_tape = flow.meanflow_distill_loss(
+            student, teacher, batch, r, cond, guide, rng
+        )
+        adv_ref, adv_tape = adversarial_grads(student, disc, batch.xt, t, r, dropped)
+        assert (mf, adv, total) == (mf_ref, adv_ref, mf_ref + 0.5 * adv_ref)
+        want = {k: mf_tape.grads[k] + 0.5 * adv_tape.grads[k] for k in mf_tape.grads}
+        _assert_relative_close(tape.grads, want, 1e-12)
+
+
 class TestDistillLoop:
     def test_zero_adv_weight_reduces_to_plain_distillation(self):
         teacher = _teacher(71)
@@ -399,7 +481,6 @@ class TestDistillConfig:
         assert config.lr == 5e-6
         assert config.cfg_scale_range == (1.0, 9.0)
         assert config.cfg_drop_prob == 0.1
-        assert config.embed_match_steps == 1000
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -409,7 +490,7 @@ class TestDistillConfig:
         with pytest.raises(DomainError):
             DistillConfig(cfg_scale_range=(9.0, 1.0))
         with pytest.raises(DomainError):
-            DistillConfig(epochs=0)
+            DistillConfig(warmup_steps=-1)
 
 
 class TestEmbedMatch:

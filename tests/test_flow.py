@@ -140,6 +140,27 @@ def test_fm_loss_gradient_matches_finite_differences():
             assert abs(g[j] - fd) <= 1e-4 * max(abs(fd), 1e-2), (name, j)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_fm_loss_bitwise_equals_forward_then_backward(seed, conditioned):
+    # fm_loss reuses its one primal pass's tape for the reverse pass; that
+    # must reproduce the two-pass composition exactly, not approximately.
+    rng = np.random.default_rng(200 + seed)
+    model = small_model(200 + seed)
+    batch = sample_path(rng.standard_normal((64, 2)), rng)
+    cond = rng.integers(0, SMALL.n_cond + 1, 64) if conditioned else None
+    loss, tape = fm_loss(model, batch, cond)
+
+    u = forward(model, batch.xt, batch.t, batch.t, cond)
+    diff = u - batch.v_target
+    ref = net.backward(model, batch.xt, batch.t, batch.t, cond, (2.0 / diff.size) * diff)
+    assert loss == float(np.mean(diff * diff))
+    assert list(tape.grads) == list(ref.grads)
+    for k in ref.grads:
+        assert np.array_equal(tape.grads[k], ref.grads[k]), k
+    assert np.array_equal(tape.grad_x, ref.grad_x)
+
+
 def test_meanflow_collapses_to_fm_at_r_equals_t():
     rng = np.random.default_rng(31)
     model = small_model(31)
