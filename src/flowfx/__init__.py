@@ -14,10 +14,12 @@ Submodules group the math by pipeline stage:
 - ``cli``          the ``flowfx`` command-line entry point
 
 The most commonly used names are re-exported here; everything else is a
-deliberate import away in its submodule.
+deliberate import away in its submodule.  ``cli`` is not imported here, so
+``python -m flowfx.cli`` runs it once, as ``__main__``; ``from flowfx import
+cli`` still works.
 """
 
-from . import cli, distill, dsp, flow, losses, metrics, net, solvers, toy, transformer
+from . import distill, dsp, flow, losses, metrics, net, solvers, toy, transformer
 from .dsp import AudioBuffer, StftConfig, istft, read_wav, stft, synth_signal, write_wav
 from .errors import (
     ConfigError,
@@ -55,7 +57,6 @@ __all__ = [
     "StftConfig",
     "TrScheduler",
     "VelocityModel",
-    "cli",
     "distill",
     "dopri5_sample",
     "dsp",

@@ -4,7 +4,9 @@ student.
 The loop alternates one discriminator step and one generator step per batch
 once a warmup period ends.  The discriminator scores partially denoised
 states: a frozen copy of the teacher supplies hidden features, and small
-trainable dense heads map them to scalars under a hinge loss.  The generator
+trainable heads map them to one scalar each under a hinge loss.  The heads
+are one stacked dense SiLU layer with a per-head linear readout, so every
+head runs in the same matrix products.  The generator
 objective is the mean-velocity distillation loss plus a weighted
 -D(x_r) term whose gradient enters the student through x_r = x_t - (t-r)*u.
 
@@ -57,13 +59,14 @@ class Discriminator:
     """Frozen feature trunk (a copy of the teacher) plus trainable dense
     heads, each mapping trunk features to one scalar score per sample.
 
-    Only ``params`` (the head weights) train; the trunk never updates.
+    ``params`` stacks the heads: ``w1`` (n_heads*head_hidden, F) and ``b1``
+    form one SiLU layer whose rows come in per-head blocks, and ``w2``
+    (n_heads, head_hidden) and ``b2`` (n_heads,) are the per-head readouts.
+    Only ``params`` train; the trunk never updates.
     """
 
     trunk: net.VelocityModel
     params: dict
-    n_heads: int
-    head_hidden: int
 
 
 def init_discriminator(
@@ -75,13 +78,19 @@ def init_discriminator(
     if n_heads < 1 or head_hidden < 1:
         raise DomainError("need at least one head and one hidden unit")
     feat_dim = teacher.config.hidden[-1]
-    p = {}
-    for h in range(n_heads):
-        p[f"head{h}_w1"] = rng.normal(0.0, (2.0 / feat_dim) ** 0.5, (head_hidden, feat_dim))
-        p[f"head{h}_b1"] = np.zeros(head_hidden)
-        p[f"head{h}_w2"] = rng.normal(0.0, head_hidden**-0.5, head_hidden)
-        p[f"head{h}_b2"] = np.zeros(1)
-    return Discriminator(teacher.clone(), p, n_heads, head_hidden)
+    w1, w2 = [], []
+    for _ in range(n_heads):  # head by head, so a seed gives the same numbers
+        w1.append(rng.normal(0.0, (2.0 / feat_dim) ** 0.5, (head_hidden, feat_dim)))
+        w2.append(rng.normal(0.0, head_hidden**-0.5, head_hidden))
+    p = {"w1": np.concatenate(w1), "b1": np.zeros(n_heads * head_hidden),
+         "w2": np.stack(w2), "b2": np.zeros(n_heads)}
+    return Discriminator(teacher.clone(), p)
+
+
+def _head_activations(disc: Discriminator, a: np.ndarray, s: np.ndarray):
+    """The activations a * s as an (n_heads, n, head_hidden) view: one
+    matrix-vector product per head reads them, as with separate heads."""
+    return (a * s).reshape(len(a), *disc.params["w2"].shape).transpose(1, 0, 2)
 
 
 def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray):
@@ -91,41 +100,40 @@ def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray):
     where cache replays the forward pass for the backward helpers.
     """
     feats, handle = net.hidden_forward(disc.trunk, x, r, r, None)
-    pre, sig, cols = [], [], []
-    for h in range(disc.n_heads):
-        a = feats @ disc.params[f"head{h}_w1"].T + disc.params[f"head{h}_b1"]
-        s = expit(a)
-        pre.append(a)
-        sig.append(s)
-        cols.append((a * s) @ disc.params[f"head{h}_w2"] + disc.params[f"head{h}_b2"][0])
-    cache = {"feats": feats, "handle": handle, "pre": pre, "sig": sig}
-    return np.stack(cols, axis=1), cache
+    p = disc.params
+    a = feats @ p["w1"].T + p["b1"]
+    s = expit(a)
+    act = _head_activations(disc, a, s)
+    # C-ordered scores keep later sums over them in the same order
+    scores = np.ascontiguousarray(np.matmul(act, p["w2"][:, :, None])[:, :, 0].T) + p["b2"]
+    cache = {"feats": feats, "handle": handle, "pre": a, "sig": s}
+    return scores, cache
 
 
-def _head_backward(disc: Discriminator, cache: dict, up_scores: np.ndarray):
-    """Backprop d<scores, up_scores> through the heads.
+def _pre_activation_grad(disc: Discriminator, cache: dict, up_scores: np.ndarray):
+    """Gradient of <scores, up_scores> on the stacked pre-activations."""
+    a = cache["pre"]
+    ga = net._silu_grad(a, cache["sig"])
+    ga *= (up_scores[:, :, None] * disc.params["w2"]).reshape(a.shape)
+    return ga
 
-    Returns (head parameter grads, gradient on the trunk features)."""
-    feats = cache["feats"]
-    grads = {}
-    g_feats = np.zeros_like(feats)
-    for h in range(disc.n_heads):
-        a, s = cache["pre"][h], cache["sig"][h]
-        up = up_scores[:, h]
-        act = a * s
-        grads[f"head{h}_w2"] = act.T @ up
-        grads[f"head{h}_b2"] = np.array([up.sum()])
-        g_act = up[:, None] * disc.params[f"head{h}_w2"][None, :]
-        ga = g_act * (s * (1.0 + a * (1.0 - s)))
-        grads[f"head{h}_w1"] = ga.T @ feats
-        grads[f"head{h}_b1"] = ga.sum(axis=0)
-        g_feats += ga @ disc.params[f"head{h}_w1"]
-    return grads, g_feats
+
+def _head_param_grads(disc: Discriminator, cache: dict, up_scores: np.ndarray) -> dict:
+    """Gradients of <scores, up_scores> on the head parameters."""
+    ga = _pre_activation_grad(disc, cache, up_scores)
+    act = _head_activations(disc, cache["pre"], cache["sig"])
+    up = up_scores.T  # strided for w2, copied for b2: sums as separate heads
+    return {
+        "w1": ga.T @ cache["feats"],
+        "b1": ga.sum(axis=0),
+        "w2": np.matmul(up[:, None, :], act)[:, 0, :],
+        "b2": np.ascontiguousarray(up).sum(axis=1),
+    }
 
 
 def disc_input_gradient(disc: Discriminator, cache: dict, up_scores: np.ndarray):
     """Gradient of <scores, up_scores> with respect to the disc input x."""
-    _, g_feats = _head_backward(disc, cache, up_scores)
+    g_feats = _pre_activation_grad(disc, cache, up_scores) @ disc.params["w1"]
     return net.hidden_input_gradient(disc.trunk, cache["handle"], g_feats)
 
 
@@ -160,7 +168,7 @@ def disc_step(
         np.where(1.0 - s_true > 0.0, -1.0, 0.0) / s_true.size,
         np.where(1.0 + s_fake > 0.0, 1.0, 0.0) / s_fake.size,
     ])
-    grads, _ = _head_backward(disc, cache, up_scores)
+    grads = _head_param_grads(disc, cache, up_scores)
     net.adam_step(opt, disc, GradTape(grads, np.zeros(disc.trunk.config.dim)))
     return loss
 

@@ -47,6 +47,8 @@ class ModelConfig:
         if self.n_freqs < 1 or self.freq_min <= 0 or self.freq_max < self.freq_min:
             raise DomainError("bad frequency ladder")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if any(h < 1 for h in self.hidden):
+            raise DomainError("hidden layer widths must be >= 1")
 
     @property
     def null_cond(self) -> int:
@@ -140,6 +142,11 @@ def _resolve_cond(cond, n, config):
     return ids
 
 
+def _silu_grad(a, s):
+    """d silu(a)/da, given a and its logistic s = expit(a)."""
+    return s * (1.0 + a * (1.0 - s))
+
+
 def _core(model, x, t, r, cond, want_tape=False, tangent=None):
     """Shared primal pass.  Optionally records a tape for _tape_backward
     and/or propagates a (dx, dt, dr) tangent in lockstep with the primal ops.
@@ -191,7 +198,7 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None):
         s = expit(a)
         if tangent is not None:
             da = dh @ p[f"w{i}"].T
-            dh = (s * (1.0 + a * (1.0 - s))) * da  # d silu
+            dh = _silu_grad(a, s) * da
         h = a * s  # silu
         if want_tape:
             tape["pre"].append(a)
@@ -235,7 +242,7 @@ def _hidden_chain(model, tape, g, grads=None):
     p = model.params
     for i in reversed(range(len(model.config.hidden))):
         a, s = tape["pre"][i], tape["sig"][i]
-        ga = g * (s * (1.0 + a * (1.0 - s)))
+        ga = g * _silu_grad(a, s)
         if grads is not None:
             grads[f"w{i}"] = ga.T @ tape["inputs"][i]
             grads[f"b{i}"] = ga.sum(axis=0)
@@ -319,9 +326,14 @@ class OptimizerState:
     def __post_init__(self):
         if not (0.0 < self.ema_decay < 1.0):
             raise DomainError("ema_decay must lie in (0, 1)")
+        if self.warmup < 0:
+            raise DomainError("warmup must be >= 0")
 
     def effective_lr(self) -> float:
-        """Learning rate of the latest step under the linear warmup."""
+        """Learning rate of the latest step under the linear warmup; a
+        warmup of 0 steps means none."""
+        if self.warmup == 0:
+            return self.lr
         return self.lr * min(1.0, self.step / self.warmup)
 
 
@@ -413,8 +425,27 @@ def save_checkpoint(path, model: VelocityModel, optimizer=None, meta=None) -> No
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _check_arrays(path, what, arrays, expected) -> None:
+    """Raise FileFormatError unless ``arrays`` has exactly the keys and
+    shapes of ``expected`` and holds only finite values."""
+    if set(arrays) != set(expected):
+        raise FileFormatError(
+            path, f"{what} set mismatch: {sorted(set(arrays) ^ set(expected))}"
+        )
+    for k, ref in expected.items():
+        if arrays[k].shape != ref.shape:
+            raise FileFormatError(
+                path, f"{what} {k!r} has shape {arrays[k].shape}, expected {ref.shape}"
+            )
+        if not np.all(np.isfinite(arrays[k])):
+            raise FileFormatError(path, f"{what} {k!r} is not finite")
+
+
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: returns (model, optimizer or None, meta)."""
+    """Inverse of save_checkpoint: returns (model, optimizer or None, meta).
+
+    Every parameter, and every optimizer moment and EMA array present, must
+    match the shapes init_model gives the stored config and be finite."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -425,10 +456,9 @@ def load_checkpoint(path):
     try:
         config = _config_from_dict(obj["config"])
         params = {k: np.array(v, dtype=np.float64) for k, v in obj["params"].items()}
+        expected = init_model(config, np.random.default_rng(0)).params
+        _check_arrays(path, "parameter", params, expected)
         model = VelocityModel(config, params)
-        expected = set(init_model(config, np.random.default_rng(0)).params)
-        if set(params) != expected:
-            raise KeyError(f"parameter set mismatch: {sorted(set(params) ^ expected)}")
         opt = None
         if obj.get("optimizer") is not None:
             o = obj["optimizer"]
@@ -437,11 +467,12 @@ def load_checkpoint(path):
                 beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"],
                 ema_decay=o["ema_decay"], step=o["step"], skipped=o["skipped"],
             )
-            opt.m = {k: np.array(v, dtype=np.float64) for k, v in o["m"].items()}
-            opt.v = {k: np.array(v, dtype=np.float64) for k, v in o["v"].items()}
-            opt.ema = {k: np.array(v, dtype=np.float64) for k, v in o["ema"].items()}
+            for name in ("m", "v", "ema"):
+                arrays = {k: np.array(v, dtype=np.float64) for k, v in o[name].items()}
+                _check_arrays(path, f"optimizer {name}", arrays, expected)
+                setattr(opt, name, arrays)
         return model, opt, obj.get("meta", {})
     except FileFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(path, f"malformed checkpoint: {exc}") from exc

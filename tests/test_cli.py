@@ -5,11 +5,17 @@ config/flag precedence rules, and byte-level determinism are all asserted
 against the documented contracts.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowfx
 from flowfx import distill, dsp, flow, metrics, net
 from flowfx.cli import load_config_file, main, ring_model_config
 from flowfx.errors import ConfigError
@@ -97,6 +103,91 @@ class TestConfigPlumbing:
 
     def test_bad_flag_value_is_usage_error(self, capsys):
         assert main(["train-fm", "--steps", "many"]) == 1
+
+
+def _edited_checkpoint(path, edit):
+    """Save a small ring-architecture checkpoint with its optimizer state,
+    then apply ``edit`` to the parsed JSON and write it back."""
+    model = net.init_model(ring_model_config((8,)), np.random.default_rng(0))
+    net.save_checkpoint(path, model, optimizer=net.init_optimizer(model))
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))  # allow_nan: NaN is written as a bare NaN
+    return path
+
+
+def _drop_w0_row(obj):
+    obj["params"]["w0"].pop()
+
+
+def _nan_param(obj):
+    obj["params"]["b_out"][0] = float("nan")
+
+
+def _short_moment(obj):
+    obj["optimizer"]["m"]["b_out"].pop()
+
+
+def _params_as_list(obj):
+    obj["params"] = list(obj["params"].values())
+
+
+def _ckpt_case(command, edit):
+    def argv(tmp_path):
+        ckpt = _edited_checkpoint(tmp_path / "ckpt.json", edit)
+        return [command, str(ckpt), "--steps", "2", "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _train_case(*flags):
+    def argv(tmp_path):
+        return ["train-fm", "--steps", "2", "--batch-size", "8", *flags,
+                "--out", str(tmp_path / "o")]
+    return argv
+
+
+class TestMalformedInputs:
+    """Every bad input ends in its documented exit code and one ``error:``
+    line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(_ckpt_case("sample", _drop_w0_row), 2, id="sample-w0-row-short"),
+            pytest.param(_ckpt_case("distill", _drop_w0_row), 2, id="distill-w0-row-short"),
+            pytest.param(_ckpt_case("sample", _nan_param), 2, id="sample-nan-param"),
+            pytest.param(_ckpt_case("distill", _nan_param), 2, id="distill-nan-param"),
+            pytest.param(_ckpt_case("sample", _short_moment), 2, id="sample-adam-m-short"),
+            pytest.param(_ckpt_case("distill", _short_moment), 2, id="distill-adam-m-short"),
+            pytest.param(_ckpt_case("sample", _params_as_list), 2, id="sample-params-not-object"),
+            pytest.param(_train_case("--hidden", "0"), 1, id="hidden-zero"),
+            pytest.param(_train_case("--hidden", "-3"), 1, id="hidden-negative"),
+            pytest.param(_train_case("--hidden", "8,0"), 1, id="hidden-second-zero"),
+            pytest.param(_train_case("--lr-warmup", "-1"), 1, id="lr-warmup-negative"),
+        ],
+    )
+    def test_exit_code_and_one_error_line(self, argv, code, tmp_path, capsys):
+        assert main(argv(tmp_path)) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_zero_lr_warmup_means_no_warmup(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(_train_case("--lr-warmup", "0", "--lr", "0.01")(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_log(out / "fm_log.csv")
+        assert [row[2] for row in rows] == ["0.01", "0.01"]
+
+    def test_module_entry_point_prints_no_warning(self):
+        src = str(Path(flowfx.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default::RuntimeWarning", "-m", "flowfx.cli", "--help"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 class TestCodec:

@@ -11,6 +11,7 @@ import copy
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from flowfx import distill, flow, net
 from flowfx.distill import (
@@ -60,11 +61,8 @@ class TestDiscriminator:
     def test_init_shapes_and_frozen_trunk_copy(self):
         teacher = _teacher()
         disc = init_discriminator(teacher, np.random.default_rng(0), 4, 16)
-        assert disc.n_heads == 4
-        assert sorted(disc.params) == sorted(
-            f"head{h}_{n}" for h in range(4) for n in ("w1", "b1", "w2", "b2")
-        )
-        assert disc.params["head0_w1"].shape == (16, 16)
+        shapes = {k: v.shape for k, v in disc.params.items()}
+        assert shapes == {"w1": (64, 16), "b1": (64,), "w2": (4, 16), "b2": (4,)}
         _assert_bitwise_equal(disc.trunk.params, teacher.params)
         assert disc.trunk.params["w0"] is not teacher.params["w0"]
 
@@ -88,7 +86,7 @@ class TestDiscriminator:
             return float(np.sum(s * up))
 
         _, cache = disc_scores(disc, x, r)
-        grads, _ = distill._head_backward(disc, cache, up)
+        grads = distill._head_param_grads(disc, cache, up)
         h = 1e-6
         rng_pick = np.random.default_rng(5)
         for key in grads:
@@ -138,13 +136,83 @@ class TestDiscriminator:
         disc = init_discriminator(teacher, np.random.default_rng(8), 4, 8)
         rng = np.random.default_rng(9)
         _, cache = disc_scores(disc, rng.standard_normal((5, 2)), rng.uniform(0.1, 1, 5))
-        grads, g_feats = distill._head_backward(disc, cache, np.zeros((5, 4)))
+        grads = distill._head_param_grads(disc, cache, np.zeros((5, 4)))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
-        assert np.array_equal(g_feats, np.zeros_like(g_feats))
+        gx = disc_input_gradient(disc, cache, np.zeros((5, 4)))
+        assert np.array_equal(gx, np.zeros_like(gx))
 
     def test_bad_head_geometry_rejected(self):
         with pytest.raises(DomainError):
             init_discriminator(_teacher(), np.random.default_rng(0), 0, 8)
+
+
+def _per_head_reference(disc, x, r, up):
+    """The heads run one at a time, as separate dense SiLU layers with a
+    scalar readout: returns (scores, head parameter grads, input gradient)
+    of <scores, up>."""
+    p = disc.params
+    n_heads, k = p["w2"].shape
+    feats, handle = net.hidden_forward(disc.trunk, x, r, r, None)
+    cols = []
+    grads = {"w1": [], "b1": [], "w2": [], "b2": []}
+    g_feats = np.zeros_like(feats)
+    for h in range(n_heads):
+        w1, b1 = p["w1"][h * k : (h + 1) * k], p["b1"][h * k : (h + 1) * k]
+        w2, b2 = p["w2"][h], p["b2"][h]
+        a = feats @ w1.T + b1
+        s = expit(a)
+        act = a * s
+        cols.append(act @ w2 + b2)
+        u = up[:, h]
+        ga = (u[:, None] * w2[None, :]) * (s * (1.0 + a * (1.0 - s)))
+        grads["w1"].append(ga.T @ feats)
+        grads["b1"].append(ga.sum(axis=0))
+        grads["w2"].append(act.T @ u)
+        grads["b2"].append(u.sum())
+        g_feats += ga @ w1
+    grads = {
+        "w1": np.concatenate(grads["w1"]),
+        "b1": np.concatenate(grads["b1"]),
+        "w2": np.stack(grads["w2"]),
+        "b2": np.array(grads["b2"]),
+    }
+    gx = net.hidden_input_gradient(disc.trunk, handle, g_feats)
+    return np.stack(cols, axis=1), grads, gx
+
+
+class TestStackedHeads:
+    """The stacked head layer computes what separate per-head layers do:
+    bit for bit for scores and parameter gradients, and up to the order of
+    the sum over heads for the input gradient."""
+
+    @pytest.mark.parametrize(
+        "hidden, n_heads, head_hidden, n",
+        [
+            ((16, 16), 3, 8, 5),
+            ((64, 64), 4, 64, 512),  # the distill command's geometry
+        ],
+    )
+    def test_matches_per_head_loop(self, hidden, n_heads, head_hidden, n):
+        teacher = net.init_model(
+            net.ModelConfig(dim=2, hidden=hidden, n_cond=2, cond_dim=4,
+                            embed_dim=8, n_freqs=4, freq_max=100.0),
+            np.random.default_rng(15),
+        )
+        disc = init_discriminator(teacher, np.random.default_rng(16), n_heads, head_hidden)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((n, 2))
+        r = rng.uniform(0.0, 1.0, n)
+        # sparse upstream, like the hinge loss's
+        up = rng.standard_normal((n, n_heads)) * (rng.uniform(size=(n, n_heads)) < 0.5)
+        want_scores, want_grads, want_gx = _per_head_reference(disc, x, r, up)
+
+        scores, cache = disc_scores(disc, x, r)
+        assert np.array_equal(scores, want_scores)
+        assert scores.flags.c_contiguous
+        grads = distill._head_param_grads(disc, cache, up)
+        _assert_bitwise_equal(grads, want_grads)
+        gx = disc_input_gradient(disc, cache, up)
+        assert np.linalg.norm(gx - want_gx) <= 1e-12 * np.linalg.norm(want_gx)
 
 
 class TestDiscStep:
