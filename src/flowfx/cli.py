@@ -98,13 +98,13 @@ SCHEMAS = {
     },
     "sample": {
         "solver": (str, "euler", "euler or dopri5"),
-        "steps": (int, 4, "euler step count"),
+        "steps": (int, 4, "step count (euler only)"),
         "n": (int, 256, "number of samples"),
-        "rtol": (float, 1e-3, "dopri5 relative tolerance"),
-        "atol": (float, 1e-3, "dopri5 absolute tolerance"),
-        "cfg_scale": (float, 1.0, "guidance scale at sampling time"),
-        "cfg_mode": (str, "standard", "guidance combination mode"),
-        "max_nfe": (int, 10000, "model-evaluation budget"),
+        "rtol": (float, 1e-3, "relative tolerance (dopri5 only)"),
+        "atol": (float, 1e-3, "absolute tolerance (dopri5 only)"),
+        "cfg_scale": (float, 1.0, "guidance scale at sampling time (both solvers)"),
+        "cfg_mode": (str, "standard", "guidance mode, standard or paper_literal (both solvers)"),
+        "max_nfe": (int, 10000, "model-evaluation budget (both solvers)"),
         "cond": (int, -1, "condition id, or -1 to cycle over classes"),
     },
     "eval": {
@@ -256,7 +256,8 @@ def cmd_distill(cfg: RunConfig, teacher_path) -> None:
 
     Writes student.json and distill_log.csv with (step, mf_loss, adv_loss,
     disc_loss, lr) rows; the adversarial and discriminator cells stay empty
-    until the warmup ends.
+    until the warmup ends.  A non-finite loss aborts with the first such
+    step and writes nothing.
     """
     v = cfg.values
     teacher, _, _ = net.load_checkpoint(teacher_path)
@@ -265,17 +266,11 @@ def cmd_distill(cfg: RunConfig, teacher_path) -> None:
             f"teacher must model 2-D data with >= {toy.N_MODES} classes, got "
             f"dim={teacher.config.dim} n_cond={teacher.config.n_cond}"
         )
-    scale_range = (v["cfg_lo"], v["cfg_hi"])
     dconf = distill.DistillConfig(
-        warmup_steps=v["warmup_steps"],
-        adv_weight=v["adv_weight"],
-        lr=v["lr"],
-        cfg_scale_range=scale_range,
-        cfg_drop_prob=v["drop_prob"],
+        warmup_steps=v["warmup_steps"], adv_weight=v["adv_weight"], lr=v["lr"]
     )
-    guide = None
-    if v["guidance"]:
-        guide = flow.CfgSpec(scale_range=scale_range, drop_prob=v["drop_prob"])
+    # built unconditionally so a bad range or probability is rejected either way
+    guide = flow.CfgSpec(scale_range=(v["cfg_lo"], v["cfg_hi"]), drop_prob=v["drop_prob"])
     student = teacher.clone()
     rows, _ = distill.distill_loop(
         student,
@@ -286,8 +281,11 @@ def cmd_distill(cfg: RunConfig, teacher_path) -> None:
         config=dconf,
         rng_gen=np.random.default_rng([cfg.seed, 0]),
         rng_disc=np.random.default_rng([cfg.seed, 1]),
-        cfg=guide,
+        cfg=guide if v["guidance"] else None,
     )
+    for step, *step_losses, _ in rows:
+        if not all(math.isfinite(x) for x in step_losses if x is not None):
+            raise DivergenceError(step)
     meta = {"dataset": "ring", "seed": cfg.seed, "teacher": str(teacher_path)}
     net.save_checkpoint(cfg.out_dir / "student.json", student, meta=meta)
     _write_log(

@@ -37,8 +37,6 @@ class DistillConfig:
     warmup_steps: int = 5000
     adv_weight: float = 0.5
     lr: float = 5e-6
-    cfg_scale_range: tuple = (1.0, 9.0)
-    cfg_drop_prob: float = 0.1
 
     def __post_init__(self):
         if self.warmup_steps < 0:
@@ -47,11 +45,6 @@ class DistillConfig:
             raise DomainError("adv_weight must be >= 0")
         if self.lr <= 0.0:
             raise DomainError("lr must be positive")
-        lo, hi = self.cfg_scale_range
-        if hi < lo:
-            raise DomainError("cfg_scale_range must be ordered")
-        if not (0.0 <= self.cfg_drop_prob <= 1.0):
-            raise DomainError("cfg_drop_prob must lie in [0, 1]")
 
 
 @dataclass
@@ -77,7 +70,8 @@ def init_discriminator(
 ) -> Discriminator:
     if n_heads < 1 or head_hidden < 1:
         raise DomainError("need at least one head and one hidden unit")
-    feat_dim = teacher.config.hidden[-1]
+    # with no hidden layer the trunk features are the network input itself
+    feat_dim = (teacher.config.hidden or (teacher.config.in_dim,))[-1]
     w1, w2 = [], []
     for _ in range(n_heads):  # head by head, so a seed gives the same numbers
         w1.append(rng.normal(0.0, (2.0 / feat_dim) ** 0.5, (head_hidden, feat_dim)))
@@ -258,28 +252,24 @@ def distill_loop(
     rng_gen: np.random.Generator,
     rng_disc: np.random.Generator,
     cfg: flow.CfgSpec | None = None,
-    scheduler: flow.TrScheduler | None = None,
-    gen_opt: net.OptimizerState | None = None,
     disc: Discriminator | None = None,
-    disc_opt: net.OptimizerState | None = None,
 ):
     """Run the alternating distillation schedule for n_steps batches.
 
     sample_batch(rng, n) -> (x0, cond) supplies data.  Generator and
     discriminator consume independent random streams, so setting
     adv_weight to zero leaves the generator's draws (and therefore its
-    parameter trajectory) untouched.  Returns (rows, disc) where each row
+    parameter trajectory) untouched.  A ``disc`` from an earlier run carries
+    on training with a fresh optimizer.  Returns (rows, disc) where each row
     is (step, mf_loss, adv_loss or None, disc_loss or None, lr).
     """
     if n_steps < 0 or batch_size < 1:
         raise DomainError("need n_steps >= 0 and batch_size >= 1")
-    scheduler = scheduler or flow.TrScheduler()
-    if gen_opt is None:
-        gen_opt = net.init_optimizer(student, lr=config.lr)
+    scheduler = flow.TrScheduler()
+    gen_opt = net.init_optimizer(student, lr=config.lr)
     adversarial = config.adv_weight != 0.0
-    if adversarial and disc is None:
-        disc = init_discriminator(teacher, rng_disc)
-    if adversarial and disc_opt is None:
+    if adversarial:
+        disc = disc or init_discriminator(teacher, rng_disc)
         disc_opt = net.init_optimizer(disc, lr=config.lr)
 
     rows = []

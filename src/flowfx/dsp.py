@@ -10,7 +10,7 @@ window-square-normalized overlap-add on the way back, which makes
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
@@ -18,6 +18,7 @@ from scipy.io import wavfile
 from .errors import DomainError, FileFormatError
 
 MEL_LOG_FLOOR = 1e-5
+HEAD_MAG_FLOOR = 1e-30
 OLA_DENOM_FLOOR = 1e-12
 
 
@@ -54,13 +55,10 @@ class StftConfig:
 
     n_fft: int = 960
     hop: int = 480
-    window: str = "hann"
 
     def __post_init__(self):
         if self.n_fft <= 0 or self.hop <= 0:
             raise DomainError("n_fft and hop must be positive")
-        if self.window != "hann":
-            raise DomainError(f"unsupported window {self.window!r}")
         # hop <= n_fft/2 guarantees full frame coverage of the padded signal,
         # which together with window-square normalization makes the
         # overlap-add inverse exact.
@@ -204,13 +202,13 @@ def head_to_complex(h: HeadOutput, config: StftConfig | None = None):
     return ComplexSpectrogram(coeffs, config)
 
 
-def complex_to_head(spec: ComplexSpectrogram, mag_floor: float = 1e-30) -> HeadOutput:
+def complex_to_head(spec: ComplexSpectrogram) -> HeadOutput:
     """Inverse of ``head_to_complex`` up to the softplus floor.
 
-    Magnitudes below ``mag_floor`` are clamped before inverting softplus so
-    silent bins stay finite.
+    Magnitudes below ``HEAD_MAG_FLOOR`` are clamped before inverting softplus
+    so silent bins stay finite.
     """
-    mag = np.maximum(np.abs(spec.data), mag_floor)
+    mag = np.maximum(np.abs(spec.data), HEAD_MAG_FLOOR)
     # inverse softplus: m = mag + log(1 - exp(-mag)); the expm1 form stays
     # finite even when mag rounds exp(-mag) to exactly 1
     m = mag + np.log(-np.expm1(-mag))
@@ -232,7 +230,6 @@ class MelFilterbank:
     weights: np.ndarray
     n_mels: int
     sample_rate: int
-    center_freqs: np.ndarray = field(repr=False, default=None)
 
 
 def mel_filterbank(
@@ -260,23 +257,23 @@ def mel_filterbank(
     if np.any(empty):
         nearest = np.argmin(np.abs(freqs[None, :] - center[:, None]), axis=1)
         weights[empty, nearest[empty]] = 1.0
-    return MelFilterbank(weights, n_mels, int(sample_rate), center_freqs=center)
+    return MelFilterbank(weights, n_mels, int(sample_rate))
 
 
 def log_mel(
     audio: AudioBuffer,
     fb: MelFilterbank,
     config: StftConfig = StftConfig(),
-    floor: float = MEL_LOG_FLOOR,
 ) -> np.ndarray:
-    """Log mel spectrogram ``log(max(fb . |stft|, floor))``, frames x n_mels."""
+    """Log mel spectrogram ``log(max(fb . |stft|, MEL_LOG_FLOOR))``, frames x
+    n_mels."""
     if fb.sample_rate != audio.sample_rate:
         raise DomainError(
             f"filterbank built for {fb.sample_rate} Hz, audio is "
             f"{audio.sample_rate} Hz"
         )
     mags = np.abs(stft(audio, config).data)
-    return np.log(np.maximum(mags @ fb.weights.T, floor))
+    return np.log(np.maximum(mags @ fb.weights.T, MEL_LOG_FLOOR))
 
 
 def synth_signal(seed: int, duration: float, sample_rate: int = 48000) -> AudioBuffer:

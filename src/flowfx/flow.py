@@ -165,7 +165,6 @@ class CfgSpec:
 
     scale_range: tuple = (1.0, 9.0)
     drop_prob: float = 0.1
-    mode: str = "standard"
 
     def __post_init__(self):
         lo, hi = self.scale_range
@@ -199,7 +198,7 @@ def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng):
     v_c = net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids)
     v_u = net.forward(teacher, batch.xt, batch.t, batch.t, None)
     scale = float(w[0]) if np.all(w == w[0]) else w[:, None]
-    return cfg_combine(v_c, v_u, scale, mode=cfg.mode), cond_ids
+    return cfg_combine(v_c, v_u, scale), cond_ids
 
 
 def meanflow_distill_loss(

@@ -3,7 +3,9 @@ Dormand-Prince 5(4) with a PI step-size controller and NFE accounting.
 
 Both solvers integrate from t = 1 (noise) down to t = 0 (data).  The vector
 field may be a VelocityModel or any callable f(x, t, r, cond) -> velocity,
-which keeps analytic test problems cheap.
+which keeps analytic test problems cheap.  Both read the field through one
+wrapper that applies classifier-free guidance and charges every model call
+against the NFE budget.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class SolverConfig:
     renoise_mode: str = "remix"
     atol: float = 1e-3
     rtol: float = 1e-3
-    cfg_scale: float = 7.0
+    cfg_scale: float = 1.0
     cfg_mode: str = "standard"
     max_nfe: int = 10000
 
@@ -88,10 +90,30 @@ class SampleTrace:
     meta: dict = field(default_factory=dict)
 
 
-def _make_field(model):
-    if callable(model):
-        return model
-    return lambda x, t, r, cond: net.forward(model, x, t, r, cond)
+def _field(model, cond, config: SolverConfig):
+    """The sampled field f(x, t, r) and its model-call counter (a 1-list).
+
+    With ``cond`` set and a non-neutral scale, each evaluation makes a
+    conditional call, then an unconditional one, and combines them with
+    cfg_combine.  Every model call counts against config.max_nfe.
+    """
+    f = model if callable(model) else lambda x, t, r, c: net.forward(model, x, t, r, c)
+    guided = cond is not None and config.cfg_scale != cfg_neutral_scale(config.cfg_mode)
+    nfe = [0]
+
+    def call(x, t, r, c):
+        nfe[0] += 1
+        if nfe[0] > config.max_nfe:
+            raise SolverError(f"nfe budget {config.max_nfe} exhausted", nfe=nfe[0])
+        return f(x, t, r, c)
+
+    def field(x, t, r):
+        if not guided:
+            return call(x, t, r, cond)
+        v_c = call(x, t, r, cond)
+        return cfg_combine(v_c, call(x, t, r, None), config.cfg_scale, mode=config.cfg_mode)
+
+    return field, nfe
 
 
 def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig(),
@@ -100,7 +122,8 @@ def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig(),
 
     Each step evaluates the field once at (x, t_k, r = t_{k+1}) and updates
     x <- x - (t_k - t_{k+1}) * u, so a mean-velocity model integrates its
-    average velocity exactly over the step and nfe equals steps.
+    average velocity exactly over the step and nfe equals steps, or twice
+    that under guidance.
 
     When renoise weights are set, the state is renoised before each step
     with weight w_k.  In remix mode the noise component is estimated from
@@ -113,11 +136,10 @@ def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig(),
     weights = config.renoise_weights or (0.0,) * config.steps
     if any(w > 0 for w in weights) and rng is None:
         raise DomainError("renoising draws fresh noise and needs an rng")
-    f = _make_field(model)
+    f, nfe = _field(model, cond, config)
     x = np.array(x1, dtype=np.float64)
     grid = 1.0 - np.arange(config.steps + 1) / config.steps
     grid[-1] = 0.0
-    nfe = 0
     u_prev = None
     for k in range(config.steps):
         t_k, r_k = grid[k], grid[k + 1]
@@ -130,29 +152,13 @@ def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig(),
                 x = (1.0 - t_k) * x0_hat + t_k * eps
             else:
                 x = x + w * t_k * rng.standard_normal(x.shape)
-        u = f(x, t_k, r_k, cond)
-        nfe += 1
+        u = f(x, t_k, r_k)
         x = x - (t_k - r_k) * u
         u_prev = u
         if not np.all(np.isfinite(x)):
-            raise SolverError(f"non-finite state after step {k}", step=k, nfe=nfe)
-    return SampleTrace(final=x, nfe=nfe, t_grid=list(grid), accepted=config.steps,
+            raise SolverError(f"non-finite state after step {k}", step=k, nfe=nfe[0])
+    return SampleTrace(final=x, nfe=nfe[0], t_grid=list(grid), accepted=config.steps,
                        rejected=0)
-
-
-def _cfg_field(model, cond, config):
-    """Wrap the raw field with classifier-free guidance; returns the guided
-    field and the number of model calls it makes per evaluation."""
-    f = _make_field(model)
-    if cond is None or config.cfg_scale == cfg_neutral_scale(config.cfg_mode):
-        return (lambda x, t: f(x, t, t, cond)), 1
-
-    def guided(x, t):
-        v_c = f(x, t, t, cond)
-        v_u = f(x, t, t, None)
-        return cfg_combine(v_c, v_u, config.cfg_scale, mode=config.cfg_mode)
-
-    return guided, 2
 
 
 def dopri5_sample(model, x1, cond=None,
@@ -166,19 +172,12 @@ def dopri5_sample(model, x1, cond=None,
     """
     if config.kind != "dopri5":
         raise DomainError("dopri5_sample needs config.kind == 'dopri5'")
-    guided, calls_per_eval = _cfg_field(model, cond, config)
+    f, nfe = _field(model, cond, config)
     x = np.array(x1, dtype=np.float64)
-    nfe = 0
 
     def eval_field(x_at, s):
-        # integrate forward in s = 1 - t: dx/ds = -u(x, t)
-        nonlocal nfe
-        nfe += calls_per_eval
-        if nfe > config.max_nfe:
-            raise SolverError(
-                f"nfe budget {config.max_nfe} exhausted", nfe=nfe
-            )
-        return -np.asarray(guided(x_at, 1.0 - s), dtype=np.float64)
+        # integrate forward in s = 1 - t: dx/ds = -u(x, t, r = t)
+        return -np.asarray(f(x_at, 1.0 - s, 1.0 - s), dtype=np.float64)
 
     s, s_end = 0.0, 1.0
     h = INITIAL_STEP
@@ -194,7 +193,7 @@ def dopri5_sample(model, x1, cond=None,
         if h < MIN_STEP:
             raise SolverError(
                 f"step size underflow (h={h:.3e}) at t={1.0 - s:.6f}",
-                step=accepted, nfe=nfe,
+                step=accepted, nfe=nfe[0],
             )
         ks[0] = k1
         xi = x
@@ -210,7 +209,7 @@ def dopri5_sample(model, x1, cond=None,
         scale = config.atol + config.rtol * np.maximum(np.abs(x), np.abs(x_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if not np.isfinite(err):
-            raise SolverError("non-finite error estimate", step=accepted, nfe=nfe)
+            raise SolverError("non-finite error estimate", step=accepted, nfe=nfe[0])
         if err <= 1.0:
             s += h
             x = x_new
@@ -225,7 +224,7 @@ def dopri5_sample(model, x1, cond=None,
             factor = min(factor, 1.0)  # never grow after a rejection
         h *= min(max(factor, FACTOR_MIN), FACTOR_MAX)
     if not np.all(np.isfinite(x)):
-        raise SolverError("non-finite final state", step=accepted, nfe=nfe)
+        raise SolverError("non-finite final state", step=accepted, nfe=nfe[0])
     t_grid[-1] = 0.0
-    return SampleTrace(final=x, nfe=nfe, t_grid=t_grid, accepted=accepted,
+    return SampleTrace(final=x, nfe=nfe[0], t_grid=t_grid, accepted=accepted,
                        rejected=rejected)

@@ -132,10 +132,18 @@ def _params_as_list(obj):
     obj["params"] = list(obj["params"].values())
 
 
-def _ckpt_case(command, edit):
+def _huge_w_out(obj):
+    obj["params"]["w_out"] = [[1e300 * v for v in row] for row in obj["params"]["w_out"]]
+
+
+def _unedited(obj):
+    pass
+
+
+def _ckpt_case(command, edit, *flags):
     def argv(tmp_path):
         ckpt = _edited_checkpoint(tmp_path / "ckpt.json", edit)
-        return [command, str(ckpt), "--steps", "2", "--out", str(tmp_path / "o")]
+        return [command, str(ckpt), "--steps", "2", *flags, "--out", str(tmp_path / "o")]
     return argv
 
 
@@ -160,6 +168,11 @@ class TestMalformedInputs:
             pytest.param(_ckpt_case("sample", _short_moment), 2, id="sample-adam-m-short"),
             pytest.param(_ckpt_case("distill", _short_moment), 2, id="distill-adam-m-short"),
             pytest.param(_ckpt_case("sample", _params_as_list), 2, id="sample-params-not-object"),
+            pytest.param(_ckpt_case("sample", _unedited, "--solver", "euler", "--steps", "20",
+                                    "--max-nfe", "10"), 3, id="sample-euler-over-nfe-budget"),
+            pytest.param(_ckpt_case("distill", _unedited, "--cfg-lo", "9", "--cfg-hi", "1"), 1,
+                         id="distill-cfg-range-reversed-unguided"),
+            pytest.param(_ckpt_case("distill", _huge_w_out), 3, id="distill-non-finite-loss"),
             pytest.param(_train_case("--hidden", "0"), 1, id="hidden-zero"),
             pytest.param(_train_case("--hidden", "-3"), 1, id="hidden-negative"),
             pytest.param(_train_case("--hidden", "8,0"), 1, id="hidden-second-zero"),
@@ -336,6 +349,15 @@ class TestDistillCommand:
         assert rc == 1
         assert "dim" in capsys.readouterr().err
 
+    def test_teacher_without_hidden_layers(self, tmp_path):
+        ckpt = tmp_path / "flat.json"
+        net.save_checkpoint(ckpt, net.init_model(ring_model_config(()), np.random.default_rng(0)))
+        rc = main(["distill", str(ckpt), "--steps", "3", "--warmup-steps", "1",
+                   "--batch-size", "16", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        _, rows = read_log(tmp_path / "o" / "distill_log.csv")
+        assert [row[3] != "" for row in rows] == [False, True, True]
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -397,6 +419,15 @@ class TestSampleCommand:
         with open(out / "nfe.csv") as fh:
             assert fh.readline().strip() == "id,nfe"
             assert [line.strip().split(",")[1] for line in fh] == ["4"] * 8
+
+    def test_euler_guidance_is_applied(self, small_teacher, tmp_path):
+        args = ["sample", str(small_teacher), "--solver", "euler", "--steps", "4", "--n", "8"]
+        plain, guided = tmp_path / "plain", tmp_path / "guided"
+        assert main(args + ["--cfg-scale", "1", "--out", str(plain)]) == 0
+        assert main(args + ["--cfg-scale", "3", "--out", str(guided)]) == 0
+        assert (plain / "samples.csv").read_bytes() != (guided / "samples.csv").read_bytes()
+        assert read_report(plain / "sample_report.csv")["mean_nfe"] == (4.0, 8)
+        assert read_report(guided / "sample_report.csv")["mean_nfe"] == (8.0, 8)
 
     def test_dopri5_reports_adaptive_nfe(self, small_teacher, tmp_path):
         out = tmp_path / "o"

@@ -547,8 +547,6 @@ class TestDistillConfig:
         assert config.warmup_steps == 5000
         assert config.adv_weight == 0.5
         assert config.lr == 5e-6
-        assert config.cfg_scale_range == (1.0, 9.0)
-        assert config.cfg_drop_prob == 0.1
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -556,7 +554,7 @@ class TestDistillConfig:
         with pytest.raises(DomainError):
             DistillConfig(lr=0.0)
         with pytest.raises(DomainError):
-            DistillConfig(cfg_scale_range=(9.0, 1.0))
+            flow.CfgSpec(scale_range=(9.0, 1.0))
         with pytest.raises(DomainError):
             DistillConfig(warmup_steps=-1)
 

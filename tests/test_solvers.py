@@ -118,6 +118,36 @@ def test_euler_non_finite_state():
     assert info.value.step == 0
 
 
+def test_euler_cfg_doubles_model_calls():
+    calls = {"cond": 0, "uncond": 0}
+
+    def field(x, t, r, cond):
+        calls["uncond" if cond is None else "cond"] += 1
+        return 0.1 * x if cond is not None else np.zeros_like(x)
+
+    guided = euler_sample(field, np.ones(2), cond=1,
+                          config=SolverConfig(steps=4, cfg_scale=7.0))
+    assert calls["cond"] == calls["uncond"] == 4
+    assert guided.nfe == 2 * 4
+    x = np.ones(2)
+    for _ in range(4):
+        x = x - 0.25 * (7.0 * (0.1 * x))  # v_u + 7 (v_c - v_u) with v_u = 0
+    assert np.array_equal(guided.final, x)
+
+
+def test_euler_nfe_budget():
+    field = lambda x, t, r, cond: x
+    with pytest.raises(SolverError) as info:
+        euler_sample(field, np.ones(2), config=SolverConfig(steps=20, max_nfe=10))
+    assert info.value.nfe == 11
+    with pytest.raises(SolverError):  # guidance spends two calls per step
+        euler_sample(field, np.ones(2), cond=1,
+                     config=SolverConfig(steps=4, cfg_scale=7.0, max_nfe=7))
+    trace = euler_sample(field, np.ones(2), cond=1,
+                         config=SolverConfig(steps=4, cfg_scale=7.0, max_nfe=8))
+    assert trace.nfe == 8
+
+
 def test_dopri5_exponential_decay():
     # u = x integrated from t=1 down to 0 is decay in s = 1 - t: the
     # endpoint is x1 * e^-1
