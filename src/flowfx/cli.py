@@ -16,10 +16,10 @@ across runs.  Exit codes: 0 success, 1 usage or config error, 2 I/O error,
 """
 
 import argparse
-import csv
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -216,17 +216,6 @@ def cmd_codec(cfg: RunConfig, input_path) -> None:
     )
 
 
-def _write_log(path, header, rows) -> None:
-    """CSV training log; None cells stay empty, floats go through repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                ["" if v is None else repr(v) if isinstance(v, float) else v for v in row]
-            )
-
-
 def cmd_train_fm(cfg: RunConfig) -> None:
     """Train the conditional velocity field on the Gaussian ring.
 
@@ -248,7 +237,7 @@ def cmd_train_fm(cfg: RunConfig) -> None:
         rows.append((step, loss, opt.effective_lr()))
     meta = {"dataset": "ring", "seed": cfg.seed, "steps": v["steps"]}
     net.save_checkpoint(cfg.out_dir / "fm_teacher.json", model, meta=meta)
-    _write_log(cfg.out_dir / "fm_log.csv", ["step", "loss", "lr"], rows)
+    metrics.write_csv(cfg.out_dir / "fm_log.csv", ["step", "loss", "lr"], rows)
 
 
 def cmd_distill(cfg: RunConfig, teacher_path) -> None:
@@ -283,12 +272,9 @@ def cmd_distill(cfg: RunConfig, teacher_path) -> None:
         rng_disc=np.random.default_rng([cfg.seed, 1]),
         cfg=guide if v["guidance"] else None,
     )
-    for step, *step_losses, _ in rows:
-        if not all(math.isfinite(x) for x in step_losses if x is not None):
-            raise DivergenceError(step)
     meta = {"dataset": "ring", "seed": cfg.seed, "teacher": str(teacher_path)}
     net.save_checkpoint(cfg.out_dir / "student.json", student, meta=meta)
-    _write_log(
+    metrics.write_csv(
         cfg.out_dir / "distill_log.csv",
         ["step", "mf_loss", "adv_loss", "disc_loss", "lr"],
         rows,
@@ -328,11 +314,7 @@ def cmd_sample(cfg: RunConfig, ckpt_path) -> None:
     else:
         trace = solvers.dopri5_sample(model, x1, cond, solver_cfg)
     metrics.write_embedding_csv(cfg.out_dir / "samples.csv", metrics.EmbeddingSet(trace.final))
-    with open(cfg.out_dir / "nfe.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "nfe"])
-        for i in range(n):
-            writer.writerow([i, trace.nfe])
+    metrics.write_csv(cfg.out_dir / "nfe.csv", ["id", "nfe"], ((i, trace.nfe) for i in range(n)))
     metrics.write_report_csv(
         cfg.out_dir / "sample_report.csv",
         [
@@ -481,26 +463,25 @@ def _dispatch(args) -> None:
         cmd_eval(cfg, args.real, args.fake)
 
 
+# The exit code of each error a command may end in; see the module docstring.
+_EXIT_CODES = {_UsageError: 1, ConfigError: 1, DomainError: 1, FileFormatError: 2,
+               OSError: 2, SolverError: 3, DivergenceError: 3}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.  A failure prints one
+    ``error:`` line; warnings raised while the command runs are re-issued
+    only when it succeeds, so they never bury that line."""
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with warnings.catch_warnings(record=True) as caught:
+            _dispatch(build_parser().parse_args(argv))
     except SystemExit as exc:  # --help prints and exits 0
         return 0 if (exc.code or 0) == 0 else 1
-    try:
-        _dispatch(args)
-    except (_UsageError, ConfigError, DomainError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SolverError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import flow, losses, net
-from .errors import DomainError
+from .errors import DivergenceError, DomainError
 from .net import GradTape
 
 DISC_HEADS = 4
@@ -261,7 +261,8 @@ def distill_loop(
     adv_weight to zero leaves the generator's draws (and therefore its
     parameter trajectory) untouched.  A ``disc`` from an earlier run carries
     on training with a fresh optimizer.  Returns (rows, disc) where each row
-    is (step, mf_loss, adv_loss or None, disc_loss or None, lr).
+    is (step, mf_loss, adv_loss or None, disc_loss or None, lr); the first
+    step with a non-finite loss raises DivergenceError instead.
     """
     if n_steps < 0 or batch_size < 1:
         raise DomainError("need n_steps >= 0 and batch_size >= 1")
@@ -285,6 +286,8 @@ def distill_loop(
             student, teacher, disc, x0, scheduler, gen_opt, rng_gen,
             step, config, cond, cfg,
         )
+        if not all(np.isfinite(x) for x in (mf_loss, adv_loss, disc_loss) if x is not None):
+            raise DivergenceError(step)
         rows.append((step, mf_loss, adv_loss, disc_loss, gen_opt.effective_lr()))
     return rows, disc
 

@@ -1,5 +1,5 @@
-"""STFT analysis/synthesis, mel filterbanks, the complex-coefficient head, and
-a synthetic multi-partial test-signal generator.
+"""STFT analysis/synthesis, mel filterbanks, the log-spectral L1 distance, the
+complex-coefficient head, and a synthetic multi-partial test-signal generator.
 
 All operations are pure functions over float64 arrays.  The STFT uses a
 periodic Hann window with reflect padding of ``n_fft // 2`` on each side and
@@ -274,6 +274,24 @@ def log_mel(
         )
     mags = np.abs(stft(audio, config).data)
     return np.log(np.maximum(mags @ fb.weights.T, MEL_LOG_FLOOR))
+
+
+def spectral_l1(
+    a: AudioBuffer, b: AudioBuffer, config: StftConfig, n_mels: int | None = None
+) -> float:
+    """Mean absolute difference between the log spectrograms of a pair at one
+    STFT geometry: ``log_mel`` over ``n_mels`` bands when given, else the
+    log-magnitude, both floored at ``MEL_LOG_FLOOR``."""
+    if a.sample_rate != b.sample_rate:
+        raise DomainError("sample rates differ")
+    if len(a.samples) != len(b.samples):
+        raise DomainError("lengths differ")
+    if n_mels is None:
+        la, lb = (np.log(np.maximum(np.abs(stft(x, config).data), MEL_LOG_FLOOR)) for x in (a, b))
+    else:
+        fb = mel_filterbank(n_mels, config, a.sample_rate)
+        la, lb = (log_mel(x, fb, config) for x in (a, b))
+    return float(np.mean(np.abs(la - lb)))
 
 
 def synth_signal(seed: int, duration: float, sample_rate: int = 48000) -> AudioBuffer:

@@ -1,12 +1,12 @@
-"""Training losses: multi-scale spectral distance, GAN objectives, feature
-matching, contrastive embedding alignment, and classifier-free guidance
-combination."""
+"""Training losses: multi-scale spectral distance (``dsp.spectral_l1`` summed
+over scales), GAN objectives, feature matching, contrastive embedding
+alignment, and classifier-free guidance combination."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dsp import AudioBuffer, StftConfig, log_mel, mel_filterbank
+from .dsp import AudioBuffer, StftConfig, spectral_l1
 from .errors import DomainError
 
 # (window, n_mels) pairs for the multi-scale spectral loss; hop is window/4.
@@ -33,18 +33,10 @@ def multiscale_spectral_l1(x: AudioBuffer, y: AudioBuffer) -> float:
     and a hop of a quarter window, so the loss sees both fine temporal and
     fine spectral structure.
     """
-    if x.sample_rate != y.sample_rate:
-        raise DomainError("sample rates differ")
-    if len(x.samples) != len(y.samples):
-        raise DomainError("lengths differ")
-    total = 0.0
-    for win, n_mels in SPECTRAL_SCALES:
-        cfg = StftConfig(n_fft=win, hop=win // 4)
-        fb = mel_filterbank(n_mels, cfg, x.sample_rate)
-        total += float(
-            np.mean(np.abs(log_mel(x, fb, cfg) - log_mel(y, fb, cfg)))
-        )
-    return total
+    return sum(
+        spectral_l1(x, y, StftConfig(n_fft=win, hop=win // 4), n_mels)
+        for win, n_mels in SPECTRAL_SCALES
+    )
 
 
 def lsgan_disc_loss(d_real: np.ndarray, d_fake: np.ndarray) -> float:

@@ -1,6 +1,7 @@
-"""Evaluation metrics: SI-SDR, mel/STFT spectral distances, Gaussian Fréchet
-distance, softmax KL divergence, paired cosine score, retrieval recall@k,
-and the CSV formats that carry embeddings and metric reports.
+"""Evaluation metrics: SI-SDR, mel/STFT spectral distances (both
+``dsp.spectral_l1`` at a fixed geometry), Gaussian Fréchet distance, softmax
+KL divergence, paired cosine score, retrieval recall@k, and the CSV formats
+that carry embeddings and metric reports, all written by ``write_csv``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import AudioBuffer, StftConfig, log_mel, mel_filterbank, stft
+from .dsp import AudioBuffer, StftConfig, spectral_l1
 from .errors import DomainError, FileFormatError
 
 SDR_CAP_DB = 100.0
@@ -18,7 +19,6 @@ KL_EPS = 1e-10
 MEL_DIST_CONFIG = StftConfig(n_fft=2048, hop=512)
 MEL_DIST_BANDS = 128
 STFT_DIST_CONFIG = StftConfig(n_fft=512, hop=128)
-LOG_MAG_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -68,32 +68,16 @@ def si_sdr(reference: AudioBuffer, estimate: AudioBuffer) -> float:
     return float(np.clip(10.0 * np.log10(signal / noise), -SDR_CAP_DB, SDR_CAP_DB))
 
 
-def _check_pair(a: AudioBuffer, b: AudioBuffer):
-    if a.sample_rate != b.sample_rate:
-        raise DomainError("sample rates differ")
-    if len(a.samples) != len(b.samples):
-        raise DomainError("lengths differ")
-
-
 def mel_dist(a: AudioBuffer, b: AudioBuffer) -> float:
     """Mean absolute difference between 128-band log-mel spectrograms
     (FFT 2048, hop 512)."""
-    _check_pair(a, b)
-    fb = mel_filterbank(MEL_DIST_BANDS, MEL_DIST_CONFIG, a.sample_rate)
-    return float(
-        np.mean(np.abs(log_mel(a, fb, MEL_DIST_CONFIG) - log_mel(b, fb, MEL_DIST_CONFIG)))
-    )
-
-
-def log_magnitude(a: AudioBuffer, config: StftConfig = STFT_DIST_CONFIG) -> np.ndarray:
-    return np.log(np.maximum(np.abs(stft(a, config).data), LOG_MAG_FLOOR))
+    return spectral_l1(a, b, MEL_DIST_CONFIG, MEL_DIST_BANDS)
 
 
 def stft_dist(a: AudioBuffer, b: AudioBuffer) -> float:
     """Mean absolute difference between log-magnitude spectrograms
     (FFT 512, hop 128)."""
-    _check_pair(a, b)
-    return float(np.mean(np.abs(log_magnitude(a) - log_magnitude(b))))
+    return spectral_l1(a, b, STFT_DIST_CONFIG)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -201,7 +185,8 @@ def recall_at_k(sim: np.ndarray, k: int):
     ranks within the top k, ties broken toward the lower index.
 
     Rows are text queries over audio candidates (t2a); columns give the
-    audio-to-text direction.  Returns (t2a, a2t).
+    audio-to-text direction.  Returns (t2a, a2t).  A non-finite entry is
+    rejected: NaN has no place in the ranking.
     """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
@@ -209,26 +194,37 @@ def recall_at_k(sim: np.ndarray, k: int):
     n = sim.shape[0]
     if not (1 <= k <= n):
         raise DomainError(f"k={k} out of range for {n} candidates")
+    if not np.all(np.isfinite(sim)):
+        raise DomainError("similarity matrix must be finite")
 
     def direction(mat):
-        hits = 0
-        for i in range(n):
-            order = np.argsort(-mat[i], kind="stable")  # stable = lower index wins ties
-            if i in order[:k]:
-                hits += 1
-        return hits / n
+        # rank of the diagonal under a stable descending sort: the entries
+        # above it plus its lower-index ties
+        diag = np.diagonal(mat)[:, None]
+        rank = np.count_nonzero(mat > diag, axis=1)
+        rank += np.count_nonzero(np.tril(mat == diag, -1), axis=1)
+        return int(np.count_nonzero(rank < k)) / n
 
     return direction(sim), direction(sim.T)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV; floats (np.float64 too) go through
+    ``repr(float(v))`` so the bytes are stable, and None is an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
+            )
 
 
 def write_embedding_csv(path, emb: EmbeddingSet) -> None:
     """Write rows as `id,dim0..dimN`; ids default to the row index."""
     ids = emb.ids if emb.ids is not None else tuple(str(i) for i in range(len(emb.rows)))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"dim{j}" for j in range(emb.rows.shape[1])])
-        for rid, row in zip(ids, emb.rows):
-            writer.writerow([rid] + [repr(float(v)) for v in row])
+    header = ["id"] + [f"dim{j}" for j in range(emb.rows.shape[1])]
+    write_csv(path, header, ([rid] + row.tolist() for rid, row in zip(ids, emb.rows)))
 
 
 def read_embedding_csv(path) -> EmbeddingSet:
@@ -268,9 +264,7 @@ def read_embedding_csv(path) -> EmbeddingSet:
 
 
 def write_report_csv(path, entries) -> None:
-    """Write `metric,value,n_items` rows; floats via repr for stable bytes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value", "n_items"])
-        for metric, value, n_items in entries:
-            writer.writerow([metric, repr(float(value)), int(n_items)])
+    """Write `metric,value,n_items` rows."""
+    rows = ((metric, float(value), int(n_items)) for metric, value, n_items in entries)
+    write_csv(path, ["metric", "value", "n_items"], rows)
+

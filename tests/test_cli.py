@@ -7,6 +7,7 @@ against the documented contracts.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -154,6 +155,45 @@ def _train_case(*flags):
     return argv
 
 
+def _truncated_ckpt_case(command):
+    def argv(tmp_path):
+        ckpt = _edited_checkpoint(tmp_path / "ckpt.json", _unedited)
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        return [command, str(ckpt), "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _write_pcm24(path):
+    """A mono 24-bit PCM WAV of four samples, a format read_wav rejects."""
+    data = bytes(12)
+    fmt = struct.pack("<HHIIHH", 1, 1, 48000, 48000 * 3, 3, 24)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def _write_empty_wav(path):
+    dsp.write_wav(path, dsp.AudioBuffer(np.zeros(0), 48000))
+
+
+def _codec_case(write):
+    def argv(tmp_path):
+        wav = tmp_path / "in.wav"
+        write(wav)
+        return ["codec", str(wav), "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _eval_case(real_csv):
+    def argv(tmp_path):
+        real, fake = tmp_path / "real", tmp_path / "fake"
+        real.mkdir(), fake.mkdir()
+        (real / "a.csv").write_text(real_csv)
+        metrics.write_embedding_csv(fake / "a.csv", metrics.EmbeddingSet(np.eye(2)))
+        return ["eval", "--real", str(real), "--fake", str(fake), "--out", str(tmp_path / "o")]
+    return argv
+
+
 class TestMalformedInputs:
     """Every bad input ends in its documented exit code and one ``error:``
     line, never a traceback."""
@@ -177,11 +217,40 @@ class TestMalformedInputs:
             pytest.param(_train_case("--hidden", "-3"), 1, id="hidden-negative"),
             pytest.param(_train_case("--hidden", "8,0"), 1, id="hidden-second-zero"),
             pytest.param(_train_case("--lr-warmup", "-1"), 1, id="lr-warmup-negative"),
+            pytest.param(_codec_case(lambda p: p.write_bytes(b"not a RIFF file")), 2,
+                         id="codec-non-riff"),
+            pytest.param(_codec_case(_write_pcm24), 2, id="codec-pcm24"),
+            pytest.param(_codec_case(_write_empty_wav), 1, id="codec-empty-wav"),
+            pytest.param(_truncated_ckpt_case("sample"), 2, id="sample-truncated-checkpoint"),
+            pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0\n"), 2,
+                         id="eval-ragged-csv"),
+            pytest.param(_eval_case("id,dim0,dim1\n0,1.0,abc\n"), 2, id="eval-non-numeric-csv"),
         ],
     )
     def test_exit_code_and_one_error_line(self, argv, code, tmp_path, capsys):
         assert main(argv(tmp_path)) == code
         lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    # both runs overflow, so numpy warns before the error is raised
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(_train_case("--hidden", "8", "--lr", "1e200", "--lr-warmup", "1"),
+                         id="train-fm-huge-lr"),
+            pytest.param(_ckpt_case("distill", _huge_w_out), id="distill-huge-w-out"),
+        ],
+    )
+    def test_subprocess_failure_prints_one_line(self, argv, tmp_path):
+        src = str(Path(flowfx.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowfx.cli", *argv(tmp_path)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
     def test_zero_lr_warmup_means_no_warmup(self, tmp_path, capsys):
@@ -357,6 +426,21 @@ class TestDistillCommand:
         assert rc == 0
         _, rows = read_log(tmp_path / "o" / "distill_log.csv")
         assert [row[3] != "" for row in rows] == [False, True, True]
+
+    def test_divergence_stops_at_first_non_finite_step(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        gen_step = distill.gen_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gen_step(*args, **kwargs)
+
+        monkeypatch.setattr(distill, "gen_step", counted)
+        argv = _ckpt_case("distill", _huge_w_out, "--steps", "5")(tmp_path)
+        assert main(argv) == 3
+        assert len(calls) == 1
+        assert "step 1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "student.json").exists()
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -243,6 +243,21 @@ def _recall_oracle(sim, k):
     return one_direction(sim), one_direction(sim.T)
 
 
+def _recall_argsort_loop(sim, k):
+    """The per-row stable argsort that the rank count replaced."""
+    n = sim.shape[0]
+
+    def one_direction(mat):
+        hits = 0
+        for i in range(n):
+            order = np.argsort(-mat[i], kind="stable")  # stable = lower index wins ties
+            if i in order[:k]:
+                hits += 1
+        return hits / n
+
+    return one_direction(sim), one_direction(sim.T)
+
+
 class TestRecallAtK:
     def test_identity_matrix_is_perfect(self):
         assert recall_at_k(np.eye(5), 1) == (1.0, 1.0)
@@ -266,6 +281,23 @@ class TestRecallAtK:
             sim = rng.integers(0, 3, (10, 10)).astype(np.float64)
             for k in (1, 5, 10):
                 assert recall_at_k(sim, k) == _recall_oracle(sim, k), (trial, k)
+
+    def test_rank_count_matches_argsort_loop_on_integer_embeddings(self):
+        # small integer embeddings give many exactly tied dot products
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = 1 + seed * 59 // 39  # 1 to 60
+            t = rng.integers(-2, 3, (n, 3)).astype(np.float64)
+            a = rng.integers(-2, 3, (n, 3)).astype(np.float64)
+            sim = t @ a.T
+            for k in range(1, n + 1):
+                assert recall_at_k(sim, k) == _recall_argsort_loop(sim, k), (seed, k)
+
+    def test_nan_entry_rejected(self):
+        sim = np.eye(4)
+        sim[2, 1] = np.nan
+        with pytest.raises(DomainError):
+            recall_at_k(sim, 1)
 
     def test_k_equal_n_is_always_one(self):
         rng = np.random.default_rng(63)
