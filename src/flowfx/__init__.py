@@ -10,6 +10,7 @@ Submodules group the math by pipeline stage:
 - ``distill``      few-step student training with an adversarial head
 - ``transformer``  joint-attention blocks with rotary positions
 - ``metrics``      SI-SDR, spectral distances, Frechet, KL, retrieval
+- ``fileio``       atomic artifact writes
 - ``toy``          tiny synthetic datasets for end-to-end checks
 - ``cli``          the ``flowfx`` command-line entry point
 

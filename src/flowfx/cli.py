@@ -223,6 +223,8 @@ def cmd_train_fm(cfg: RunConfig) -> None:
     with (step, loss, lr) rows.  A non-finite loss aborts with the step.
     """
     v = cfg.values
+    if v["steps"] < 0:
+        raise ConfigError(f"steps must be >= 0, got {v['steps']}")
     rng = np.random.default_rng(cfg.seed)
     model = net.init_model(ring_model_config(v["hidden"]), rng)
     opt = net.init_optimizer(model, lr=v["lr"], warmup=v["lr_warmup"])

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .errors import DomainError, FileFormatError
+from .fileio import atomic_write
 
 MEL_LOG_FLOOR = 1e-5
 HEAD_MAG_FLOOR = 1e-30
@@ -379,13 +380,14 @@ def read_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, audio: AudioBuffer, fmt: str = "float32") -> None:
-    """Write mono audio as 32-bit float (default) or 16-bit PCM WAV."""
+    """Write mono audio as 32-bit float (default) or 16-bit PCM WAV,
+    atomically."""
     if fmt == "float32":
-        wavfile.write(path, audio.sample_rate, audio.samples.astype(np.float32))
+        data = audio.samples.astype(np.float32)
     elif fmt == "pcm16":
         clipped = np.clip(audio.samples, -1.0, 32767.0 / 32768.0)
-        wavfile.write(
-            path, audio.sample_rate, np.round(clipped * 32768.0).astype(np.int16)
-        )
+        data = np.round(clipped * 32768.0).astype(np.int16)
     else:
         raise DomainError(f"unknown WAV format {fmt!r}")
+    with atomic_write(path, "wb") as fh:
+        wavfile.write(fh, audio.sample_rate, data)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .dsp import AudioBuffer, StftConfig, spectral_l1
 from .errors import DomainError, FileFormatError
+from .fileio import atomic_write
 
 SDR_CAP_DB = 100.0
 KL_EPS = 1e-10
@@ -210,8 +211,9 @@ def recall_at_k(sim: np.ndarray, k: int):
 
 def write_csv(path, header, rows) -> None:
     """Write a header and rows as CSV; floats (np.float64 too) go through
-    ``repr(float(v))`` so the bytes are stable, and None is an empty cell."""
-    with open(path, "w", newline="") as fh:
+    ``repr(float(v))`` so the bytes are stable, and None is an empty cell.
+    The file is written atomically."""
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

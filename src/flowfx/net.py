@@ -1,6 +1,7 @@
 """A small dense velocity network with exact reverse-mode gradients, exact
-forward-mode directional derivatives (dual numbers), Adam with warmup and
-EMA, and a byte-deterministic JSON checkpoint format.
+forward-mode directional derivatives (dual numbers), clipped Adam with
+warmup, and a byte-deterministic JSON checkpoint format that holds the
+parameters only.
 
 The model computes u(x, t, r, cond): the input is the concatenation of x, a
 learned linear map of sinusoidal (t, r) features, and a learned condition
@@ -17,13 +18,15 @@ again in backward.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import DomainError, FileFormatError
+from .errors import DivergenceError, DomainError, FileFormatError
+from .fileio import atomic_write
 
 CHECKPOINT_FORMAT = "flowfx-checkpoint-v1"
 
@@ -308,24 +311,23 @@ def global_grad_norm(tape: GradTape) -> float:
     return float(np.sqrt(sum(np.sum(g * g) for g in tape.grads.values())))
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's published defaults (arXiv:1412.6980)
+CLIP_NORM = 1.0  # bound on the global gradient norm
+MAX_SKIPS = 20  # consecutive non-finite gradients at which adam_step gives up
+
+
 @dataclass
 class OptimizerState:
     lr: float = 1e-4
     warmup: int = 1000
-    clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    ema_decay: float = 0.999
     step: int = 0
     skipped: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    ema: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (0.0 < self.ema_decay < 1.0):
-            raise DomainError("ema_decay must lie in (0, 1)")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise DomainError(f"lr must be finite and > 0, got {self.lr}")
         if self.warmup < 0:
             raise DomainError("warmup must be >= 0")
 
@@ -341,40 +343,39 @@ def init_optimizer(model: VelocityModel, **kwargs) -> OptimizerState:
     state = OptimizerState(**kwargs)
     state.m = {k: np.zeros_like(p) for k, p in model.params.items()}
     state.v = {k: np.zeros_like(p) for k, p in model.params.items()}
-    state.ema = {k: p.copy() for k, p in model.params.items()}
     return state
 
 
 def adam_step(state: OptimizerState, model: VelocityModel, tape: GradTape) -> bool:
-    """One optimizer step, in place.  Order: global-norm clip at clip_norm,
-    linear learning-rate warmup, bias-corrected Adam, then EMA shadow update.
+    """One optimizer step, in place.  Order: global-norm clip at CLIP_NORM,
+    linear learning-rate warmup, then bias-corrected Adam.
 
-    Non-finite gradients skip the step entirely (no state advances) and are
-    reported with a warning; returns whether the step was applied.
+    Non-finite gradients skip the step entirely (only ``skipped``, the count
+    of consecutive skips, advances) with a warning, and the MAX_SKIPS-th
+    skip in a row raises DivergenceError; returns whether the step was
+    applied.
     """
     for k, g in tape.grads.items():
         if not np.all(np.isfinite(g)):
             state.skipped += 1
+            if state.skipped >= MAX_SKIPS:
+                msg = f"non-finite gradients {state.skipped} times in a row"
+                raise DivergenceError(state.step + 1, msg)
             warnings.warn(f"skipping optimizer step: non-finite gradient in {k!r}")
             return False
+    state.skipped = 0
     norm = global_grad_norm(tape)
-    scale = state.clip_norm / norm if norm > state.clip_norm else 1.0
+    scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
     state.step += 1
     lr_t = state.effective_lr()
-    b1c = 1.0 - state.beta1**state.step
-    b2c = 1.0 - state.beta2**state.step
+    b1c = 1.0 - BETA1**state.step
+    b2c = 1.0 - BETA2**state.step
     for k, p in model.params.items():
         g = tape.grads[k] * scale
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
-        p -= lr_t * (state.m[k] / b1c) / (np.sqrt(state.v[k] / b2c) + state.eps)
-        state.ema[k] = state.ema_decay * state.ema[k] + (1.0 - state.ema_decay) * p
+        state.m[k] = BETA1 * state.m[k] + (1.0 - BETA1) * g
+        state.v[k] = BETA2 * state.v[k] + (1.0 - BETA2) * g * g
+        p -= lr_t * (state.m[k] / b1c) / (np.sqrt(state.v[k] / b2c) + EPS)
     return True
-
-
-def ema_model(model: VelocityModel, state: OptimizerState) -> VelocityModel:
-    """A copy of the model carrying the EMA shadow parameters."""
-    return VelocityModel(model.config, {k: v.copy() for k, v in state.ema.items()})
 
 
 def _config_to_dict(config: ModelConfig) -> dict:
@@ -390,11 +391,12 @@ def _config_from_dict(d: dict) -> ModelConfig:
         raise FileFormatError("<config>", f"bad model config: {exc}") from exc
 
 
-def save_checkpoint(path, model: VelocityModel, optimizer=None, meta=None) -> None:
-    """Serialize model (and optionally optimizer state) as JSON.
+def save_checkpoint(path, model: VelocityModel, meta=None) -> None:
+    """Serialize the model as JSON, written atomically.
 
     Floats go through repr, so loading restores every parameter exactly and
-    identical states produce identical bytes.
+    identical models produce identical bytes.  The ``optimizer`` slot of the
+    format is always null: no command resumes a run.
     """
     for k, p in model.params.items():
         if not np.all(np.isfinite(p)):
@@ -406,46 +408,16 @@ def save_checkpoint(path, model: VelocityModel, optimizer=None, meta=None) -> No
         "optimizer": None,
         "meta": dict(meta) if meta else {},
     }
-    if optimizer is not None:
-        obj["optimizer"] = {
-            "lr": optimizer.lr,
-            "warmup": optimizer.warmup,
-            "clip_norm": optimizer.clip_norm,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "ema_decay": optimizer.ema_decay,
-            "step": optimizer.step,
-            "skipped": optimizer.skipped,
-            "m": {k: v.tolist() for k, v in optimizer.m.items()},
-            "v": {k: v.tolist() for k, v in optimizer.v.items()},
-            "ema": {k: v.tolist() for k, v in optimizer.ema.items()},
-        }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _check_arrays(path, what, arrays, expected) -> None:
-    """Raise FileFormatError unless ``arrays`` has exactly the keys and
-    shapes of ``expected`` and holds only finite values."""
-    if set(arrays) != set(expected):
-        raise FileFormatError(
-            path, f"{what} set mismatch: {sorted(set(arrays) ^ set(expected))}"
-        )
-    for k, ref in expected.items():
-        if arrays[k].shape != ref.shape:
-            raise FileFormatError(
-                path, f"{what} {k!r} has shape {arrays[k].shape}, expected {ref.shape}"
-            )
-        if not np.all(np.isfinite(arrays[k])):
-            raise FileFormatError(path, f"{what} {k!r} is not finite")
-
-
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: returns (model, optimizer or None, meta).
+    """Inverse of save_checkpoint: returns (model, None, meta).
 
-    Every parameter, and every optimizer moment and EMA array present, must
-    match the shapes init_model gives the stored config and be finite."""
+    Every parameter must match the shape init_model gives the stored config
+    and be finite.  A checkpoint carrying optimizer state is rejected: the
+    format keeps the slot only as null."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -453,25 +425,23 @@ def load_checkpoint(path):
             raise FileFormatError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise FileFormatError(path, f"not a {CHECKPOINT_FORMAT} checkpoint")
+    if obj.get("optimizer") is not None:
+        raise FileFormatError(path, "optimizer state is not supported; expected null")
     try:
         config = _config_from_dict(obj["config"])
         params = {k: np.array(v, dtype=np.float64) for k, v in obj["params"].items()}
         expected = init_model(config, np.random.default_rng(0)).params
-        _check_arrays(path, "parameter", params, expected)
-        model = VelocityModel(config, params)
-        opt = None
-        if obj.get("optimizer") is not None:
-            o = obj["optimizer"]
-            opt = OptimizerState(
-                lr=o["lr"], warmup=o["warmup"], clip_norm=o["clip_norm"],
-                beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"],
-                ema_decay=o["ema_decay"], step=o["step"], skipped=o["skipped"],
-            )
-            for name in ("m", "v", "ema"):
-                arrays = {k: np.array(v, dtype=np.float64) for k, v in o[name].items()}
-                _check_arrays(path, f"optimizer {name}", arrays, expected)
-                setattr(opt, name, arrays)
-        return model, opt, obj.get("meta", {})
+        if set(params) != set(expected):
+            mismatch = sorted(set(params) ^ set(expected))
+            raise FileFormatError(path, f"parameter set mismatch: {mismatch}")
+        for k, ref in expected.items():
+            if params[k].shape != ref.shape:
+                raise FileFormatError(
+                    path, f"parameter {k!r} has shape {params[k].shape}, expected {ref.shape}"
+                )
+            if not np.all(np.isfinite(params[k])):
+                raise FileFormatError(path, f"parameter {k!r} is not finite")
+        return VelocityModel(config, params), None, obj.get("meta", {})
     except FileFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

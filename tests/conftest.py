@@ -40,8 +40,9 @@ def two_point_models():
     """A well-trained 1-D two-point teacher and its distilled student.
 
     The teacher trains in two learning-rate segments and keeps the EMA
-    weights; the student runs the adversarial distillation loop (warmup
-    500, adv_weight 0.5) in two segments, carrying the discriminator over.
+    (decay 0.999) of the second segment's weights; the student runs the
+    adversarial distillation loop (warmup 500, adv_weight 0.5) in two
+    segments, carrying the discriminator over.
     """
     cfg = net.ModelConfig(
         dim=1, hidden=(96, 96), n_cond=2, cond_dim=8, embed_dim=32,
@@ -51,12 +52,15 @@ def two_point_models():
     rng = np.random.default_rng(0)
     for lr, steps in ((2e-3, 4000), (4e-4, 2000)):
         opt = net.init_optimizer(teacher, lr=lr, warmup=100)
+        ema = {k: p.copy() for k, p in teacher.params.items()}
         for _ in range(steps):
             x0, labels = toy.sample_two_point(rng, 256)
             batch = flow.sample_path(x0, rng)
             _, tape = flow.fm_loss(teacher, batch, labels)
-            net.adam_step(opt, teacher, tape)
-    teacher = net.ema_model(teacher, opt)
+            if net.adam_step(opt, teacher, tape):
+                for k, p in teacher.params.items():
+                    ema[k] = 0.999 * ema[k] + (1 - 0.999) * p
+    teacher = net.VelocityModel(teacher.config, ema)
 
     student = teacher.clone()
     rg, rd = np.random.default_rng(1), np.random.default_rng(2)

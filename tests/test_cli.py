@@ -107,10 +107,10 @@ class TestConfigPlumbing:
 
 
 def _edited_checkpoint(path, edit):
-    """Save a small ring-architecture checkpoint with its optimizer state,
-    then apply ``edit`` to the parsed JSON and write it back."""
+    """Save a small ring-architecture checkpoint, then apply ``edit`` to the
+    parsed JSON and write it back."""
     model = net.init_model(ring_model_config((8,)), np.random.default_rng(0))
-    net.save_checkpoint(path, model, optimizer=net.init_optimizer(model))
+    net.save_checkpoint(path, model)
     obj = json.loads(path.read_text())
     edit(obj)
     path.write_text(json.dumps(obj))  # allow_nan: NaN is written as a bare NaN
@@ -125,8 +125,8 @@ def _nan_param(obj):
     obj["params"]["b_out"][0] = float("nan")
 
 
-def _short_moment(obj):
-    obj["optimizer"]["m"]["b_out"].pop()
+def _optimizer_state(obj):
+    obj["optimizer"] = {"step": 1, "m": {k: 0.0 for k in obj["params"]}}
 
 
 def _params_as_list(obj):
@@ -205,8 +205,10 @@ class TestMalformedInputs:
             pytest.param(_ckpt_case("distill", _drop_w0_row), 2, id="distill-w0-row-short"),
             pytest.param(_ckpt_case("sample", _nan_param), 2, id="sample-nan-param"),
             pytest.param(_ckpt_case("distill", _nan_param), 2, id="distill-nan-param"),
-            pytest.param(_ckpt_case("sample", _short_moment), 2, id="sample-adam-m-short"),
-            pytest.param(_ckpt_case("distill", _short_moment), 2, id="distill-adam-m-short"),
+            pytest.param(_ckpt_case("sample", _optimizer_state), 2,
+                         id="sample-optimizer-state-present"),
+            pytest.param(_ckpt_case("distill", _optimizer_state), 2,
+                         id="distill-optimizer-state-present"),
             pytest.param(_ckpt_case("sample", _params_as_list), 2, id="sample-params-not-object"),
             pytest.param(_ckpt_case("sample", _unedited, "--solver", "euler", "--steps", "20",
                                     "--max-nfe", "10"), 3, id="sample-euler-over-nfe-budget"),
@@ -217,6 +219,10 @@ class TestMalformedInputs:
             pytest.param(_train_case("--hidden", "-3"), 1, id="hidden-negative"),
             pytest.param(_train_case("--hidden", "8,0"), 1, id="hidden-second-zero"),
             pytest.param(_train_case("--lr-warmup", "-1"), 1, id="lr-warmup-negative"),
+            pytest.param(_train_case("--lr", "-1"), 1, id="lr-negative"),
+            pytest.param(_train_case("--lr", "nan"), 1, id="lr-nan"),
+            pytest.param(_train_case("--lr", "inf"), 1, id="lr-inf"),
+            pytest.param(_train_case("--steps", "-1"), 1, id="steps-negative"),
             pytest.param(_codec_case(lambda p: p.write_bytes(b"not a RIFF file")), 2,
                          id="codec-non-riff"),
             pytest.param(_codec_case(_write_pcm24), 2, id="codec-pcm24"),

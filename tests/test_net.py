@@ -4,14 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from flowfx.errors import DomainError, FileFormatError
+from flowfx.errors import DivergenceError, DomainError, FileFormatError
 from flowfx.net import (
+    MAX_SKIPS,
     GradTape,
     ModelConfig,
+    OptimizerState,
     VelocityModel,
     adam_step,
     backward,
-    ema_model,
     forward,
     global_grad_norm,
     init_model,
@@ -287,8 +288,8 @@ def test_adam_global_norm_clip():
     cfg = ModelConfig(dim=1, hidden=(), n_cond=0, cond_dim=2, embed_dim=2, n_freqs=1)
     model_a = init_model(cfg, np.random.default_rng(3))
     model_b = model_a.clone()
-    sa = init_optimizer(model_a, lr=1e-3, warmup=1, clip_norm=1.0)
-    sb = init_optimizer(model_b, lr=1e-3, warmup=1, clip_norm=1.0)
+    sa = init_optimizer(model_a, lr=1e-3, warmup=1)
+    sb = init_optimizer(model_b, lr=1e-3, warmup=1)
     assert global_grad_norm(_only_bout_grads(model_a, 10.0)) == 10.0
     # norm-10 gradients must behave exactly like pre-scaled norm-1 gradients
     adam_step(sa, model_a, _only_bout_grads(model_a, 10.0))
@@ -296,14 +297,18 @@ def test_adam_global_norm_clip():
     assert model_a.params["b_out"][0] == model_b.params["b_out"][0]
 
 
+def _nan_grads(model):
+    tape = zero_grads(model)
+    tape.grads["w0"][0, 0] = np.nan
+    return tape
+
+
 def test_adam_skips_non_finite_gradients():
     model = small_model(4)
     snapshot = model.clone()
     state = init_optimizer(model)
-    tape = zero_grads(model)
-    tape.grads["w0"][0, 0] = np.nan
     with pytest.warns(UserWarning):
-        applied = adam_step(state, model, tape)
+        applied = adam_step(state, model, _nan_grads(model))
     assert not applied
     assert state.step == 0
     assert state.skipped == 1
@@ -311,59 +316,38 @@ def test_adam_skips_non_finite_gradients():
         assert np.array_equal(model.params[k], snapshot.params[k])
 
 
-def test_ema_tracks_then_converges():
-    model = small_model(8)
-    state = init_optimizer(model, lr=1e-2, warmup=1)
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        tape = zero_grads(model)
-        for k in tape.grads:
-            tape.grads[k] = 0.01 * rng.standard_normal(tape.grads[k].shape)
-        adam_step(state, model, tape)
-    # halt: zero moments + zero grads leave parameters fixed, so the shadow
-    # decays toward them at exactly the EMA rate
-    for k in state.m:
-        state.m[k][:] = 0.0
-        state.v[k][:] = 0.0
-    gap = lambda: sum(
-        float(np.sum((state.ema[k] - model.params[k]) ** 2)) for k in state.ema
-    )
-    g0 = gap()
-    assert g0 > 0
-    params_before = {k: v.copy() for k, v in model.params.items()}
-    for i in range(200):
-        adam_step(state, model, zero_grads(model))
-    for k in model.params:
-        assert np.array_equal(model.params[k], params_before[k])
-    assert gap() <= (0.999**200) ** 2 * g0 * (1 + 1e-9)
-    em = ema_model(model, state)
-    for k in state.ema:
-        assert np.array_equal(em.params[k], state.ema[k])
+def test_adam_caps_consecutive_skips():
+    model = small_model(5)
+    state = init_optimizer(model)
+    with pytest.warns(UserWarning):
+        for _ in range(MAX_SKIPS - 1):
+            assert not adam_step(state, model, _nan_grads(model))
+        # one applied step resets the count, so the cap needs a full new run
+        assert adam_step(state, model, zero_grads(model))
+        assert state.skipped == 0
+        for _ in range(MAX_SKIPS - 1):
+            assert not adam_step(state, model, _nan_grads(model))
+    with pytest.raises(DivergenceError, match="in a row at step 2"):
+        adam_step(state, model, _nan_grads(model))
+    assert state.step == 1 and state.skipped == MAX_SKIPS
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
+def test_optimizer_rejects_bad_lr(lr):
+    with pytest.raises(DomainError, match="lr"):
+        OptimizerState(lr=lr)
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):
     model = small_model(21)
-    state = init_optimizer(model, lr=3e-4)
-    adam_step(state, model, _random_grads(model, 2))
     p = tmp_path / "ckpt.json"
-    save_checkpoint(p, model, optimizer=state, meta={"note": "x"})
+    save_checkpoint(p, model, meta={"note": "x"})
     loaded, opt, meta = load_checkpoint(p)
     assert loaded.config == model.config
     for k in model.params:
         assert np.array_equal(loaded.params[k], model.params[k])
-    assert opt.step == 1 and opt.lr == 3e-4
-    for k in state.m:
-        assert np.array_equal(opt.m[k], state.m[k])
-        assert np.array_equal(opt.ema[k], state.ema[k])
+    assert opt is None
     assert meta == {"note": "x"}
-
-
-def _random_grads(model, seed):
-    rng = np.random.default_rng(seed)
-    tape = zero_grads(model)
-    for k in tape.grads:
-        tape.grads[k] = rng.standard_normal(tape.grads[k].shape)
-    return tape
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
