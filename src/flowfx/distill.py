@@ -18,10 +18,10 @@ grid error decrease monotonically).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import flow, losses, net
 from .errors import DivergenceError, DomainError
@@ -41,8 +41,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.warmup_steps < 0:
             raise DomainError("warmup_steps must be >= 0")
-        if self.adv_weight < 0.0:
-            raise DomainError("adv_weight must be >= 0")
+        if not (math.isfinite(self.adv_weight) and self.adv_weight >= 0.0):
+            raise DomainError(f"adv_weight must be finite and >= 0, got {self.adv_weight}")
         if self.lr <= 0.0:
             raise DomainError("lr must be positive")
 
@@ -81,10 +81,25 @@ def init_discriminator(
     return Discriminator(teacher.clone(), p)
 
 
-def _head_activations(disc: Discriminator, a: np.ndarray, s: np.ndarray):
-    """The activations a * s as an (n_heads, n, head_hidden) view: one
+def _head_activations(disc: Discriminator, act: np.ndarray):
+    """The stacked activations as an (n_heads, n, head_hidden) view: one
     matrix-vector product per head reads them, as with separate heads."""
-    return (a * s).reshape(len(a), *disc.params["w2"].shape).transpose(1, 0, 2)
+    return act.reshape(len(act), *disc.params["w2"].shape).transpose(1, 0, 2)
+
+
+def _head_scores(disc: Discriminator, feats: np.ndarray, handle):
+    """Head scores (n, n_heads) of trunk features, and the cache the
+    backward helpers read: the features, the trunk's replay handle, and the
+    stacked SiLU activations and slopes."""
+    p = disc.params
+    act = feats @ p["w1"].T
+    act += p["b1"]
+    slope = net._silu(act)
+    # C-ordered scores keep later sums over them in the same order
+    scores = np.matmul(_head_activations(disc, act), p["w2"][:, :, None])[:, :, 0].T
+    scores = np.ascontiguousarray(scores) + p["b2"]
+    cache = {"feats": feats, "handle": handle, "act": act, "slope": slope}
+    return scores, cache
 
 
 def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray):
@@ -94,28 +109,21 @@ def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray):
     where cache replays the forward pass for the backward helpers.
     """
     feats, handle = net.hidden_forward(disc.trunk, x, r, r, None)
-    p = disc.params
-    a = feats @ p["w1"].T + p["b1"]
-    s = expit(a)
-    act = _head_activations(disc, a, s)
-    # C-ordered scores keep later sums over them in the same order
-    scores = np.ascontiguousarray(np.matmul(act, p["w2"][:, :, None])[:, :, 0].T) + p["b2"]
-    cache = {"feats": feats, "handle": handle, "pre": a, "sig": s}
-    return scores, cache
+    return _head_scores(disc, feats, handle)
 
 
 def _pre_activation_grad(disc: Discriminator, cache: dict, up_scores: np.ndarray):
     """Gradient of <scores, up_scores> on the stacked pre-activations."""
-    a = cache["pre"]
-    ga = net._silu_grad(a, cache["sig"])
-    ga *= (up_scores[:, :, None] * disc.params["w2"]).reshape(a.shape)
+    slope = cache["slope"]
+    ga = (up_scores[:, :, None] * disc.params["w2"]).reshape(slope.shape)
+    ga *= slope
     return ga
 
 
 def _head_param_grads(disc: Discriminator, cache: dict, up_scores: np.ndarray) -> dict:
     """Gradients of <scores, up_scores> on the head parameters."""
     ga = _pre_activation_grad(disc, cache, up_scores)
-    act = _head_activations(disc, cache["pre"], cache["sig"])
+    act = _head_activations(disc, cache["act"])
     up = up_scores.T  # strided for w2, copied for b2: sums as separate heads
     return {
         "w1": ga.T @ cache["feats"],
@@ -144,7 +152,8 @@ def disc_step(
 
     Real states are exact path points x_r = (1-r) x0 + r x1; fakes are the
     student's one-jump estimates x_t - (t-r) u, treated as constants so no
-    gradient reaches the student.
+    gradient reaches the student.  Only the heads train, so the trunk
+    features are computed as disc_scores computes them, but without a tape.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     n = x0.shape[0]
@@ -153,9 +162,11 @@ def disc_step(
     u = net.forward(student, batch.xt, t, r, cond)
     x_fake = batch.xt - (t - r)[:, None] * u
     x_true = (1.0 - r)[:, None] * batch.x0 + r[:, None] * batch.x1
-    scores, cache = disc_scores(
-        disc, np.concatenate([x_true, x_fake]), np.concatenate([r, r])
+    rr = np.concatenate([r, r])
+    feats, _, _, _ = net._core(
+        disc.trunk, np.concatenate([x_true, x_fake]), rr, rr, None, readout=False
     )
+    scores, cache = _head_scores(disc, feats, None)
     s_true, s_fake = scores[:n], scores[n:]
     loss = losses.hinge_disc_loss(s_true, s_fake)
     up_scores = np.concatenate([

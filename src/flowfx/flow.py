@@ -16,6 +16,7 @@ TrScheduler and sample_path, which keeps the losses replayable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +169,8 @@ class CfgSpec:
 
     def __post_init__(self):
         lo, hi = self.scale_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"scale_range bounds must be finite, got {self.scale_range}")
         if hi < lo:
             raise DomainError("scale_range must be ordered")
         if not (0.0 <= self.drop_prob <= 1.0):

@@ -6,13 +6,16 @@ parameters only.
 The model computes u(x, t, r, cond): the input is the concatenation of x, a
 learned linear map of sinusoidal (t, r) features, and a learned condition
 embedding (with a dedicated null row for unconditional passes); hidden layers
-use SiLU; the output layer is linear.
+use SiLU, a * _logistic(a), where _logistic is 1 / (1 + exp(-a)) on numpy's
+exp; the output layer is linear.
 
 Forward, backward, and jvp all run the same primal expressions in the same
 order, so the jvp value is bit-identical to forward and the tape replays
 exactly what forward computed.  A training loss records the tape during its
 one primal pass and hands it to the chain rule, instead of running the pass
-again in backward.
+again in backward.  The tape keeps each layer's input and its SiLU slope,
+taken once in the primal pass and read by the jvp tangent and by the chain
+rule alike.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DivergenceError, DomainError, FileFormatError
 from .fileio import atomic_write
@@ -145,14 +147,40 @@ def _resolve_cond(cond, n, config):
     return ids
 
 
+def _logistic(a):
+    """1 / (1 + exp(-a)) with numpy's exp, in one new buffer.  Where exp(-a)
+    overflows, the result is the exact limit 0, without a warning."""
+    s = np.negative(a)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def _silu_grad(a, s):
-    """d silu(a)/da, given a and its logistic s = expit(a)."""
-    return s * (1.0 + a * (1.0 - s))
+    """d silu(a)/da = s * (1 + a * (1 - s)), given a and its logistic
+    s = _logistic(a), in one new buffer."""
+    g = 1.0 - s
+    g *= a
+    g += 1.0
+    g *= s
+    return g
 
 
-def _core(model, x, t, r, cond, want_tape=False, tangent=None):
+def _silu(a, want_slope=True):
+    """SiLU in place: ``a`` becomes a * _logistic(a).  Returns the slope
+    _silu_grad, taken before ``a`` is overwritten, or None when not wanted."""
+    s = _logistic(a)
+    slope = _silu_grad(a, s) if want_slope else None
+    a *= s
+    return slope
+
+
+def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     """Shared primal pass.  Optionally records a tape for _tape_backward
     and/or propagates a (dx, dt, dr) tangent in lockstep with the primal ops.
+    With ``readout`` false the pass stops at the last hidden activations,
+    which then stand in for u (and du).
     Returns (u, du or None, tape or None, squeeze)."""
     cfg = model.config
     p = model.params
@@ -164,9 +192,13 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None):
     freqs = cfg.frequencies()
 
     ang_t = t_arr[:, None] * freqs[None, :]
-    ang_r = r_arr[:, None] * freqs[None, :]
     sin_t, cos_t = np.sin(ang_t), np.cos(ang_t)
-    sin_r, cos_r = np.sin(ang_r), np.cos(ang_r)
+    # r with the bits of t has the features of t
+    if np.array_equal(r_arr.view(np.uint64), t_arr.view(np.uint64)):
+        sin_r, cos_r = sin_t, cos_t
+    else:
+        ang_r = r_arr[:, None] * freqs[None, :]
+        sin_r, cos_r = np.sin(ang_r), np.cos(ang_r)
     e_in = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1)
     e = e_in @ p["embed_w"].T + p["embed_b"]
     c = p["cond_table"][ids]
@@ -191,25 +223,27 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None):
 
     tape = None
     if want_tape:
-        tape = {"e_in": e_in, "ids": ids, "inputs": [], "pre": [], "sig": []}
+        tape = {"e_in": e_in, "ids": ids, "inputs": [], "slope": []}
 
     h = z
     for i in range(len(cfg.hidden)):
         if want_tape:
             tape["inputs"].append(h)
-        a = h @ p[f"w{i}"].T + p[f"b{i}"]
-        s = expit(a)
-        if tangent is not None:
-            da = dh @ p[f"w{i}"].T
-            dh = _silu_grad(a, s) * da
-        h = a * s  # silu
+        h = h @ p[f"w{i}"].T
+        h += p[f"b{i}"]
+        slope = _silu(h, want_tape or tangent is not None)
         if want_tape:
-            tape["pre"].append(a)
-            tape["sig"].append(s)
+            tape["slope"].append(slope)
+        if tangent is not None:
+            dh = dh @ p[f"w{i}"].T
+            dh *= slope
     if want_tape:
         tape["inputs"].append(h)
-    u = h @ p["w_out"].T + p["b_out"]
-    du = dh @ p["w_out"].T if tangent is not None else None
+    if readout:
+        u = h @ p["w_out"].T + p["b_out"]
+        du = dh @ p["w_out"].T if tangent is not None else None
+    else:
+        u, du = h, dh
 
     if squeeze:
         u = u[0]
@@ -244,8 +278,7 @@ def _hidden_chain(model, tape, g, grads=None):
     hidden layers' parameter gradients are written into it."""
     p = model.params
     for i in reversed(range(len(model.config.hidden))):
-        a, s = tape["pre"][i], tape["sig"][i]
-        ga = g * _silu_grad(a, s)
+        ga = g * tape["slope"][i]
         if grads is not None:
             grads[f"w{i}"] = ga.T @ tape["inputs"][i]
             grads[f"b{i}"] = ga.sum(axis=0)
@@ -288,9 +321,8 @@ def jvp(model: VelocityModel, x, t, r, cond, tangent):
 def hidden_forward(model: VelocityModel, x, t, r, cond=None):
     """Penultimate hidden activations (the features feeding the output
     layer) plus a replay handle for hidden_input_gradient."""
-    _, _, tape, squeeze = _core(model, x, t, r, cond, want_tape=True)
-    h = tape["inputs"][-1]
-    return (h[0] if squeeze else h), tape
+    h, _, tape, _ = _core(model, x, t, r, cond, want_tape=True, readout=False)
+    return h, tape
 
 
 def hidden_input_gradient(model: VelocityModel, tape, upstream) -> np.ndarray:
@@ -322,8 +354,8 @@ class OptimizerState:
     warmup: int = 1000
     step: int = 0
     skipped: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0.0):
@@ -340,15 +372,19 @@ class OptimizerState:
 
 
 def init_optimizer(model: VelocityModel, **kwargs) -> OptimizerState:
+    """Fresh state whose moments ``m`` and ``v`` are one flat vector each,
+    laid out as the parameters in ``model.params`` order."""
     state = OptimizerState(**kwargs)
-    state.m = {k: np.zeros_like(p) for k, p in model.params.items()}
-    state.v = {k: np.zeros_like(p) for k, p in model.params.items()}
+    size = sum(p.size for p in model.params.values())
+    state.m = np.zeros(size)
+    state.v = np.zeros(size)
     return state
 
 
 def adam_step(state: OptimizerState, model: VelocityModel, tape: GradTape) -> bool:
     """One optimizer step, in place.  Order: global-norm clip at CLIP_NORM,
-    linear learning-rate warmup, then bias-corrected Adam.
+    linear learning-rate warmup, then bias-corrected Adam, run once over
+    the gradients flattened in ``model.params`` order.
 
     Non-finite gradients skip the step entirely (only ``skipped``, the count
     of consecutive skips, advances) with a warning, and the MAX_SKIPS-th
@@ -370,11 +406,14 @@ def adam_step(state: OptimizerState, model: VelocityModel, tape: GradTape) -> bo
     lr_t = state.effective_lr()
     b1c = 1.0 - BETA1**state.step
     b2c = 1.0 - BETA2**state.step
-    for k, p in model.params.items():
-        g = tape.grads[k] * scale
-        state.m[k] = BETA1 * state.m[k] + (1.0 - BETA1) * g
-        state.v[k] = BETA2 * state.v[k] + (1.0 - BETA2) * g * g
-        p -= lr_t * (state.m[k] / b1c) / (np.sqrt(state.v[k] / b2c) + EPS)
+    g = np.concatenate([tape.grads[k].ravel() for k in model.params]) * scale
+    state.m = BETA1 * state.m + (1.0 - BETA1) * g
+    state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    d = lr_t * (state.m / b1c) / (np.sqrt(state.v / b2c) + EPS)
+    start = 0
+    for p in model.params.values():
+        p -= d[start : start + p.size].reshape(p.shape)
+        start += p.size
     return True
 
 

@@ -155,6 +155,14 @@ def _train_case(*flags):
     return argv
 
 
+def _config_case(command, text):
+    def argv(tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        return [command, "--config", str(conf), "--out", str(tmp_path / "o")]
+    return argv
+
+
 def _truncated_ckpt_case(command):
     def argv(tmp_path):
         ckpt = _edited_checkpoint(tmp_path / "ckpt.json", _unedited)
@@ -215,6 +223,16 @@ class TestMalformedInputs:
             pytest.param(_ckpt_case("distill", _unedited, "--cfg-lo", "9", "--cfg-hi", "1"), 1,
                          id="distill-cfg-range-reversed-unguided"),
             pytest.param(_ckpt_case("distill", _huge_w_out), 3, id="distill-non-finite-loss"),
+            pytest.param(_ckpt_case("distill", _unedited, "--warmup-steps", "0",
+                                    "--adv-weight", "nan"), 1, id="distill-adv-weight-nan"),
+            pytest.param(_ckpt_case("distill", _unedited, "--warmup-steps", "0",
+                                    "--adv-weight", "inf"), 1, id="distill-adv-weight-inf"),
+            pytest.param(_ckpt_case("distill", _unedited, "--guidance", "true", "--cfg-lo", "nan"),
+                         1, id="distill-cfg-lo-nan"),
+            pytest.param(_ckpt_case("distill", _unedited, "--guidance", "true", "--cfg-hi", "inf"),
+                         1, id="distill-cfg-hi-inf"),
+            pytest.param(_config_case("train-fm", "steps = 2\nstep_count = 2\n"), 1,
+                         id="unknown-config-key"),
             pytest.param(_train_case("--hidden", "0"), 1, id="hidden-zero"),
             pytest.param(_train_case("--hidden", "-3"), 1, id="hidden-negative"),
             pytest.param(_train_case("--hidden", "8,0"), 1, id="hidden-second-zero"),

@@ -11,7 +11,6 @@ import copy
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from flowfx import distill, flow, net
 from flowfx.distill import (
@@ -160,7 +159,7 @@ def _per_head_reference(disc, x, r, up):
         w1, b1 = p["w1"][h * k : (h + 1) * k], p["b1"][h * k : (h + 1) * k]
         w2, b2 = p["w2"][h], p["b2"][h]
         a = feats @ w1.T + b1
-        s = expit(a)
+        s = net._logistic(a)
         act = a * s
         cols.append(act @ w2 + b2)
         u = up[:, h]

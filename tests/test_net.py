@@ -4,8 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.special import expit
+
+from flowfx import net
 from flowfx.errors import DivergenceError, DomainError, FileFormatError
 from flowfx.net import (
+    BETA1,
+    BETA2,
+    CLIP_NORM,
+    EPS,
     MAX_SKIPS,
     GradTape,
     ModelConfig,
@@ -229,6 +236,122 @@ def test_backward_jvp_adjoint_consistency():
         e[i] = 1.0
         tape = backward(model, x, 0.3, 0.1, 2, e)
         assert abs(float(tape.grad_x @ dx) - d[i]) <= 1e-9
+
+
+def test_logistic_within_4_ulp_of_expit():
+    a = np.linspace(-800.0, 800.0, 1_600_001)
+    got, want = net._logistic(a), expit(a)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+def test_logistic_limits_exact_and_silent():
+    a = np.array([-800.0, -np.inf, 800.0, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = net._logistic(a)
+    assert np.array_equal(s[:4], [0.0, 0.0, 1.0, 1.0])
+    assert np.isnan(s[4])
+    assert np.array_equal(a[:4], [-800.0, -np.inf, 800.0, np.inf])  # input untouched
+
+
+def _core_reference(model, x, t, r, cond, tangent):
+    """The primal pass with the r features computed on their own and the
+    SiLU slope written out as s * (1 + a * (1 - s)).  Returns (u, du,
+    slopes) for batched x, t, r, cond and a (dx, dt, dr) tangent."""
+    cfg, p = model.config, model.params
+    dx, dt, dr = tangent
+    freqs = cfg.frequencies()
+    ang_t, ang_r = t[:, None] * freqs[None, :], r[:, None] * freqs[None, :]
+    sin_t, cos_t, sin_r, cos_r = np.sin(ang_t), np.cos(ang_t), np.sin(ang_r), np.cos(ang_r)
+    e = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1) @ p["embed_w"].T + p["embed_b"]
+    c = p["cond_table"][cond]
+    d_ang_t = np.full(len(t), dt)[:, None] * freqs[None, :]
+    d_ang_r = np.full(len(t), dr)[:, None] * freqs[None, :]
+    de_in = np.concatenate(
+        [cos_t * d_ang_t, -sin_t * d_ang_t, cos_r * d_ang_r, -sin_r * d_ang_r], axis=1
+    )
+    h = np.concatenate([x, e, c], axis=1)
+    dh = np.concatenate([dx, de_in @ p["embed_w"].T, np.zeros_like(c)], axis=1)
+    slopes = []
+    for i in range(len(cfg.hidden)):
+        a = h @ p[f"w{i}"].T + p[f"b{i}"]
+        s = net._logistic(a)
+        slopes.append(s * (1.0 + a * (1.0 - s)))
+        dh = slopes[-1] * (dh @ p[f"w{i}"].T)
+        h = a * s
+    return h @ p["w_out"].T + p["b_out"], dh @ p["w_out"].T, slopes
+
+
+@pytest.mark.parametrize("r_equals_t", [True, False])
+@pytest.mark.parametrize("hidden", [(8, 6), ()])
+def test_core_matches_separate_r_features(r_equals_t, hidden):
+    cfg = ModelConfig(dim=3, hidden=hidden, n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
+    model = init_model(cfg, np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    x, dx = rng.standard_normal((7, 3)), rng.standard_normal((7, 3))
+    t = rng.uniform(0.0, 1.0, 7)
+    r = t.copy() if r_equals_t else rng.uniform(0.0, 1.0, 7) * t
+    cond = rng.integers(0, 3, 7)
+    tangent = (dx, 1.0, 0.0)
+    want_u, want_du, want_slopes = _core_reference(model, x, t, r, cond, tangent)
+
+    assert np.array_equal(forward(model, x, t, r, cond), want_u)
+    u, du = jvp(model, x, t, r, cond, tangent)
+    assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
+    u, du, tape, _ = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
+    assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
+    assert len(tape["slope"]) == len(want_slopes)
+    assert all(np.array_equal(a, b) for a, b in zip(tape["slope"], want_slopes))
+
+
+def test_untaped_features_match_hidden_forward():
+    model = small_model(25)
+    rng = np.random.default_rng(26)
+    x, r = rng.standard_normal((6, 3)), rng.uniform(0.0, 1.0, 6)
+    feats, tape = net.hidden_forward(model, x, r, r, None)
+    untaped, _, no_tape, _ = net._core(model, x, r, r, None, readout=False)
+    assert no_tape is None
+    assert np.array_equal(untaped, feats) and feats is tape["inputs"][-1]
+
+
+def _per_key_adam(model, grad_tapes, lr, warmup):
+    """Clipped Adam with warmup run one parameter array at a time; returns
+    the moments (m, v) as dicts."""
+    m = {k: np.zeros_like(p) for k, p in model.params.items()}
+    v = {k: np.zeros_like(p) for k, p in model.params.items()}
+    for step, tape in enumerate(grad_tapes, start=1):
+        norm = global_grad_norm(tape)
+        scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
+        lr_t = lr * min(1.0, step / warmup)
+        b1c, b2c = 1.0 - BETA1**step, 1.0 - BETA2**step
+        for k, p in model.params.items():
+            g = tape.grads[k] * scale
+            m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1.0 - BETA2) * g * g
+            p -= lr_t * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + EPS)
+    return m, v
+
+
+def test_flat_adam_matches_per_key_adam():
+    model = small_model(23)
+    reference = model.clone()
+    rng = np.random.default_rng(24)
+    tapes = []
+    for gain in (3.0, 0.01, 5.0, 0.02, 2.0):  # global norms above and below CLIP_NORM
+        # keys in reverse parameter order: the flat layout follows model.params
+        grads = {k: gain * rng.standard_normal(p.shape) for k, p in reversed(model.params.items())}
+        tapes.append(GradTape(grads, np.zeros(3)))
+    assert sum(global_grad_norm(tape) > CLIP_NORM for tape in tapes) == 3
+
+    state = init_optimizer(model, lr=1e-2, warmup=3)
+    for tape in tapes:
+        assert adam_step(state, model, tape)
+    m, v = _per_key_adam(reference, tapes, lr=1e-2, warmup=3)
+    for k in model.params:
+        assert np.array_equal(model.params[k], reference.params[k]), k
+    assert np.array_equal(state.m, np.concatenate([m[k].ravel() for k in model.params]))
+    assert np.array_equal(state.v, np.concatenate([v[k].ravel() for k in model.params]))
 
 
 def _scalar_adam_oracle(grads, lr, warmup, beta1=0.9, beta2=0.999, eps=1e-8):
