@@ -22,6 +22,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -420,7 +421,10 @@ def _add_schema_flags(parser, command: str) -> None:
         )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process from module constants;
+    parsing leaves it unchanged, so every ``main`` call shares it."""
     parser = _Parser(prog="flowfx", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 

@@ -5,12 +5,20 @@ All operations are pure functions over float64 arrays.  The STFT uses a
 periodic Hann window with reflect padding of ``n_fft // 2`` on each side and
 window-square-normalized overlap-add on the way back, which makes
 ``istft(stft(x))`` exact to roundoff on the interior of the signal.
+
+Two per-process caches keep the STFT cheap without changing any bit: the
+Hann window per ``n_fft`` (``hann_window``) and the filterbank weights per
+``(n_mels, n_fft, sample_rate)`` behind ``mel_filterbank``.  Both hand out
+the same read-only arrays (``flags.writeable`` is False) to every caller, so
+no caller can corrupt a shared entry; ``functools.lru_cache`` makes the
+lookups safe across threads.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.io import wavfile
@@ -74,9 +82,15 @@ class StftConfig:
         return self.n_fft // 2 + 1
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=32)
 def hann_window(n_fft: int) -> np.ndarray:
-    """Periodic Hann window of length ``n_fft``."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    """Periodic Hann window of length ``n_fft``, cached and read-only."""
+    return _read_only(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft))
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,9 @@ def stft(audio: AudioBuffer, config: StftConfig = StftConfig()) -> ComplexSpectr
 
     The signal is reflect-padded by ``n_fft // 2`` on each side and cut into
     ``ceil(len / hop)`` frames of length ``n_fft`` spaced ``hop`` apart; each
-    frame is Hann-windowed and transformed with a real FFT.
+    frame is Hann-windowed and transformed with a real FFT.  The frames are
+    strided views of the padded signal, so only the windowed product is
+    allocated.
     """
     x = audio.samples
     if len(x) == 0:
@@ -119,8 +135,8 @@ def stft(audio: AudioBuffer, config: StftConfig = StftConfig()) -> ComplexSpectr
     else:
         padded = np.pad(x, pad, mode="reflect")
     frames = -(-len(x) // hop)
-    idx = hop * np.arange(frames)[:, None] + np.arange(n_fft)[None, :]
-    segments = padded[idx] * hann_window(n_fft)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_fft)
+    segments = windows[::hop][:frames] * hann_window(n_fft)
     return ComplexSpectrogram(np.fft.rfft(segments, axis=1), config)
 
 
@@ -143,14 +159,15 @@ def istft(spec: ComplexSpectrogram, length: int | None = None) -> np.ndarray:
             f"length {length} not representable by {frames} frames of hop {hop}"
         )
     w = hann_window(n_fft)
-    segments = np.fft.irfft(spec.data, n=n_fft, axis=1)
+    w2 = w * w
+    segments = np.fft.irfft(spec.data, n=n_fft, axis=1) * w
     total = (frames - 1) * hop + n_fft
     num = np.zeros(total)
     den = np.zeros(total)
     for k in range(frames):
         sl = slice(k * hop, k * hop + n_fft)
-        num[sl] += segments[k] * w
-        den[sl] += w * w
+        num[sl] += segments[k]
+        den[sl] += w2
     y = num / np.maximum(den, OLA_DENOM_FLOOR)
     pad = n_fft // 2
     return y[pad : pad + length]
@@ -240,16 +257,26 @@ def mel_filterbank(
     from 0 Hz to Nyquist.  Filter heights are un-normalized (peak 1).
 
     A filter too narrow to touch any FFT bin gets the bin nearest its center
-    set to 1 so every row stays nonzero.
+    set to 1 so every row stays nonzero.  The bank is cached per
+    ``(n_mels, n_fft, sample_rate)`` (the hop does not enter the weights) and
+    its weights are read-only.
     """
     if n_mels < 1:
         raise DomainError("n_mels must be >= 1")
     bins = config.bins
     if n_mels > bins:
         raise DomainError(f"n_mels={n_mels} exceeds {bins} FFT bins")
+    if not sample_rate > 0:
+        raise DomainError(f"sample_rate must be positive, got {sample_rate}")
+    return _mel_filterbank(n_mels, config.n_fft, sample_rate)
+
+
+@lru_cache(maxsize=32)
+def _mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> MelFilterbank:
+    bins = n_fft // 2 + 1
     mel_pts = np.linspace(0.0, float(hz_to_mel(sample_rate / 2)), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
-    freqs = np.arange(bins) * (sample_rate / config.n_fft)
+    freqs = np.arange(bins) * (sample_rate / n_fft)
     lower, center, upper = hz_pts[:-2], hz_pts[1:-1], hz_pts[2:]
     up = (freqs[None, :] - lower[:, None]) / np.maximum(center - lower, 1e-12)[:, None]
     down = (upper[:, None] - freqs[None, :]) / np.maximum(upper - center, 1e-12)[:, None]
@@ -258,7 +285,7 @@ def mel_filterbank(
     if np.any(empty):
         nearest = np.argmin(np.abs(freqs[None, :] - center[:, None]), axis=1)
         weights[empty, nearest[empty]] = 1.0
-    return MelFilterbank(weights, n_mels, int(sample_rate))
+    return MelFilterbank(_read_only(weights), n_mels, int(sample_rate))
 
 
 def log_mel(

@@ -18,7 +18,7 @@ import pytest
 
 import flowfx
 from flowfx import distill, dsp, flow, metrics, net
-from flowfx.cli import load_config_file, main, ring_model_config
+from flowfx.cli import build_parser, load_config_file, main, ring_model_config
 from flowfx.errors import ConfigError
 
 
@@ -104,6 +104,13 @@ class TestConfigPlumbing:
 
     def test_bad_flag_value_is_usage_error(self, capsys):
         assert main(["train-fm", "--steps", "many"]) == 1
+
+    def test_parser_is_built_once_and_parsing_leaves_it_unchanged(self, capsys):
+        parser = build_parser()
+        assert main(["train-fm", "--steps", "many"]) == 1
+        assert parser.parse_args(["train-fm", "--steps", "3"]).steps == 3
+        assert build_parser() is parser
+        assert parser.parse_args(["train-fm"]).steps is None
 
 
 def _edited_checkpoint(path, edit):

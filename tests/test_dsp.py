@@ -1,6 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from flowfx import dsp
 from flowfx.dsp import (
     AudioBuffer,
     ComplexSpectrogram,
@@ -21,9 +25,94 @@ from flowfx.dsp import (
     write_wav,
 )
 from flowfx.errors import DomainError, FileFormatError
+from flowfx.losses import SPECTRAL_SCALES
 
 SR = 48000
 CFG = StftConfig()
+
+
+def _stft_gather(x, config):
+    """Reference STFT: frames gathered by an explicit frames x n_fft index."""
+    n_fft, hop = config.n_fft, config.hop
+    pad = n_fft // 2
+    padded = np.full(2 * pad + 1, x[0]) if len(x) == 1 else np.pad(x, pad, mode="reflect")
+    frames = -(-len(x) // hop)
+    idx = hop * np.arange(frames)[:, None] + np.arange(n_fft)[None, :]
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    return np.fft.rfft(padded[idx] * w, axis=1)
+
+
+def _istft_loop(spec, length):
+    """Reference inverse STFT: window each frame inside the overlap-add loop."""
+    n_fft, hop = spec.config.n_fft, spec.config.hop
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    segments = np.fft.irfft(spec.data, n=n_fft, axis=1)
+    total = (spec.frames - 1) * hop + n_fft
+    num = np.zeros(total)
+    den = np.zeros(total)
+    for k in range(spec.frames):
+        sl = slice(k * hop, k * hop + n_fft)
+        num[sl] += segments[k] * w
+        den[sl] += w * w
+    y = num / np.maximum(den, 1e-12)
+    return y[n_fft // 2 : n_fft // 2 + length]
+
+
+GEOMETRIES = sorted({(960, 480), (2048, 512), (512, 128), (33, 16), (7, 3)}
+                    | {(win, win // 4) for win, _ in SPECTRAL_SCALES})
+
+
+@pytest.mark.parametrize("n_fft,hop", GEOMETRIES)
+def test_stft_and_istft_bit_identical_to_references(n_fft, hop):
+    rng = np.random.default_rng(n_fft * 1000 + hop)
+    # 1 and 2 samples, fewer than n_fft / 2, lengths hop does not divide
+    lengths = {1, 2, max(1, n_fft // 2 - 1), n_fft + 1, 5 * hop + 1, 4801}
+    for n in sorted(lengths):
+        x = rng.standard_normal(n)
+        spec = stft(AudioBuffer(x, SR), StftConfig(n_fft, hop))
+        assert np.array_equal(spec.data, _stft_gather(x, spec.config)), n
+        assert np.array_equal(istft(spec, n), _istft_loop(spec, n)), n
+
+
+def _assert_cached_read_only(cache, get, fresh):
+    cache.cache_clear()
+    first = get()
+    assert get() is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    assert np.array_equal(first, fresh())
+    # concurrent misses on an empty cache, with frequent thread switches
+    cache.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(get) for _ in range(32)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(r, first) and not r.flags.writeable for r in results)
+
+
+def test_hann_window_cached_read_only_and_thread_safe():
+    n = 1234
+    _assert_cached_read_only(
+        dsp.hann_window,
+        lambda: hann_window(n),
+        lambda: 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n),
+    )
+
+
+@pytest.mark.parametrize("n_mels,n_fft", [(320, 2048), (10, 960), (400, 960)])
+def test_mel_filterbank_cached_read_only_and_thread_safe(n_mels, n_fft):
+    _assert_cached_read_only(
+        dsp._mel_filterbank,
+        lambda: mel_filterbank(n_mels, StftConfig(n_fft, n_fft // 4), SR).weights,
+        lambda: dsp._mel_filterbank.__wrapped__(n_mels, n_fft, SR).weights,
+    )
+    # the hop does not enter the weights, so it shares the cached entry
+    other_hop = mel_filterbank(n_mels, StftConfig(n_fft, n_fft // 2), SR)
+    assert other_hop.weights is mel_filterbank(n_mels, StftConfig(n_fft, n_fft // 4), SR).weights
 
 
 def test_stft_shape_and_zero_input():
@@ -216,6 +305,14 @@ def test_mel_filterbank_too_many_bands():
     with pytest.raises(DomainError):
         mel_filterbank(482, CFG, SR)  # only 481 bins available
     mel_filterbank(481, CFG, SR)  # boundary case allowed
+
+
+@pytest.mark.parametrize("rate", [0, -1])
+def test_mel_filterbank_rejects_non_positive_rate(rate):
+    cached = dsp._mel_filterbank.cache_info().currsize
+    with pytest.raises(DomainError):
+        mel_filterbank(8, StftConfig(64, 16), rate)
+    assert dsp._mel_filterbank.cache_info().currsize == cached
 
 
 def test_hz_mel_scale_anchor():
