@@ -6,7 +6,13 @@ once a warmup period ends.  The discriminator scores partially denoised
 states: a frozen copy of the teacher supplies hidden features, and small
 trainable heads map them to one scalar each under a hinge loss.  The heads
 are one stacked dense SiLU layer with a per-head linear readout, so every
-head runs in the same matrix products.  The generator
+head runs in the same matrix products.  Each discriminator keeps the
+stacked-head buffers (activations, their logistic, the SiLU slopes, and the
+pre-activation gradient in the dead logistic buffer) in a per-thread
+scratch, grown to the largest row count seen: the 512-row discriminator
+step and the 256-row generator step share one set.  A head cache from
+disc_scores therefore lasts only until the next scoring call on the same
+discriminator in the same thread.  The generator
 objective is the mean-velocity distillation loss plus a weighted
 -D(x_r) term whose gradient enters the student through x_r = x_t - (t-r)*u.
 
@@ -19,7 +25,7 @@ grid error decrease monotonically).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,11 +61,16 @@ class Discriminator:
     ``params`` stacks the heads: ``w1`` (n_heads*head_hidden, F) and ``b1``
     form one SiLU layer whose rows come in per-head blocks, and ``w2``
     (n_heads, head_hidden) and ``b2`` (n_heads,) are the per-head readouts.
-    Only ``params`` train; the trunk never updates.
+    Only ``params`` train; the trunk never updates.  The stacked-head
+    work buffers live in a per-thread scratch of the discriminator (see
+    _head_scores).
     """
 
     trunk: net.VelocityModel
     params: dict
+    _scratch: net._Scratch = field(
+        default_factory=net._Scratch, init=False, repr=False, compare=False
+    )
 
 
 def init_discriminator(
@@ -90,11 +101,17 @@ def _head_activations(disc: Discriminator, act: np.ndarray):
 def _head_scores(disc: Discriminator, feats: np.ndarray, handle):
     """Head scores (n, n_heads) of trunk features, and the cache the
     backward helpers read: the features, the trunk's replay handle, and the
-    stacked SiLU activations and slopes."""
+    stacked SiLU activations and slopes.
+
+    The activations, their logistic and the slopes are written into the
+    discriminator's scratch, so the cache is valid only until the next
+    scoring call on the same discriminator (and thread)."""
     p = disc.params
-    act = feats @ p["w1"].T
+    n, width = len(feats), len(p["b1"])
+    take = disc._scratch.take
+    act = np.matmul(feats, p["w1"].T, out=take("act", n, width))
     act += p["b1"]
-    slope = net._silu(act)
+    slope = net._silu(act, take("logistic", n, width), slope_out=take("slope", n, width))
     # C-ordered scores keep later sums over them in the same order
     scores = np.matmul(_head_activations(disc, act), p["w2"][:, :, None])[:, :, 0].T
     scores = np.ascontiguousarray(scores) + p["b2"]
@@ -113,9 +130,13 @@ def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray):
 
 
 def _pre_activation_grad(disc: Discriminator, cache: dict, up_scores: np.ndarray):
-    """Gradient of <scores, up_scores> on the stacked pre-activations."""
+    """Gradient of <scores, up_scores> on the stacked pre-activations, in
+    the scratch buffer of the logistic, which is dead once the scores are
+    out."""
     slope = cache["slope"]
-    ga = (up_scores[:, :, None] * disc.params["w2"]).reshape(slope.shape)
+    w2 = disc.params["w2"]
+    ga = disc._scratch.take("logistic", *slope.shape)
+    np.multiply(up_scores[:, :, None], w2, out=ga.reshape(len(ga), *w2.shape))
     ga *= slope
     return ga
 
@@ -272,8 +293,11 @@ def distill_loop(
     adv_weight to zero leaves the generator's draws (and therefore its
     parameter trajectory) untouched.  A ``disc`` from an earlier run carries
     on training with a fresh optimizer.  Returns (rows, disc) where each row
-    is (step, mf_loss, adv_loss or None, disc_loss or None, lr); the first
-    step with a non-finite loss raises DivergenceError instead.
+    is (step, mf_loss, adv_loss or None, disc_loss or None, lr).  The first
+    step with a non-finite loss raises DivergenceError instead, and so does
+    the net.MAX_SKIPS-th step in a row whose mf_loss is the square of the
+    flow.CLIP_BOUNDS bound: every residual of the batch is clipped, so the
+    loss no longer measures how far the student is from its target.
     """
     if n_steps < 0 or batch_size < 1:
         raise DomainError("need n_steps >= 0 and batch_size >= 1")
@@ -284,6 +308,9 @@ def distill_loop(
         disc = disc or init_discriminator(teacher, rng_disc)
         disc_opt = net.init_optimizer(disc, lr=config.lr)
 
+    # mean(g^2) of clipped residuals reaches this only when all are clipped
+    saturated = max(b * b for b in flow.CLIP_BOUNDS)
+    pinned = 0
     rows = []
     for step in range(1, n_steps + 1):
         disc_loss = None
@@ -299,6 +326,9 @@ def distill_loop(
         )
         if not all(np.isfinite(x) for x in (mf_loss, adv_loss, disc_loss) if x is not None):
             raise DivergenceError(step)
+        pinned = pinned + 1 if mf_loss >= saturated else 0
+        if pinned >= net.MAX_SKIPS:
+            raise DivergenceError(step, f"every residual clipped {pinned} steps in a row")
         rows.append((step, mf_loss, adv_loss, disc_loss, gen_opt.effective_lr()))
     return rows, disc
 

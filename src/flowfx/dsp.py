@@ -8,10 +8,12 @@ window-square-normalized overlap-add on the way back, which makes
 
 Two per-process caches keep the STFT cheap without changing any bit: the
 Hann window per ``n_fft`` (``hann_window``) and the filterbank weights per
-``(n_mels, n_fft, sample_rate)`` behind ``mel_filterbank``.  Both hand out
-the same read-only arrays (``flags.writeable`` is False) to every caller, so
-no caller can corrupt a shared entry; ``functools.lru_cache`` makes the
-lookups safe across threads.
+``(n_mels, n_fft, sample_rate)`` behind ``mel_filterbank``.  They belong to
+the process, not to a caller or a thread: every caller in every thread gets
+the same read-only arrays (``flags.writeable`` is False), so no caller can
+corrupt a shared entry, and ``functools.lru_cache`` makes the lookups safe
+across threads.  An entry lasts until 32 newer keys push it out; an array
+already handed out stays valid for as long as its holder keeps it.
 """
 
 from __future__ import annotations

@@ -16,12 +16,21 @@ one primal pass and hands it to the chain rule, instead of running the pass
 again in backward.  The tape keeps each layer's input and its SiLU slope,
 taken once in the primal pass and read by the jvp tangent and by the chain
 rule alike.
+
+Each model owns a scratch (``_Scratch``) for the one temporary of the pass
+that never leaves it: the (rows x width) logistic inside the SiLU.  The
+scratch keeps one buffer per layer width and per thread, grown to the
+largest row count seen, so a training or sampling loop stops allocating
+(and faulting in) that memory on every call.  Nothing ``_core`` returns or
+records on a tape lives in the scratch, so results stay valid across later
+calls, and threads calling into one model each get their own buffers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -75,10 +84,38 @@ class ModelConfig:
         return self.freq_min * (self.freq_max / self.freq_min) ** expo
 
 
+class _Scratch:
+    """Work buffers that one object reuses across calls, one set per thread.
+
+    ``take(name, rows, width)`` returns the leading ``rows`` rows of a
+    float64 (rows, width) buffer kept under (name, width); the buffer grows
+    to the largest row count asked for and is never shrunk.  The view is
+    valid until the next ``take`` of the same key on the same thread, so a
+    caller may only keep what it writes there for the length of one call.
+    Copies (``copy.deepcopy``, pickling) start with no buffers.
+    """
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def take(self, name, rows, width):
+        bufs = self._local.__dict__.setdefault("bufs", {})
+        buf = bufs.get((name, width))
+        if buf is None or buf.shape[0] < rows:
+            buf = bufs[name, width] = np.empty((rows, width))
+        return buf[:rows]
+
+    def __reduce__(self):
+        return _Scratch, ()
+
+
 @dataclass
 class VelocityModel:
     config: ModelConfig
     params: dict
+    _scratch: _Scratch = field(
+        default_factory=_Scratch, init=False, repr=False, compare=False
+    )
 
     def clone(self) -> "VelocityModel":
         return VelocityModel(self.config, {k: v.copy() for k, v in self.params.items()})
@@ -147,31 +184,34 @@ def _resolve_cond(cond, n, config):
     return ids
 
 
-def _logistic(a):
-    """1 / (1 + exp(-a)) with numpy's exp, in one new buffer.  Where exp(-a)
-    overflows, the result is the exact limit 0, without a warning."""
-    s = np.negative(a)
+def _logistic(a, out=None):
+    """1 / (1 + exp(-a)) with numpy's exp, in ``out`` (a new buffer when
+    None).  Where exp(-a) overflows, the result is the exact limit 0,
+    without a warning."""
+    s = np.negative(a, out=out)
     with np.errstate(over="ignore", under="ignore"):
         np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
 
 
-def _silu_grad(a, s):
+def _silu_grad(a, s, out=None):
     """d silu(a)/da = s * (1 + a * (1 - s)), given a and its logistic
-    s = _logistic(a), in one new buffer."""
-    g = 1.0 - s
+    s = _logistic(a), in ``out`` (a new buffer when None)."""
+    g = np.subtract(1.0, s, out=out)
     g *= a
     g += 1.0
     g *= s
     return g
 
 
-def _silu(a, want_slope=True):
-    """SiLU in place: ``a`` becomes a * _logistic(a).  Returns the slope
-    _silu_grad, taken before ``a`` is overwritten, or None when not wanted."""
-    s = _logistic(a)
-    slope = _silu_grad(a, s) if want_slope else None
+def _silu(a, s, want_slope=True, slope_out=None):
+    """SiLU in place: ``a`` becomes a * _logistic(a), with the logistic
+    written into the work buffer ``s`` (a's shape).  Returns the slope
+    _silu_grad, taken before ``a`` is overwritten, in ``slope_out`` (a new
+    buffer when None), or None when not wanted."""
+    _logistic(a, out=s)
+    slope = _silu_grad(a, s, out=slope_out) if want_slope else None
     a *= s
     return slope
 
@@ -231,7 +271,8 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
             tape["inputs"].append(h)
         h = h @ p[f"w{i}"].T
         h += p[f"b{i}"]
-        slope = _silu(h, want_tape or tangent is not None)
+        s = model._scratch.take("logistic", n, h.shape[1])
+        slope = _silu(h, s, want_tape or tangent is not None)
         if want_tape:
             tape["slope"].append(slope)
         if tangent is not None:

@@ -230,6 +230,9 @@ class TestMalformedInputs:
             pytest.param(_ckpt_case("distill", _unedited, "--cfg-lo", "9", "--cfg-hi", "1"), 1,
                          id="distill-cfg-range-reversed-unguided"),
             pytest.param(_ckpt_case("distill", _huge_w_out), 3, id="distill-non-finite-loss"),
+            # from step 2 on every residual is clipped, so mf_loss stays at 1.0
+            pytest.param(_ckpt_case("distill", _unedited, "--lr", "1e6", "--steps", "30"), 3,
+                         id="distill-huge-lr-clip-saturated"),
             pytest.param(_ckpt_case("distill", _unedited, "--warmup-steps", "0",
                                     "--adv-weight", "nan"), 1, id="distill-adv-weight-nan"),
             pytest.param(_ckpt_case("distill", _unedited, "--warmup-steps", "0",

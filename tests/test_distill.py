@@ -8,6 +8,7 @@ value from the first verified run.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from flowfx.distill import (
     init_discriminator,
     reinit_embedding,
 )
-from flowfx.errors import DomainError
+from flowfx.errors import DivergenceError, DomainError
 
 TEACHER_CONFIG = net.ModelConfig(
     dim=2, hidden=(16, 16), n_cond=2, cond_dim=4, embed_dim=8,
@@ -212,6 +213,56 @@ class TestStackedHeads:
         _assert_bitwise_equal(grads, want_grads)
         gx = disc_input_gradient(disc, cache, up)
         assert np.linalg.norm(gx - want_gx) <= 1e-12 * np.linalg.norm(want_gx)
+
+
+class TestHeadScratch:
+    """The stacked-head buffers a discriminator reuses across calls change
+    no result: warm objects give what fresh copies give, bit for bit."""
+
+    CONFIG = DistillConfig(warmup_steps=10, adv_weight=0.5, lr=1e-3)
+
+    def _iteration(self, state, teacher, step):
+        disc, student, d_opt, g_opt, rng_d, rng_g = state
+        scheduler = flow.TrScheduler()
+        x0, cond = _two_mode_batch(rng_d, 256)
+        d_loss = disc_step(disc, student, x0, scheduler, d_opt, rng_d, cond)
+        x0, cond = _two_mode_batch(rng_g, 256)
+        return (d_loss, *gen_step(student, teacher, disc, x0, scheduler, g_opt, rng_g,
+                                  step, self.CONFIG, cond))
+
+    def test_iterations_match_fresh_clones(self):
+        teacher = _teacher(61)
+        student = teacher.clone()
+        disc = init_discriminator(teacher, np.random.default_rng(62), 4, 64)
+        state = (disc, student, net.init_optimizer(disc, lr=1e-3),
+                 net.init_optimizer(student, lr=1e-3),
+                 np.random.default_rng(63), np.random.default_rng(64))
+        rng = np.random.default_rng(65)
+        # leave buffers of other row counts behind, larger and smaller
+        disc_scores(disc, rng.standard_normal((700, 2)), rng.uniform(0.0, 1.0, 700))
+        disc_scores(disc, rng.standard_normal((3, 2)), rng.uniform(0.0, 1.0, 3))
+        for step in (11, 12):  # past the warmup: a 512-row disc_step, a 256-row gen_step
+            fresh = copy.deepcopy(state)  # copies start with empty scratch
+            got = self._iteration(state, teacher, step)
+            want = self._iteration(fresh, teacher, step)
+            assert got == want and got[2] is not None
+            _assert_bitwise_equal(state[0].params, fresh[0].params)
+            _assert_bitwise_equal(state[1].params, fresh[1].params)
+
+    def test_warm_head_scores_allocate_no_head_block(self):
+        disc = init_discriminator(_teacher(66), np.random.default_rng(67), 4, 64)
+        rng = np.random.default_rng(68)
+        x, r = rng.standard_normal((512, 2)), rng.uniform(0.0, 1.0, 512)
+        feats, handle = net.hidden_forward(disc.trunk, x, r, r, None)
+        distill._head_scores(disc, feats, handle)
+        feats = feats[:256].copy()
+        tracemalloc.start()
+        try:
+            distill._head_scores(disc, feats, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 256 * 8
 
 
 class TestDiscStep:
@@ -529,6 +580,20 @@ class TestDistillLoop:
         rows_b, student_b = run()
         assert rows_a == rows_b
         _assert_bitwise_equal(student_a.params, student_b.params)
+
+    def test_clip_saturated_run_stops_after_max_skips_steps(self, monkeypatch):
+        # mf_loss 1.0 is the squared clip bound: every residual clipped
+        losses = iter([1.0] * (net.MAX_SKIPS - 1) + [0.5] + [1.0] * net.MAX_SKIPS)
+        monkeypatch.setattr(distill, "gen_step", lambda *args: (next(losses), None, 0.0))
+        teacher = _teacher(75)
+        with pytest.raises(DivergenceError, match="clipped") as err:
+            distill_loop(
+                teacher.clone(), teacher, _two_mode_batch, n_steps=100, batch_size=6,
+                config=DistillConfig(warmup_steps=1000), rng_gen=np.random.default_rng(92),
+                rng_disc=np.random.default_rng(93),
+            )
+        # the unclipped step restarts the count
+        assert err.value.step == 2 * net.MAX_SKIPS
 
     def test_bad_loop_arguments_rejected(self):
         teacher = _teacher(74)

@@ -1,5 +1,7 @@
 import json
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -313,6 +315,77 @@ def test_untaped_features_match_hidden_forward():
     untaped, _, no_tape, _ = net._core(model, x, r, r, None, readout=False)
     assert no_tape is None
     assert np.array_equal(untaped, feats) and feats is tape["inputs"][-1]
+
+
+# hidden widths 8, 8 and 6: two layers share the width-8 logistic scratch
+SCRATCH = ModelConfig(dim=3, hidden=(8, 8, 6), n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
+
+
+def _scratch_case(n, seed):
+    rng = np.random.default_rng(seed)
+    x, dx = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+    t = rng.uniform(0.0, 1.0, n)
+    return x, t, 0.5 * t, rng.integers(0, 3, n), (dx, 1.0, 0.0)
+
+
+def _core_outputs(model, n, seed, want_tape, with_tangent):
+    """Every array _core hands back for one pass, copied out of its result."""
+    x, t, r, cond, tangent = _scratch_case(n, seed)
+    u, du, tape, _ = net._core(model, x, t, r, cond, want_tape=want_tape,
+                               tangent=tangent if with_tangent else None)
+    got = [u, du]
+    if tape is not None:
+        got += [tape["e_in"], *tape["inputs"], *tape["slope"]]
+    return got
+
+
+def test_core_reusing_scratch_matches_fresh_clone():
+    model = init_model(SCRATCH, np.random.default_rng(31))
+    calls = [
+        (n, seed, want_tape, with_tangent)
+        for seed, n in enumerate([1, 256, 512, 1024, 256, 1, 1024, 512])
+        for want_tape, with_tangent in [(False, False), (True, False), (False, True), (True, True)]
+    ]
+    warm = [_core_outputs(model, *call) for call in calls]
+    # results handed out earlier stay as they were after later calls
+    for call, got in zip(calls, warm):
+        want = _core_outputs(model.clone(), *call)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b), call
+
+
+def test_tape_survives_later_calls_on_the_same_model():
+    model = init_model(SCRATCH, np.random.default_rng(32))
+    x, t, r, cond, tangent = _scratch_case(64, 33)
+    up = np.random.default_rng(34).standard_normal((64, 3))
+    _, _, tape, _ = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
+    for n in (64, 1024, 16):
+        xs, ts, rs, cs, tans = _scratch_case(n, 35 + n)
+        net._core(model, xs, ts, rs, cs, want_tape=True, tangent=tans)
+        forward(model, xs, ts, rs, cs)
+    got = net._tape_backward(model, tape, up)
+    fresh = model.clone()
+    _, _, fresh_tape, _ = net._core(fresh, x, t, r, cond, want_tape=True, tangent=tangent)
+    want = net._tape_backward(fresh, fresh_tape, up)
+    assert np.array_equal(got.grad_x, want.grad_x)
+    for k in want.grads:
+        assert np.array_equal(got.grads[k], want.grads[k]), k
+
+
+def test_forward_from_threads_matches_serial():
+    model = init_model(SCRATCH, np.random.default_rng(36))
+    sizes = [1, 300, 17, 1024, 64, 512] * 6
+    cases = [_scratch_case(n, 40 + i) for i, n in enumerate(sizes)]
+    serial = [forward(model.clone(), x, t, r, cond) for x, t, r, cond, _ in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda c: forward(model, *c[:4]), cases, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
 
 
 def _per_key_adam(model, grad_tapes, lr, warmup):
