@@ -360,13 +360,15 @@ def cmd_eval(cfg: RunConfig, real_dir, fake_dir) -> None:
     path order); ``*.wav`` files pair up by matching filename.  Files load
     on a bounded worker pool; results merge deterministically.
     """
+    v = cfg.values
+    if v["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {v['workers']}")
     real_dir, fake_dir = Path(real_dir), Path(fake_dir)
     for d in (real_dir, fake_dir):
         if not d.is_dir():
             raise FileNotFoundError(f"not a directory: {d}")
-    v = cfg.values
     entries = []
-    with ThreadPoolExecutor(max_workers=max(1, v["workers"])) as pool:
+    with ThreadPoolExecutor(max_workers=v["workers"]) as pool:
         real_csvs = [p for p in sorted(real_dir.glob("*.csv")) if _is_embedding_csv(p)]
         fake_csvs = [p for p in sorted(fake_dir.glob("*.csv")) if _is_embedding_csv(p)]
         real_emb = _merge_embeddings(real_csvs, list(pool.map(metrics.read_embedding_csv, real_csvs)))

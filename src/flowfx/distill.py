@@ -15,11 +15,6 @@ disc_scores therefore lasts only until the next scoring call on the same
 discriminator in the same thread.  The generator
 objective is the mean-velocity distillation loss plus a weighted
 -D(x_r) term whose gradient enters the student through x_r = x_t - (t-r)*u.
-
-An embedding-matching phase retrains just the (t, r) embedding of a cloned
-student against the teacher's, by plain full-batch gradient descent on a
-fixed time grid (the subproblem is quadratic, so a safe step size makes the
-grid error decrease monotonically).
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from .net import GradTape
 
 DISC_HEADS = 4
 HEAD_HIDDEN = 64
-EMBED_GRID_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -211,24 +205,6 @@ def _adversarial_upstream(disc: Discriminator, xt, t, r, u):
     return adv_loss, -(t - r)[:, None] * d_dx
 
 
-def adversarial_grads(
-    student: net.VelocityModel,
-    disc: Discriminator,
-    xt: np.ndarray,
-    t: np.ndarray,
-    r: np.ndarray,
-    cond=None,
-):
-    """Generator-side adversarial term -mean D(x_r) and its student grads.
-
-    x_r = x_t - (t-r) u(x_t, t, r); the loss gradient reaches the student
-    only through u, as dL/du = -(t-r) dD/dx_r with the trunk frozen.
-    """
-    u, _, tape, _ = net._core(student, xt, t, r, cond, want_tape=True)
-    adv_loss, upstream = _adversarial_upstream(disc, xt, t, r, u)
-    return adv_loss, net._tape_backward(student, tape, upstream)
-
-
 def gen_step(
     student: net.VelocityModel,
     teacher: net.VelocityModel,
@@ -253,8 +229,9 @@ def gen_step(
     call.
 
     The adversarial branch draws nothing from rng, so runs with the term
-    gated off consume exactly the same random stream as a plain
-    meanflow_distill_loss loop and update the student bit for bit as it does.
+    gated off consume exactly the same random stream as a loop of plain
+    mean-velocity distillation steps and update the student bit for bit as
+    it does.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     n = x0.shape[0]
@@ -331,69 +308,3 @@ def distill_loop(
             raise DivergenceError(step, f"every residual clipped {pinned} steps in a row")
         rows.append((step, mf_loss, adv_loss, disc_loss, gen_opt.effective_lr()))
     return rows, disc
-
-
-def _time_features(config: net.ModelConfig, t_values: np.ndarray) -> np.ndarray:
-    """Sinusoidal feature rows for (t, r=t), matching the network's layout."""
-    freqs = config.frequencies()
-    ang = np.asarray(t_values, dtype=np.float64)[:, None] * freqs[None, :]
-    s, c = np.sin(ang), np.cos(ang)
-    return np.concatenate([s, c, s, c], axis=1)
-
-
-def embedding_at(model: net.VelocityModel, t_values: np.ndarray) -> np.ndarray:
-    """The learned time embedding evaluated at (t, r=t)."""
-    e_in = _time_features(model.config, t_values)
-    return e_in @ model.params["embed_w"].T + model.params["embed_b"]
-
-
-def reinit_embedding(model: net.VelocityModel, rng: np.random.Generator) -> None:
-    """Fresh random (t, r) embedding, same scheme as init_model."""
-    cfg = model.config
-    model.params["embed_w"] = rng.normal(
-        0.0, (2 * cfg.sin_dim) ** -0.5, model.params["embed_w"].shape
-    )
-    model.params["embed_b"] = np.zeros_like(model.params["embed_b"])
-
-
-def embed_match_phase(
-    student: net.VelocityModel,
-    teacher: net.VelocityModel,
-    steps: int,
-    grid_size: int = EMBED_GRID_SIZE,
-):
-    """Fit the student's (t, r) embedding to the teacher's t embedding.
-
-    Full-batch gradient descent on a fixed uniform grid of t values updates
-    only the parameters named in net.EMBED_PARAM_NAMES.  The objective is
-    quadratic in them, and the step size is set from the feature Gram
-    spectrum, so the grid MSE decreases monotonically.  Returns the MSE
-    history (length steps + 1, starting with the initial error).
-    """
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    if student.config != teacher.config:
-        raise DomainError("student and teacher must share a config")
-    grid = np.linspace(0.0, 1.0, grid_size)
-    target = embedding_at(teacher, grid)
-    feats = _time_features(student.config, grid)
-    n, e_dim = target.shape
-    w = student.params["embed_w"]
-    b = student.params["embed_b"]
-
-    aug = np.concatenate([feats, np.ones((n, 1))], axis=1)
-    lips = 2.0 / (n * e_dim) * float(np.linalg.eigvalsh(aug.T @ aug)[-1])
-    lr = 1.0 / lips
-
-    def mse():
-        diff = feats @ w.T + b - target
-        return float(np.mean(diff * diff))
-
-    history = [mse()]
-    for _ in range(steps):
-        diff = feats @ w.T + b - target
-        scale = 2.0 / diff.size
-        w -= lr * (scale * diff.T @ feats)
-        b -= lr * (scale * diff.sum(axis=0))
-        history.append(mse())
-    return history

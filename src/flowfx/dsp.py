@@ -364,22 +364,6 @@ def synth_signal(seed: int, duration: float, sample_rate: int = 48000) -> AudioB
     return AudioBuffer(mix, sample_rate)
 
 
-def compression_ratios(
-    sample_rate: int = 48000, hop: int = 480, latent_dim: int = 128
-) -> dict:
-    """Both labeled compression-ratio conventions for an STFT-hop codec.
-
-    ``audio_samples_per_latent_value`` divides the audio sample rate by the
-    latent value rate (hop / latent_dim); ``latent_values_per_audio_sample``
-    is its reciprocal.  Reported side by side because either convention
-    appears in codec comparisons.
-    """
-    return {
-        "audio_samples_per_latent_value": hop / latent_dim,
-        "latent_values_per_audio_sample": latent_dim / hop,
-    }
-
-
 def read_wav(path) -> AudioBuffer:
     """Read a PCM 16-bit or 32-bit float WAV file as mono float64.
 

@@ -6,11 +6,12 @@ objectives come in three forms: plain flow matching (regress the velocity at
 r = t), the mean-velocity objective (regress an average velocity over [r, t]
 using an exact directional derivative), and its distillation variant where a
 frozen teacher supplies the target velocity, optionally with classifier-free
-guidance applied.  All three are one interval loss that differs only in
-its target and clipping, and each runs the network's primal pass once.
+guidance applied (``_distill_target``, run by ``distill.gen_step``).  All
+three are one interval loss that differs only in its target and clipping,
+and each runs the network's primal pass once.
 
-All losses return (value, GradTape) and are deterministic given their
-inputs; (t, r) sampling and noise draws happen in the callers through
+fm_loss and meanflow_loss return (value, GradTape); all three are
+deterministic given their inputs; (t, r) sampling and noise draws happen in the callers through
 TrScheduler and sample_path, which keeps the losses replayable.
 """
 
@@ -142,12 +143,12 @@ def fm_loss(model, batch: PathSample, cond=None):
     return loss, net._tape_backward(model, tape, upstream)
 
 
-def meanflow_loss(model, batch: PathSample, r, cond=None, clip_bounds=CLIP_BOUNDS):
+def meanflow_loss(model, batch: PathSample, r, cond=None):
     """Mean-velocity objective with the stop-gradient construction.
 
     The directional derivative du/dt along (v_target, 1, 0) comes from the
     exact jvp; the regression target is v_target - (t - r) * du/dt, treated
-    as constant.  The residual is clipped to ``clip_bounds``, the loss value
+    as constant.  The residual is clipped to CLIP_BOUNDS, the loss value
     is mean(g^2), and the gradient flows only through u (upstream 2g/n).
 
     With r = t this is exactly fm_loss whenever every residual lies inside
@@ -155,7 +156,7 @@ def meanflow_loss(model, batch: PathSample, r, cond=None, clip_bounds=CLIP_BOUND
     """
     r = _check_batch(batch, r)
     loss, _, upstream, tape = _interval_loss(
-        model, batch.xt, batch.t, r, cond, batch.v_target, clip_bounds
+        model, batch.xt, batch.t, r, cond, batch.v_target, CLIP_BOUNDS
     )
     return loss, net._tape_backward(model, tape, upstream)
 
@@ -178,7 +179,11 @@ class CfgSpec:
 
 
 def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng):
-    """The frozen teacher's target velocity for meanflow_distill_loss.
+    """The frozen teacher's target velocity for the mean-velocity
+    distillation loss: its instantaneous prediction u_teacher(xt, t, t),
+    or, under guidance, a combination of conditional and unconditional
+    teacher calls with a per-sample scale drawn from cfg.scale_range and
+    condition dropout at cfg.drop_prob.
 
     Returns (v_tgt, cond_ids): cond_ids are the condition ids after any
     dropout, the ids the student is evaluated at.  Under guidance, rng
@@ -202,29 +207,3 @@ def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng):
     v_u = net.forward(teacher, batch.xt, batch.t, batch.t, None)
     scale = float(w[0]) if np.all(w == w[0]) else w[:, None]
     return cfg_combine(v_c, v_u, scale), cond_ids
-
-
-def meanflow_distill_loss(
-    student,
-    teacher,
-    batch: PathSample,
-    r,
-    cond=None,
-    cfg: CfgSpec | None = None,
-    rng: np.random.Generator | None = None,
-    clip_bounds=CLIP_BOUNDS,
-):
-    """Distillation form of the mean-velocity objective.
-
-    The target velocity is the frozen teacher's instantaneous prediction
-    u_teacher(xt, t, t), optionally replaced by a guided combination of
-    conditional and unconditional teacher calls with a per-sample scale
-    drawn from cfg.scale_range and condition dropout at cfg.drop_prob.
-    The jvp tangent is (v_tgt, 1, 0); gradients reach only the student.
-    """
-    r = _check_batch(batch, r)
-    v_tgt, cond_ids = _distill_target(teacher, batch, cond, cfg, rng)
-    loss, _, upstream, tape = _interval_loss(
-        student, batch.xt, batch.t, r, cond_ids, v_tgt, clip_bounds
-    )
-    return loss, net._tape_backward(student, tape, upstream)

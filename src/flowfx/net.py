@@ -9,13 +9,16 @@ embedding (with a dedicated null row for unconditional passes); hidden layers
 use SiLU, a * _logistic(a), where _logistic is 1 / (1 + exp(-a)) on numpy's
 exp; the output layer is linear.
 
-Forward, backward, and jvp all run the same primal expressions in the same
-order, so the jvp value is bit-identical to forward and the tape replays
-exactly what forward computed.  A training loss records the tape during its
-one primal pass and hands it to the chain rule, instead of running the pass
-again in backward.  The tape keeps each layer's input and its SiLU slope,
-taken once in the primal pass and read by the jvp tangent and by the chain
-rule alike.
+Every pass is one run of ``_core``, the shared primal pass, so all of them
+evaluate the same expressions in the same order.  Forward mode rides along
+in that pass: given a (dx, dt, dr) tangent, ``_core`` propagates it in
+lockstep with the primal ops, and the value it returns is bit-identical to
+forward.  Reverse mode replays a tape: a training loss asks ``_core`` to
+record one during its single primal pass and hands it to ``_tape_backward``
+(or, for a frozen feature map, ``hidden_input_gradient``), instead of
+running the pass again.  The tape keeps each layer's input and its SiLU
+slope, taken once in the primal pass and read by the tangent and by the
+chain rule alike.
 
 Each model owns a scratch (``_Scratch``) for the one temporary of the pass
 that never leaves it: the (rows x width) logistic inside the SiLU.  The
@@ -119,9 +122,6 @@ class VelocityModel:
 
     def clone(self) -> "VelocityModel":
         return VelocityModel(self.config, {k: v.copy() for k, v in self.params.items()})
-
-
-EMBED_PARAM_NAMES = ("embed_w", "embed_b")
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> VelocityModel:
@@ -300,19 +300,6 @@ def forward(model: VelocityModel, x, t, r, cond=None) -> np.ndarray:
     return u
 
 
-def backward(model: VelocityModel, x, t, r, cond, upstream) -> GradTape:
-    """Exact gradients of <forward(model, x, t, r, cond), upstream> with
-    respect to every parameter and to x."""
-    u, _, tape, squeeze = _core(model, x, t, r, cond, want_tape=True)
-    up, up_squeeze = _as_batch(upstream, model.config.dim)
-    if up_squeeze != squeeze or up.shape[0] != np.atleast_2d(u).shape[0]:
-        raise DomainError("upstream shape does not match output")
-    grad = _tape_backward(model, tape, up)
-    if squeeze:
-        grad.grad_x = grad.grad_x[0]
-    return grad
-
-
 def _hidden_chain(model, tape, g, grads=None):
     """Chain rule from the last hidden activations back to the network input
     [x, e, c], replaying a tape from _core.  When ``grads`` is a dict, the
@@ -349,16 +336,6 @@ def _tape_backward(model, tape, upstream) -> GradTape:
     return GradTape(grads, gx)
 
 
-def jvp(model: VelocityModel, x, t, r, cond, tangent):
-    """Forward-mode directional derivative along tangent = (dx, dt, dr).
-
-    Returns (value, derivative); the value is bit-identical to forward
-    because both run the same primal expressions.
-    """
-    u, du, _, _ = _core(model, x, t, r, cond, tangent=tangent)
-    return u, du
-
-
 def hidden_forward(model: VelocityModel, x, t, r, cond=None):
     """Penultimate hidden activations (the features feeding the output
     layer) plus a replay handle for hidden_input_gradient."""
@@ -371,13 +348,6 @@ def hidden_input_gradient(model: VelocityModel, tape, upstream) -> np.ndarray:
     holding every parameter fixed (the net acts as a frozen feature map)."""
     g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
     return _hidden_chain(model, tape, g)[:, : model.config.dim]
-
-
-def zero_grads(model: VelocityModel) -> GradTape:
-    return GradTape(
-        {k: np.zeros_like(v) for k, v in model.params.items()},
-        np.zeros(model.config.dim),
-    )
 
 
 def global_grad_norm(tape: GradTape) -> float:

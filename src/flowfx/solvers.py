@@ -10,7 +10,8 @@ against the NFE budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +60,12 @@ class SolverConfig:
             raise DomainError(f"unknown solver kind {self.kind!r}")
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
-        if self.atol <= 0 or self.rtol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.atol, self.rtol)):
+            raise DomainError(
+                f"tolerances must be finite and > 0, got atol={self.atol}, rtol={self.rtol}"
+            )
+        if not math.isfinite(self.cfg_scale):
+            raise DomainError(f"cfg_scale must be finite, got {self.cfg_scale}")
         if self.max_nfe < 1:
             raise DomainError("max_nfe must be >= 1")
         if self.renoise_mode not in ("remix", "additive"):
@@ -87,7 +92,6 @@ class SampleTrace:
     t_grid: list
     accepted: int
     rejected: int
-    meta: dict = field(default_factory=dict)
 
 
 def _field(model, cond, config: SolverConfig):

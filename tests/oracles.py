@@ -1,0 +1,90 @@
+"""Reference compositions of the library's private passes, for tests only.
+
+No command runs these.  Each one composes the same private pieces the
+training loops run (``net._core``, ``net._tape_backward``,
+``flow._distill_target``, ``flow._interval_loss`` and
+``distill._adversarial_upstream``) into one standalone call, so a test can
+check those pieces against finite differences, against each other, or
+against a fused step, through a small public-looking signature.
+"""
+
+import numpy as np
+
+from flowfx import flow, net
+from flowfx.distill import Discriminator, _adversarial_upstream
+from flowfx.errors import DomainError
+from flowfx.flow import CfgSpec, PathSample
+from flowfx.net import GradTape, VelocityModel
+
+
+def backward(model: VelocityModel, x, t, r, cond, upstream) -> GradTape:
+    """Exact gradients of <forward(model, x, t, r, cond), upstream> with
+    respect to every parameter and to x."""
+    u, _, tape, squeeze = net._core(model, x, t, r, cond, want_tape=True)
+    up, up_squeeze = net._as_batch(upstream, model.config.dim)
+    if up_squeeze != squeeze or up.shape[0] != np.atleast_2d(u).shape[0]:
+        raise DomainError("upstream shape does not match output")
+    grad = net._tape_backward(model, tape, up)
+    if squeeze:
+        grad.grad_x = grad.grad_x[0]
+    return grad
+
+
+def jvp(model: VelocityModel, x, t, r, cond, tangent):
+    """Forward-mode directional derivative along tangent = (dx, dt, dr).
+
+    Returns (value, derivative); the value is bit-identical to forward
+    because both run the same primal expressions.
+    """
+    u, du, _, _ = net._core(model, x, t, r, cond, tangent=tangent)
+    return u, du
+
+
+def zero_grads(model: VelocityModel) -> GradTape:
+    return GradTape(
+        {k: np.zeros_like(v) for k, v in model.params.items()},
+        np.zeros(model.config.dim),
+    )
+
+
+def meanflow_distill_loss(
+    student,
+    teacher,
+    batch: PathSample,
+    r,
+    cond=None,
+    cfg: CfgSpec | None = None,
+    rng: np.random.Generator | None = None,
+):
+    """Distillation form of the mean-velocity objective.
+
+    The target velocity is the frozen teacher's instantaneous prediction
+    u_teacher(xt, t, t), optionally replaced by a guided combination of
+    conditional and unconditional teacher calls with a per-sample scale
+    drawn from cfg.scale_range and condition dropout at cfg.drop_prob.
+    The jvp tangent is (v_tgt, 1, 0); gradients reach only the student.
+    """
+    r = flow._check_batch(batch, r)
+    v_tgt, cond_ids = flow._distill_target(teacher, batch, cond, cfg, rng)
+    loss, _, upstream, tape = flow._interval_loss(
+        student, batch.xt, batch.t, r, cond_ids, v_tgt, flow.CLIP_BOUNDS
+    )
+    return loss, net._tape_backward(student, tape, upstream)
+
+
+def adversarial_grads(
+    student: VelocityModel,
+    disc: Discriminator,
+    xt: np.ndarray,
+    t: np.ndarray,
+    r: np.ndarray,
+    cond=None,
+):
+    """Generator-side adversarial term -mean D(x_r) and its student grads.
+
+    x_r = x_t - (t-r) u(x_t, t, r); the loss gradient reaches the student
+    only through u, as dL/du = -(t-r) dD/dx_r with the trunk frozen.
+    """
+    u, _, tape, _ = net._core(student, xt, t, r, cond, want_tape=True)
+    adv_loss, upstream = _adversarial_upstream(disc, xt, t, r, u)
+    return adv_loss, net._tape_backward(student, tape, upstream)

@@ -24,7 +24,7 @@ from flowfx.metrics import (
     recall_at_k,
     si_sdr,
 )
-from flowfx.net import ModelConfig, backward, forward, init_model, jvp
+from flowfx.net import ModelConfig, forward, init_model
 from flowfx.solvers import SolverConfig, dopri5_sample, euler_sample
 from flowfx.transformer import (
     init_multistream,
@@ -33,6 +33,8 @@ from flowfx.transformer import (
     positions_from_indices,
     rope_apply,
 )
+
+from oracles import backward, jvp
 
 
 def test_ac01_stft_roundtrip_precision_and_speed():

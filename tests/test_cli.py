@@ -199,13 +199,14 @@ def _codec_case(write):
     return argv
 
 
-def _eval_case(real_csv):
+def _eval_case(real_csv, *flags):
     def argv(tmp_path):
         real, fake = tmp_path / "real", tmp_path / "fake"
         real.mkdir(), fake.mkdir()
         (real / "a.csv").write_text(real_csv)
         metrics.write_embedding_csv(fake / "a.csv", metrics.EmbeddingSet(np.eye(2)))
-        return ["eval", "--real", str(real), "--fake", str(fake), "--out", str(tmp_path / "o")]
+        return ["eval", "--real", str(real), "--fake", str(fake), *flags,
+                "--out", str(tmp_path / "o")]
     return argv
 
 
@@ -227,6 +228,16 @@ class TestMalformedInputs:
             pytest.param(_ckpt_case("sample", _params_as_list), 2, id="sample-params-not-object"),
             pytest.param(_ckpt_case("sample", _unedited, "--solver", "euler", "--steps", "20",
                                     "--max-nfe", "10"), 3, id="sample-euler-over-nfe-budget"),
+            pytest.param(_ckpt_case("sample", _unedited, "--solver", "dopri5", "--rtol", "nan"), 1,
+                         id="sample-rtol-nan"),
+            pytest.param(_ckpt_case("sample", _unedited, "--solver", "dopri5", "--atol", "nan"), 1,
+                         id="sample-atol-nan"),
+            pytest.param(_ckpt_case("sample", _unedited, "--solver", "dopri5", "--rtol", "inf"), 1,
+                         id="sample-rtol-inf"),
+            pytest.param(_ckpt_case("sample", _unedited, "--cfg-scale", "nan"), 1,
+                         id="sample-cfg-scale-nan"),
+            pytest.param(_ckpt_case("sample", _unedited, "--cfg-scale", "inf"), 1,
+                         id="sample-cfg-scale-inf"),
             pytest.param(_ckpt_case("distill", _unedited, "--cfg-lo", "9", "--cfg-hi", "1"), 1,
                          id="distill-cfg-range-reversed-unguided"),
             pytest.param(_ckpt_case("distill", _huge_w_out), 3, id="distill-non-finite-loss"),
@@ -259,6 +270,8 @@ class TestMalformedInputs:
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0\n"), 2,
                          id="eval-ragged-csv"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,abc\n"), 2, id="eval-non-numeric-csv"),
+            pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0,4.0\n", "--workers", "0"), 1,
+                         id="eval-workers-zero"),
         ],
     )
     def test_exit_code_and_one_error_line(self, argv, code, tmp_path, capsys):

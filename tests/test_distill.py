@@ -17,18 +17,16 @@ from flowfx import distill, flow, net
 from flowfx.distill import (
     DistillConfig,
     Discriminator,
-    adversarial_grads,
     disc_input_gradient,
     disc_scores,
     disc_step,
     distill_loop,
-    embed_match_phase,
-    embedding_at,
     gen_step,
     init_discriminator,
-    reinit_embedding,
 )
 from flowfx.errors import DivergenceError, DomainError
+
+from oracles import adversarial_grads, jvp, meanflow_distill_loss
 
 TEACHER_CONFIG = net.ModelConfig(
     dim=2, hidden=(16, 16), n_cond=2, cond_dim=4, embed_dim=8,
@@ -416,7 +414,7 @@ class TestGenStep:
         t, r = scheduler.sample(rng, 6)
         batch = flow.sample_path(x0, rng, t=t)
         v_tgt = net.forward(teacher, batch.xt, t, t, None)
-        u, dudt = net.jvp(frozen, batch.xt, t, r, None, (v_tgt, 1.0, 0.0))
+        u, dudt = jvp(frozen, batch.xt, t, r, None, (v_tgt, 1.0, 0.0))
         g = np.clip(u - (v_tgt - (t - r)[:, None] * dudt), -1.0, 1.0)
         assert mf == pytest.approx(float(np.mean(g * g)), abs=1e-10)
 
@@ -484,7 +482,7 @@ class TestFusedGenStep:
         rng = np.random.default_rng(104)
         t, r = flow.TrScheduler().sample(rng, 16)
         batch = flow.sample_path(x0, rng, t=t)
-        mf_ref, mf_tape = flow.meanflow_distill_loss(student, teacher, batch, r, cond)
+        mf_ref, mf_tape = meanflow_distill_loss(student, teacher, batch, r, cond)
         adv_ref, adv_tape = adversarial_grads(student, disc, batch.xt, t, r, cond)
         assert (mf, adv, total) == (mf_ref, adv_ref, mf_ref + 0.5 * adv_ref)
         want = {k: mf_tape.grads[k] + 0.5 * adv_tape.grads[k] for k in mf_tape.grads}
@@ -506,7 +504,7 @@ class TestFusedGenStep:
             cond, guide.drop_prob, copy.deepcopy(rng), teacher.config.null_cond
         )
         assert not np.array_equal(dropped, cond)
-        mf_ref, mf_tape = flow.meanflow_distill_loss(
+        mf_ref, mf_tape = meanflow_distill_loss(
             student, teacher, batch, r, cond, guide, rng
         )
         adv_ref, adv_tape = adversarial_grads(student, disc, batch.xt, t, r, dropped)
@@ -536,7 +534,7 @@ class TestDistillLoop:
             x0, cond = _two_mode_batch(rng, 6)
             t, r = scheduler.sample(rng, 6)
             batch = flow.sample_path(x0, rng, t=t)
-            loss, tape = flow.meanflow_distill_loss(
+            loss, tape = meanflow_distill_loss(
                 student_b, teacher, batch, r, cond, None, rng
             )
             net.adam_step(opt, student_b, tape)
@@ -622,57 +620,3 @@ class TestDistillConfig:
         with pytest.raises(DomainError):
             DistillConfig(warmup_steps=-1)
 
-
-class TestEmbedMatch:
-    def _pair(self):
-        teacher = _teacher(5)
-        rng = np.random.default_rng(6)
-        teacher.params["embed_w"] = teacher.params["embed_w"] + 0.3 * rng.standard_normal(
-            teacher.params["embed_w"].shape
-        )
-        teacher.params["embed_b"] = teacher.params["embed_b"] + 0.1 * rng.standard_normal(
-            teacher.params["embed_b"].shape
-        )
-        student = teacher.clone()
-        reinit_embedding(student, np.random.default_rng(8))
-        return student, teacher
-
-    def test_zero_steps_changes_nothing(self):
-        student, teacher = self._pair()
-        before = _snapshot(student.params)
-        history = embed_match_phase(student, teacher, 0)
-        assert len(history) == 1
-        _assert_bitwise_equal(student.params, before)
-
-    def test_monotone_decrease_and_tenfold_reduction(self):
-        student, teacher = self._pair()
-        history = embed_match_phase(student, teacher, 1000)
-        assert len(history) == 1001
-        for a, b in zip(history, history[1:]):
-            assert b <= a + 1e-15
-        assert history[0] / history[-1] >= 10.0
-
-    def test_only_embedding_parameters_move(self):
-        student, teacher = self._pair()
-        before = _snapshot(student.params)
-        embed_match_phase(student, teacher, 50)
-        moved = {
-            k for k in student.params
-            if not np.array_equal(student.params[k], before[k])
-        }
-        assert moved == set(net.EMBED_PARAM_NAMES)
-
-    def test_grid_error_measures_embedding_gap(self):
-        student, teacher = self._pair()
-        grid = np.linspace(0.0, 1.0, 64)
-        gap = embedding_at(student, grid) - embedding_at(teacher, grid)
-        history = embed_match_phase(student, teacher, 0)
-        assert history[0] == pytest.approx(float(np.mean(gap * gap)), abs=1e-15)
-
-    def test_config_mismatch_rejected(self):
-        student, teacher = self._pair()
-        other = net.init_model(
-            net.ModelConfig(dim=3, hidden=(8,), n_cond=0), np.random.default_rng(0)
-        )
-        with pytest.raises(DomainError):
-            embed_match_phase(other, teacher, 10)

@@ -11,7 +11,6 @@ from flowfx.dsp import (
     HeadOutput,
     StftConfig,
     complex_to_head,
-    compression_ratios,
     hann_window,
     head_to_complex,
     hz_to_mel,
@@ -370,12 +369,6 @@ def test_synth_signal_is_broadband():
 def test_synth_signal_rejects_bad_duration():
     with pytest.raises(DomainError):
         synth_signal(0, 0.0, SR)
-
-
-def test_compression_ratios_both_conventions():
-    r = compression_ratios(48000, 480, 128)
-    assert r["audio_samples_per_latent_value"] == pytest.approx(3.75)
-    assert r["latent_values_per_audio_sample"] == pytest.approx(128 / 480)
 
 
 def test_wav_roundtrip_float32(tmp_path):

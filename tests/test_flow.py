@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from flowfx import net
 from flowfx.errors import DomainError
 from flowfx.flow import (
     CfgSpec,
@@ -9,11 +8,13 @@ from flowfx.flow import (
     TrScheduler,
     apply_cond_dropout,
     fm_loss,
-    meanflow_distill_loss,
     meanflow_loss,
     sample_path,
 )
+from flowfx.losses import cfg_combine
 from flowfx.net import ModelConfig, adam_step, forward, init_model, init_optimizer
+
+from oracles import backward, jvp, meanflow_distill_loss
 
 SMALL = ModelConfig(dim=2, hidden=(16, 16), n_cond=3, cond_dim=4, embed_dim=8, n_freqs=4)
 
@@ -153,7 +154,7 @@ def test_fm_loss_bitwise_equals_forward_then_backward(seed, conditioned):
 
     u = forward(model, batch.xt, batch.t, batch.t, cond)
     diff = u - batch.v_target
-    ref = net.backward(model, batch.xt, batch.t, batch.t, cond, (2.0 / diff.size) * diff)
+    ref = backward(model, batch.xt, batch.t, batch.t, cond, (2.0 / diff.size) * diff)
     assert loss == float(np.mean(diff * diff))
     assert list(tape.grads) == list(ref.grads)
     for k in ref.grads:
@@ -203,7 +204,7 @@ def test_meanflow_value_is_clipped_residual_norm():
     t, r = TrScheduler().sample(rng, 8)
     batch = PathSample(batch.x0, batch.x1, t, _mix(batch.x0, batch.x1, t), batch.x1 - batch.x0)
     loss, _ = meanflow_loss(model, batch, r)
-    u, dudt = net.jvp(model, batch.xt, t, r, None, (batch.v_target, 1.0, 0.0))
+    u, dudt = jvp(model, batch.xt, t, r, None, (batch.v_target, 1.0, 0.0))
     g = np.clip(u - (batch.v_target - (t - r)[:, None] * dudt), -1.0, 1.0)
     assert loss == pytest.approx(float(np.mean(g * g)), abs=1e-15)
     assert np.any(np.abs(u - (batch.v_target - (t - r)[:, None] * dudt)) > 1.0)
@@ -275,6 +276,25 @@ def test_distill_cfg_neutral_matches_pure_conditional():
     assert guided == plain
     for k in plain_tape.grads:
         assert np.array_equal(guided_tape.grads[k], plain_tape.grads[k])
+
+
+def test_distill_guided_target_is_cfg_combination():
+    # at r = t the target is the guided teacher velocity itself
+    teacher = small_model(56)
+    student = small_model(57)
+    rng = np.random.default_rng(58)
+    batch = sample_path(rng.standard_normal((6, 2)), rng)
+    cond = rng.integers(0, 3, 6)
+    loss, _ = meanflow_distill_loss(
+        student, teacher, batch, batch.t, cond,
+        cfg=CfgSpec(scale_range=(3.0, 3.0), drop_prob=0.0),
+        rng=np.random.default_rng(0),
+    )
+    v_c = forward(teacher, batch.xt, batch.t, batch.t, cond)
+    v_u = forward(teacher, batch.xt, batch.t, batch.t, None)
+    u = forward(student, batch.xt, batch.t, batch.t, cond)
+    g = np.clip(u - cfg_combine(v_c, v_u, 3.0), -1.0, 1.0)
+    assert loss == pytest.approx(float(np.mean(g * g)), abs=1e-15)
 
 
 def test_distill_requires_rng_for_cfg():

@@ -21,16 +21,15 @@ from flowfx.net import (
     OptimizerState,
     VelocityModel,
     adam_step,
-    backward,
     forward,
     global_grad_norm,
     init_model,
     init_optimizer,
-    jvp,
     load_checkpoint,
     save_checkpoint,
-    zero_grads,
 )
+
+from oracles import backward, jvp, zero_grads
 
 SMALL = ModelConfig(dim=3, hidden=(8, 6), n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
 
