@@ -54,14 +54,15 @@ def si_sdr(reference: AudioBuffer, estimate: AudioBuffer) -> float:
     s_hat = estimate.samples
     if len(s) != len(s_hat):
         raise DomainError("lengths differ")
-    denom = float(s @ s)
+    # numpy's own reductions, not BLAS dots, whose sums depend on the thread count
+    denom = float(np.sum(s * s))
     if denom == 0.0:
         raise DomainError("reference is all zeros")
-    alpha = float(s_hat @ s) / denom
+    alpha = float(np.sum(s_hat * s)) / denom
     target = alpha * s
-    signal = float(target @ target)
+    signal = float(np.sum(target * target))
     err = target - s_hat
-    noise = float(err @ err)
+    noise = float(np.sum(err * err))
     if noise == 0.0:
         return SDR_CAP_DB
     if signal == 0.0:

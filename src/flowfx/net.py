@@ -20,6 +20,12 @@ running the pass again.  The tape keeps each layer's input and its SiLU
 slope, taken once in the primal pass and read by the tangent and by the
 chain rule alike.
 
+When t and r are both scalars, as in every solver call, the whole batch
+shares one (t, r), so ``_core`` evaluates the sinusoidal time features once,
+on that single row, and repeats the row to the batch before the embedding
+product; per-sample t or r vectors, as in training, get one feature row per
+sample.  Either way the values are the same bits.
+
 Each model owns a scratch (``_Scratch``) for the one temporary of the pass
 that never leaves it: the (rows x width) logistic inside the SiLU.  The
 scratch keeps one buffer per layer width and per thread, grown to the
@@ -36,6 +42,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,10 +88,20 @@ class ModelConfig:
         return self.dim + self.embed_dim + self.cond_dim
 
     def frequencies(self) -> np.ndarray:
-        if self.n_freqs == 1:
-            return np.array([self.freq_min])
-        expo = np.arange(self.n_freqs) / (self.n_freqs - 1)
-        return self.freq_min * (self.freq_max / self.freq_min) ** expo
+        """The geometric frequency ladder, cached per (n_freqs, freq_min,
+        freq_max) and read-only."""
+        return _frequencies(self.n_freqs, float(self.freq_min), float(self.freq_max))
+
+
+@lru_cache(maxsize=32)
+def _frequencies(n_freqs, freq_min, freq_max):
+    if n_freqs == 1:
+        freqs = np.array([freq_min])
+    else:
+        expo = np.arange(n_freqs) / (n_freqs - 1)
+        freqs = freq_min * (freq_max / freq_min) ** expo
+    freqs.flags.writeable = False
+    return freqs
 
 
 class _Scratch:
@@ -124,20 +141,33 @@ class VelocityModel:
         return VelocityModel(self.config, {k: v.copy() for k, v in self.params.items()})
 
 
+def _param_shapes(config: ModelConfig) -> dict:
+    """The shape of every parameter of a model with this config, in
+    ``model.params`` order."""
+    sizes = [config.in_dim, *config.hidden]
+    shapes = {
+        "embed_w": (config.embed_dim, 2 * config.sin_dim),
+        "embed_b": (config.embed_dim,),
+        "cond_table": (config.n_cond + 1, config.cond_dim),
+    }
+    for i in range(len(config.hidden)):
+        shapes[f"w{i}"] = (sizes[i + 1], sizes[i])
+        shapes[f"b{i}"] = (sizes[i + 1],)
+    shapes["w_out"] = (config.dim, sizes[-1])
+    shapes["b_out"] = (config.dim,)
+    return shapes
+
+
 def init_model(config: ModelConfig, rng: np.random.Generator) -> VelocityModel:
     """He-scaled random init; biases zero; condition rows small."""
-    p = {}
-    p["embed_w"] = rng.normal(
-        0.0, (2 * config.sin_dim) ** -0.5, (config.embed_dim, 2 * config.sin_dim)
-    )
-    p["embed_b"] = np.zeros(config.embed_dim)
-    p["cond_table"] = 0.1 * rng.standard_normal((config.n_cond + 1, config.cond_dim))
-    sizes = [config.in_dim, *config.hidden]
+    shapes = _param_shapes(config)
+    p = {k: np.zeros(shape) for k, shape in shapes.items()}
+    p["embed_w"] = rng.normal(0.0, (2 * config.sin_dim) ** -0.5, shapes["embed_w"])
+    p["cond_table"] = 0.1 * rng.standard_normal(shapes["cond_table"])
     for i in range(len(config.hidden)):
-        p[f"w{i}"] = rng.normal(0.0, (2.0 / sizes[i]) ** 0.5, (sizes[i + 1], sizes[i]))
-        p[f"b{i}"] = np.zeros(sizes[i + 1])
-    p["w_out"] = rng.normal(0.0, sizes[-1] ** -0.5, (config.dim, sizes[-1]))
-    p["b_out"] = np.zeros(config.dim)
+        fan_in = shapes[f"w{i}"][1]
+        p[f"w{i}"] = rng.normal(0.0, (2.0 / fan_in) ** 0.5, shapes[f"w{i}"])
+    p["w_out"] = rng.normal(0.0, shapes["w_out"][1] ** -0.5, shapes["w_out"])
     return VelocityModel(config, p)
 
 
@@ -226,8 +256,10 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     p = model.params
     x2, squeeze = _as_batch(x, cfg.dim)
     n = x2.shape[0]
-    t_arr = _as_scalar_batch(t, n, "t")
-    r_arr = _as_scalar_batch(r, n, "r")
+    # a batch that shares one (t, r) has one distinct feature row
+    rows = 1 if np.ndim(t) == 0 and np.ndim(r) == 0 else n
+    t_arr = _as_scalar_batch(t, rows, "t")
+    r_arr = _as_scalar_batch(r, rows, "r")
     ids = _resolve_cond(cond, n, cfg)
     freqs = cfg.frequencies()
 
@@ -240,6 +272,10 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
         ang_r = r_arr[:, None] * freqs[None, :]
         sin_r, cos_r = np.sin(ang_r), np.cos(ang_r)
     e_in = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1)
+    if rows != n:
+        # the product stays at n rows: OpenBLAS gives a 1-row product
+        # other bits than the rows of an n-row one
+        e_in = np.repeat(e_in, n, axis=0)
     e = e_in @ p["embed_w"].T + p["embed_b"]
     c = p["cond_table"][ids]
     z = np.concatenate([x2, e, c], axis=1)
@@ -465,8 +501,8 @@ def save_checkpoint(path, model: VelocityModel, meta=None) -> None:
 def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (model, None, meta).
 
-    Every parameter must match the shape init_model gives the stored config
-    and be finite.  A checkpoint carrying optimizer state is rejected: the
+    Every parameter must have the shape the stored config gives it and be
+    finite.  A checkpoint carrying optimizer state is rejected: the
     format keeps the slot only as null."""
     with open(path) as fh:
         try:
@@ -480,14 +516,14 @@ def load_checkpoint(path):
     try:
         config = _config_from_dict(obj["config"])
         params = {k: np.array(v, dtype=np.float64) for k, v in obj["params"].items()}
-        expected = init_model(config, np.random.default_rng(0)).params
+        expected = _param_shapes(config)
         if set(params) != set(expected):
             mismatch = sorted(set(params) ^ set(expected))
             raise FileFormatError(path, f"parameter set mismatch: {mismatch}")
-        for k, ref in expected.items():
-            if params[k].shape != ref.shape:
+        for k, shape in expected.items():
+            if params[k].shape != shape:
                 raise FileFormatError(
-                    path, f"parameter {k!r} has shape {params[k].shape}, expected {ref.shape}"
+                    path, f"parameter {k!r} has shape {params[k].shape}, expected {shape}"
                 )
             if not np.all(np.isfinite(params[k])):
                 raise FileFormatError(path, f"parameter {k!r} is not finite")

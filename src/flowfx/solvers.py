@@ -1,5 +1,5 @@
-"""ODE samplers: fixed-step Euler with optional renoising, and adaptive
-Dormand-Prince 5(4) with a PI step-size controller and NFE accounting.
+"""ODE samplers: fixed-step Euler, and adaptive Dormand-Prince 5(4) with a
+PI step-size controller and NFE accounting.
 
 Both solvers integrate from t = 1 (noise) down to t = 0 (data).  The vector
 field may be a VelocityModel or any callable f(x, t, r, cond) -> velocity,
@@ -47,8 +47,6 @@ MIN_STEP = 1e-10
 class SolverConfig:
     kind: str = "euler"
     steps: int = 4
-    renoise_weights: tuple | None = None
-    renoise_mode: str = "remix"
     atol: float = 1e-3
     rtol: float = 1e-3
     cfg_scale: float = 1.0
@@ -68,21 +66,6 @@ class SolverConfig:
             raise DomainError(f"cfg_scale must be finite, got {self.cfg_scale}")
         if self.max_nfe < 1:
             raise DomainError("max_nfe must be >= 1")
-        if self.renoise_mode not in ("remix", "additive"):
-            raise DomainError(f"unknown renoise mode {self.renoise_mode!r}")
-        if self.renoise_weights is not None:
-            w = tuple(float(v) for v in self.renoise_weights)
-            if len(w) != self.steps:
-                raise DomainError(
-                    f"{len(w)} renoise weights for {self.steps} steps"
-                )
-            if any(v < 0.0 or v > 1.0 for v in w):
-                raise DomainError("renoise weights must lie in [0, 1]")
-            if self.renoise_mode == "remix" and w[0] != 0.0:
-                # the remix estimate reuses the previous step's velocity,
-                # which does not exist before the first step
-                raise DomainError("remix renoising requires weights[0] == 0")
-            object.__setattr__(self, "renoise_weights", w)
 
 
 @dataclass
@@ -120,45 +103,23 @@ def _field(model, cond, config: SolverConfig):
     return field, nfe
 
 
-def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig(),
-                 rng: np.random.Generator | None = None) -> SampleTrace:
+def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig()) -> SampleTrace:
     """Fixed-step Euler over the uniform grid t = 1 ... 0.
 
     Each step evaluates the field once at (x, t_k, r = t_{k+1}) and updates
     x <- x - (t_k - t_{k+1}) * u, so a mean-velocity model integrates its
     average velocity exactly over the step and nfe equals steps, or twice
     that under guidance.
-
-    When renoise weights are set, the state is renoised before each step
-    with weight w_k.  In remix mode the noise component is estimated from
-    the previous step's velocity (so w_0 must be 0), then remixed
-    variance-preservingly with fresh noise: eps <- sqrt(1-w^2) * eps_hat +
-    w * eps_new.  In additive mode fresh noise scaled by w_k * t_k is added.
     """
     if config.kind != "euler":
         raise DomainError("euler_sample needs config.kind == 'euler'")
-    weights = config.renoise_weights or (0.0,) * config.steps
-    if any(w > 0 for w in weights) and rng is None:
-        raise DomainError("renoising draws fresh noise and needs an rng")
     f, nfe = _field(model, cond, config)
     x = np.array(x1, dtype=np.float64)
     grid = 1.0 - np.arange(config.steps + 1) / config.steps
     grid[-1] = 0.0
-    u_prev = None
     for k in range(config.steps):
         t_k, r_k = grid[k], grid[k + 1]
-        w = weights[k]
-        if w > 0.0:
-            if config.renoise_mode == "remix":
-                x0_hat = x - t_k * u_prev
-                eps_hat = (x - (1.0 - t_k) * x0_hat) / t_k
-                eps = np.sqrt(1.0 - w * w) * eps_hat + w * rng.standard_normal(x.shape)
-                x = (1.0 - t_k) * x0_hat + t_k * eps
-            else:
-                x = x + w * t_k * rng.standard_normal(x.shape)
-        u = f(x, t_k, r_k)
-        x = x - (t_k - r_k) * u
-        u_prev = u
+        x = x - (t_k - r_k) * f(x, t_k, r_k)
         if not np.all(np.isfinite(x)):
             raise SolverError(f"non-finite state after step {k}", step=k, nfe=nfe[0])
     return SampleTrace(final=x, nfe=nfe[0], t_grid=list(grid), accepted=config.steps,

@@ -5,6 +5,11 @@ of (0, ln 3) against uniform, diagonal-covariance Fréchet distances); the
 retrieval metric is cross-checked against a brute-force sort oracle.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +51,28 @@ class TestSiSdr:
 
     def test_orthogonal_estimate_hits_floor(self):
         assert si_sdr(_buf([1.0, 0.0]), _buf([0.0, 1.0])) == -100.0
+
+    def test_same_bits_at_any_blas_thread_count(self):
+        # OpenBLAS splits a long dot product across its threads, so BLAS
+        # dots would give this 2 s pair other low bits at 2 threads than at 1
+        script = (
+            "import numpy as np\n"
+            "from flowfx.dsp import AudioBuffer, synth_signal\n"
+            "from flowfx.metrics import si_sdr\n"
+            "ref = synth_signal(0, 2.0)\n"
+            "noise = 0.1 * np.random.default_rng(1).standard_normal(len(ref.samples))\n"
+            "print(repr(si_sdr(ref, AudioBuffer(ref.samples + noise, ref.sample_rate))))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        values = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            values.append(proc.stdout.strip())
+        assert values[0] == values[1]
 
     def test_scale_invariance_of_estimate(self):
         rng = np.random.default_rng(12)

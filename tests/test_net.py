@@ -306,6 +306,49 @@ def test_core_matches_separate_r_features(r_equals_t, hidden):
     assert all(np.array_equal(a, b) for a, b in zip(tape["slope"], want_slopes))
 
 
+@pytest.mark.parametrize("cond_kind", ["none", "scalar", "vector"])
+@pytest.mark.parametrize("r_equals_t", [True, False])
+@pytest.mark.parametrize("hidden", [(8, 6), ()])
+@pytest.mark.parametrize("n", [1, 7, 1024])
+def test_scalar_times_match_full_vectors(n, hidden, r_equals_t, cond_kind):
+    # scalar t and r share one feature row across the batch; every array
+    # must carry the bits of the same pass with per-sample vectors
+    cfg = ModelConfig(dim=3, hidden=hidden, n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
+    model = init_model(cfg, np.random.default_rng(23))
+    rng = np.random.default_rng(24)
+    x, dx = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+    t = float(rng.uniform(0.0, 1.0))
+    r = t if r_equals_t else 0.37 * t
+    ids = {"none": np.full(n, cfg.null_cond), "scalar": np.full(n, 1),
+           "vector": rng.integers(0, 3, n)}[cond_kind]
+    cond = {"none": None, "scalar": 1, "vector": ids}[cond_kind]
+    tangent = (dx, 1.0, 0.0)
+    t_vec, r_vec = np.full(n, t), np.full(n, r)
+
+    want_u, want_du, _ = _core_reference(model, x, t_vec, r_vec, ids, tangent)
+    u, du, tape, _ = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
+    vu, vdu, vtape, _ = net._core(model, x, t_vec, r_vec, cond, want_tape=True,
+                                  tangent=tangent)
+    assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
+    assert np.array_equal(u, vu) and np.array_equal(du, vdu)
+    assert tape["e_in"].flags.c_contiguous
+    assert np.array_equal(tape["e_in"], vtape["e_in"])
+    for key in ("inputs", "slope"):
+        assert len(tape[key]) == len(vtape[key])
+        assert all(np.array_equal(a, b) for a, b in zip(tape[key], vtape[key])), key
+    assert np.array_equal(forward(model, x, t, r, cond), vu)
+
+
+def test_frequencies_cached_and_read_only():
+    freqs = SMALL.frequencies()
+    assert freqs is ModelConfig(dim=1, hidden=(), n_freqs=4).frequencies()
+    with pytest.raises(ValueError):
+        freqs[0] = 0.0
+    ladder = 1.0 * (1000.0 / 1.0) ** (np.arange(4) / 3)
+    assert np.array_equal(freqs, ladder)
+    assert np.array_equal(ModelConfig(n_freqs=1, freq_min=3).frequencies(), [3.0])
+
+
 def test_untaped_features_match_hidden_forward():
     model = small_model(25)
     rng = np.random.default_rng(26)
@@ -376,6 +419,9 @@ def test_forward_from_threads_matches_serial():
     model = init_model(SCRATCH, np.random.default_rng(36))
     sizes = [1, 300, 17, 1024, 64, 512] * 6
     cases = [_scratch_case(n, 40 + i) for i, n in enumerate(sizes)]
+    # every other round of sizes shares one scalar (t, r), as the solvers do
+    cases = [(x, t[0], r[0], cond, tan) if (i // 6) % 2 else (x, t, r, cond, tan)
+             for i, (x, t, r, cond, tan) in enumerate(cases)]
     serial = [forward(model.clone(), x, t, r, cond) for x, t, r, cond, _ in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

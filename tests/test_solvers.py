@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowfx import net
 from flowfx.errors import DomainError, SolverError
 from flowfx.net import ModelConfig, init_model
 from flowfx.solvers import SolverConfig, dopri5_sample, euler_sample
@@ -18,13 +19,6 @@ def test_config_validation():
         SolverConfig(steps=0)
     with pytest.raises(DomainError):
         SolverConfig(kind="dopri5", atol=0.0)
-    with pytest.raises(DomainError):
-        SolverConfig(steps=4, renoise_weights=(0.0, 0.5))
-    with pytest.raises(DomainError):
-        SolverConfig(steps=2, renoise_weights=(0.0, 1.5))
-    with pytest.raises(DomainError):
-        SolverConfig(steps=2, renoise_weights=(0.5, 0.0), renoise_mode="remix")
-    SolverConfig(steps=2, renoise_weights=(0.5, 0.0), renoise_mode="additive")
 
 
 def test_euler_constant_field_one_step_exact():
@@ -55,60 +49,6 @@ def test_euler_grid_and_nfe():
     assert trace.t_grid == [1.0, 0.75, 0.5, 0.25, 0.0]
     assert calls == [(1.0, 0.75), (0.75, 0.5), (0.5, 0.25), (0.25, 0.0)]
     assert trace.accepted == 4 and trace.rejected == 0
-
-
-def test_euler_zero_weights_match_plain():
-    model = small_model()
-    x1 = np.array([0.8, -1.1])
-    plain = euler_sample(model, x1, cond=1, config=SolverConfig(steps=4))
-    zeros = euler_sample(
-        model, x1, cond=1,
-        config=SolverConfig(steps=4, renoise_weights=(0.0,) * 4),
-        rng=np.random.default_rng(0),
-    )
-    assert np.array_equal(plain.final, zeros.final)
-
-
-def test_euler_renoise_golden_regression():
-    # frozen from the first verified run: 4 steps, remix weights (0,.5,.5,.3),
-    # model seed 77, noise seed 0
-    model = small_model(77)
-    config = SolverConfig(kind="euler", steps=4, renoise_weights=(0.0, 0.5, 0.5, 0.3))
-    trace = euler_sample(model, np.array([0.8, -1.1]), cond=1, config=config,
-                         rng=np.random.default_rng(0))
-    assert trace.nfe == 4
-    golden = np.array([0.6232797247493014, -1.617218335443098])
-    assert np.array_equal(trace.final, golden)
-
-
-def test_euler_renoise_is_not_a_noop():
-    model = small_model()
-    x1 = np.array([0.8, -1.1])
-    plain = euler_sample(model, x1, cond=0, config=SolverConfig(steps=4))
-    noisy = euler_sample(
-        model, x1, cond=0,
-        config=SolverConfig(steps=4, renoise_weights=(0.0, 0.5, 0.5, 0.3)),
-        rng=np.random.default_rng(3),
-    )
-    assert not np.array_equal(plain.final, noisy.final)
-
-
-def test_euler_additive_mode_allows_first_step_noise():
-    field = lambda x, t, r, cond: np.zeros_like(x)
-    trace = euler_sample(
-        field, np.zeros(2),
-        config=SolverConfig(steps=2, renoise_weights=(0.5, 0.0),
-                            renoise_mode="additive"),
-        rng=np.random.default_rng(1),
-    )
-    assert np.any(trace.final != 0.0)  # the injected noise persists
-
-
-def test_euler_renoise_requires_rng():
-    model = small_model()
-    with pytest.raises(DomainError):
-        euler_sample(model, np.ones(2), cond=0,
-                     config=SolverConfig(steps=4, renoise_weights=(0, 0.5, 0.5, 0.3)))
 
 
 def test_euler_non_finite_state():
@@ -146,6 +86,25 @@ def test_euler_nfe_budget():
     trace = euler_sample(field, np.ones(2), cond=1,
                          config=SolverConfig(steps=4, cfg_scale=7.0, max_nfe=8))
     assert trace.nfe == 8
+
+
+@pytest.mark.parametrize("cfg_scale", [1.0, 3.0])
+@pytest.mark.parametrize("kind", ["euler", "dopri5"])
+def test_shared_time_features_match_per_sample_times(kind, cfg_scale):
+    # the solvers pass one scalar (t, r) per call; a field that hands the
+    # net per-sample vectors of the same values must give the same bits
+    model = small_model(78)
+    x1 = np.random.default_rng(79).standard_normal((64, 2))
+
+    def per_sample(x, t, r, cond):
+        return net.forward(model, x, np.full(len(x), t), np.full(len(x), r), cond)
+
+    sample = euler_sample if kind == "euler" else dopri5_sample
+    config = SolverConfig(kind=kind, steps=4, cfg_scale=cfg_scale)
+    shared = sample(model, x1, cond=1, config=config)
+    vector = sample(per_sample, x1, cond=1, config=config)
+    assert np.array_equal(shared.final, vector.final)
+    assert shared.nfe == vector.nfe
 
 
 def test_dopri5_exponential_decay():
