@@ -126,20 +126,24 @@ class RunConfig:
 
 
 def load_config_file(path):
-    """Parse a flat ``key = value`` file; ``#`` starts a comment."""
+    """Parse a flat UTF-8 ``key = value`` file; ``#`` starts a comment."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     entries = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            key, sep, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            if key in entries:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = value
+    for lineno, raw in enumerate(lines, 1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        key, sep, value = text.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value
     return entries
 
 
@@ -173,6 +177,8 @@ def resolve_config(command: str, args) -> RunConfig:
             raise ConfigError(f"bad value for 'seed': {exc}") from exc
     else:
         seed = 0
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     out = args.out or file_values.get("out") or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT
     out_dir = Path(out)

@@ -392,15 +392,7 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples, rate)
 
 
-def write_wav(path, audio: AudioBuffer, fmt: str = "float32") -> None:
-    """Write mono audio as 32-bit float (default) or 16-bit PCM WAV,
-    atomically."""
-    if fmt == "float32":
-        data = audio.samples.astype(np.float32)
-    elif fmt == "pcm16":
-        clipped = np.clip(audio.samples, -1.0, 32767.0 / 32768.0)
-        data = np.round(clipped * 32768.0).astype(np.int16)
-    else:
-        raise DomainError(f"unknown WAV format {fmt!r}")
+def write_wav(path, audio: AudioBuffer) -> None:
+    """Write mono audio as a 32-bit float WAV, atomically."""
     with atomic_write(path, "wb") as fh:
-        wavfile.write(fh, audio.sample_rate, data)
+        wavfile.write(fh, audio.sample_rate, audio.samples.astype(np.float32))

@@ -1,6 +1,6 @@
 """Training losses: multi-scale spectral distance (``dsp.spectral_l1`` summed
-over scales), GAN objectives, feature matching, contrastive embedding
-alignment, and classifier-free guidance combination."""
+over scales), the hinge GAN objectives, the weighted codec total,
+contrastive embedding alignment, and classifier-free guidance combination."""
 
 from __future__ import annotations
 
@@ -39,18 +39,6 @@ def multiscale_spectral_l1(x: AudioBuffer, y: AudioBuffer) -> float:
     )
 
 
-def lsgan_disc_loss(d_real: np.ndarray, d_fake: np.ndarray) -> float:
-    """Least-squares discriminator loss with targets +1 (real) and -1 (fake)."""
-    d_real = np.asarray(d_real, dtype=np.float64)
-    d_fake = np.asarray(d_fake, dtype=np.float64)
-    return float(0.5 * np.mean((d_real - 1.0) ** 2) + 0.5 * np.mean((d_fake + 1.0) ** 2))
-
-
-def lsgan_adv_loss(d_fake: np.ndarray) -> float:
-    """Least-squares generator loss pulling fake scores toward +1."""
-    return float(np.mean((np.asarray(d_fake, dtype=np.float64) - 1.0) ** 2))
-
-
 def hinge_disc_loss(d_real: np.ndarray, d_fake: np.ndarray) -> float:
     """Hinge discriminator loss: mean relu(1 - d_real) + mean relu(1 + d_fake)."""
     d_real = np.asarray(d_real, dtype=np.float64)
@@ -66,57 +54,9 @@ def hinge_gen_loss(d_fake: np.ndarray) -> float:
     return float(-np.mean(np.asarray(d_fake, dtype=np.float64)))
 
 
-def feature_matching_loss(feats_real, feats_fake) -> float:
-    """Mean over discriminators and layers of sum|a - b| / numel per layer.
-
-    ``feats_real`` and ``feats_fake`` are lists (one per discriminator) of
-    lists of activation arrays (one per layer), shapes matching pairwise.
-    """
-    if len(feats_real) != len(feats_fake) or not feats_real:
-        raise DomainError("feature lists must be non-empty and aligned")
-    per_disc = []
-    for layers_r, layers_f in zip(feats_real, feats_fake):
-        if len(layers_r) != len(layers_f) or not layers_r:
-            raise DomainError("layer lists must be non-empty and aligned")
-        per_layer = []
-        for a, b in zip(layers_r, layers_f):
-            a = np.asarray(a, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if a.shape != b.shape:
-                raise DomainError(f"layer shapes differ: {a.shape} vs {b.shape}")
-            per_layer.append(np.sum(np.abs(a - b)) / a.size)
-        per_disc.append(np.mean(per_layer))
-    return float(np.mean(per_disc))
-
-
 def ae_total_loss(spec_loss: float, adv_loss: float, fm_loss: float) -> float:
     """Codec training total: 15 * spectral + 1 * adversarial + 2 * feature match."""
     return AE_SPEC_WEIGHT * spec_loss + AE_ADV_WEIGHT * adv_loss + AE_FM_WEIGHT * fm_loss
-
-
-def clap_project(features: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine projection followed by L2 normalization of each row.
-
-    ``features`` is (n, d_in) or (d_in,); ``weight`` is (d_out, d_in).  A row
-    that projects to the zero vector has no direction to normalize and is
-    rejected.
-    """
-    f = np.asarray(features, dtype=np.float64)
-    squeeze = f.ndim == 1
-    f = np.atleast_2d(f)
-    w = np.asarray(weight, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    if w.ndim != 2 or f.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
-        raise DomainError(
-            f"projection shapes inconsistent: features {f.shape}, "
-            f"weight {w.shape}, bias {b.shape}"
-        )
-    out = f @ w.T + b
-    norms = np.linalg.norm(out, axis=1)
-    if np.any(norms == 0.0):
-        raise DomainError("projected embedding is the zero vector")
-    out = out / norms[:, None]
-    return out[0] if squeeze else out
 
 
 def contrastive_loss(

@@ -24,10 +24,9 @@ STFT_DIST_CONFIG = StftConfig(n_fft=512, hop=128)
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """N x D embedding rows with optional string ids."""
+    """N x D finite embedding rows."""
 
     rows: np.ndarray
-    ids: tuple | None = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -36,11 +35,6 @@ class EmbeddingSet:
         if not np.all(np.isfinite(rows)):
             raise DomainError("embeddings must be finite")
         object.__setattr__(self, "rows", rows)
-        if self.ids is not None:
-            ids = tuple(str(i) for i in self.ids)
-            if len(ids) != rows.shape[0]:
-                raise DomainError("id count does not match row count")
-            object.__setattr__(self, "ids", ids)
 
 
 def si_sdr(reference: AudioBuffer, estimate: AudioBuffer) -> float:
@@ -224,16 +218,15 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_embedding_csv(path, emb: EmbeddingSet) -> None:
-    """Write rows as `id,dim0..dimN`; ids default to the row index."""
-    ids = emb.ids if emb.ids is not None else tuple(str(i) for i in range(len(emb.rows)))
+    """Write rows as `id,dim0..dimN`; the id column holds the row index."""
     header = ["id"] + [f"dim{j}" for j in range(emb.rows.shape[1])]
-    write_csv(path, header, ([rid] + row.tolist() for rid, row in zip(ids, emb.rows)))
+    write_csv(path, header, ([str(i)] + row.tolist() for i, row in enumerate(emb.rows)))
 
 
 def read_embedding_csv(path) -> EmbeddingSet:
-    """Parse an `id,dim0..dimN` CSV; malformed content reports the byte
-    offset of the offending line."""
-    rows, ids = [], []
+    """Parse an `id,dim0..dimN` CSV into its rows; the id column is not
+    kept.  Malformed content reports the byte offset of the offending line."""
+    rows = []
     with open(path, "rb") as fh:
         offset = fh.tell()
         header = fh.readline()
@@ -260,10 +253,9 @@ def read_embedding_csv(path) -> EmbeddingSet:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError as exc:
                 raise FileFormatError(path, f"bad number: {exc}", offset=offset) from exc
-            ids.append(parts[0])
     if not rows:
         raise FileFormatError(path, "no embedding rows")
-    return EmbeddingSet(np.array(rows, dtype=np.float64), ids=tuple(ids))
+    return EmbeddingSet(np.array(rows, dtype=np.float64))
 
 
 def write_report_csv(path, entries) -> None:

@@ -504,11 +504,14 @@ def load_checkpoint(path):
     Every parameter must have the shape the stored config gives it and be
     finite.  A checkpoint carrying optimizer state is rejected: the
     format keeps the slot only as null."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(path, f"invalid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(path, f"not UTF-8 text ({exc.reason})", offset=exc.start) from exc
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise FileFormatError(path, f"not a {CHECKPOINT_FORMAT} checkpoint")
     if obj.get("optimizer") is not None:

@@ -1,15 +1,11 @@
-"""Forward-pass math for multimodal transformer blocks.
+"""Forward-pass math for multi-stream transformer blocks.
 
-Two block families operate over text/video/audio token sequences:
-
-* multi-stream blocks keep one sequence per modality, with per-modality
-  QKV projections and FFNs around a (optionally joint) self-attention;
-* single-stream blocks run one concatenated sequence through shared
-  attention plus a parallel dense nonlinearity.
-
-Rotary position embeddings encode wall-clock time so that tokens from
-streams with different frame rates line up when they co-occur.  Only the
-forward pass lives here; nothing in this module is trained.
+A multi-stream block keeps one text/video/audio token sequence per
+modality, with per-modality QKV projections and FFNs around a (optionally
+joint) self-attention.  Rotary position embeddings encode wall-clock time
+so that tokens from streams with different frame rates line up when they
+co-occur.  Only the forward pass lives here; nothing in this module is
+trained, and no command imports it.
 """
 
 from __future__ import annotations
@@ -24,15 +20,6 @@ from .errors import DomainError
 MODALITIES = ("text", "video", "audio")
 ROPE_BASE = 10000.0
 LN_EPS = 1e-5
-
-# Full-scale stack shape: 6 multi-stream + 6 single-stream blocks.
-PRODUCTION_SHAPE = {
-    "n_multi": 6,
-    "n_single": 6,
-    "d_model": 1024,
-    "d_ffn": 4096,
-    "rope_dims": 112,
-}
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -84,42 +71,6 @@ class ModalitySequence:
     @property
     def dim(self) -> int:
         return self.tokens.shape[1]
-
-
-@dataclass(frozen=True)
-class JointSequence:
-    """Concatenation of modality sequences: positions no longer need to be
-    monotone because streams interleave on different clocks."""
-
-    tokens: np.ndarray
-    positions: np.ndarray
-    validity: np.ndarray
-
-    def __post_init__(self):
-        tokens = np.asarray(self.tokens, dtype=np.float64)
-        pos = np.asarray(self.positions, dtype=np.float64)
-        valid = np.asarray(self.validity, dtype=bool)
-        if tokens.ndim != 2 or not np.all(np.isfinite(tokens)):
-            raise DomainError("tokens must be a finite 2-D array")
-        if pos.shape != (tokens.shape[0],) or valid.shape != (tokens.shape[0],):
-            raise DomainError("positions/validity must be one value per token")
-        tokens = np.where(valid[:, None], tokens, 0.0)
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "validity", valid)
-
-
-def concat_sequences(seqs) -> JointSequence:
-    if not seqs:
-        raise DomainError("need at least one sequence")
-    dims = {s.dim for s in seqs}
-    if len(dims) != 1:
-        raise DomainError("sequences must share a model dimension")
-    return JointSequence(
-        np.concatenate([s.tokens for s in seqs], axis=0),
-        np.concatenate([s.positions for s in seqs], axis=0),
-        np.concatenate([s.validity for s in seqs], axis=0),
-    )
 
 
 def positions_from_indices(n: int, rate_hz: float) -> np.ndarray:
@@ -231,25 +182,6 @@ class MultiStreamParams:
         return self.wo.shape[0]
 
 
-@dataclass
-class SingleStreamParams:
-    """Shared attention plus a parallel dense+activation branch."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    wp: np.ndarray
-    bp: np.ndarray
-    n_heads: int
-    rope_dims: int
-    rope_base: float = ROPE_BASE
-
-    @property
-    def dim(self) -> int:
-        return self.wo.shape[0]
-
-
 def _check_head_geometry(d: int, n_heads: int, rope_dims: int):
     if d % n_heads != 0:
         raise DomainError(f"model dim {d} not divisible by {n_heads} heads")
@@ -283,23 +215,6 @@ def init_multistream(
     wo = rng.standard_normal((d, d)) / np.sqrt(d)
     return MultiStreamParams(
         tuple(modalities), wq, wk, wv, wo, w1, b1, w2, b2, n_heads, rope_dims, rope_base
-    )
-
-
-def init_singlestream(
-    rng: np.random.Generator,
-    d: int,
-    n_heads: int = 2,
-    rope_dims: int | None = None,
-    rope_base: float = ROPE_BASE,
-) -> SingleStreamParams:
-    if rope_dims is None:
-        rope_dims = d // n_heads
-    _check_head_geometry(d, n_heads, rope_dims)
-    def w():
-        return rng.standard_normal((d, d)) / np.sqrt(d)
-    return SingleStreamParams(
-        w(), w(), w(), w(), w(), np.zeros(d), n_heads, rope_dims, rope_base
     )
 
 
@@ -363,59 +278,3 @@ def multistream_block(
     if return_weights:
         return outs, weights
     return outs
-
-
-def singlestream_block(
-    seq,
-    params: SingleStreamParams,
-    return_weights: bool = False,
-):
-    """One single-stream block over a concatenated sequence: self-attention
-    plus a parallel dense+activation branch, both added to the residual:
-
-        Y = X + Z W_o + act(LN(X) W_p + b_p)
-    """
-    x = seq.tokens
-    if x.shape[1] != params.dim:
-        raise DomainError(f"sequence dim {x.shape[1]} does not match params dim {params.dim}")
-    q = _split_heads(x @ params.wq, params.n_heads)
-    k = _split_heads(x @ params.wk, params.n_heads)
-    v = _split_heads(x @ params.wv, params.n_heads)
-    q = rope_apply(q, seq.positions, 1.0, params.rope_dims, params.rope_base)
-    k = rope_apply(k, seq.positions, 1.0, params.rope_dims, params.rope_base)
-    z, w = masked_attention(q, k, v, seq.validity)
-    y = x + _merge_heads(z) @ params.wo + _silu(layer_norm(x) @ params.wp + params.bp)
-    y = np.where(seq.validity[:, None], y, 0.0)
-    if isinstance(seq, ModalitySequence):
-        out = ModalitySequence(y, seq.modality, seq.positions, seq.validity)
-    else:
-        out = JointSequence(y, seq.positions, seq.validity)
-    if return_weights:
-        return out, w
-    return out
-
-
-def parameter_count(
-    d: int, d_ffn: int, n_modalities: int, n_multi: int, n_single: int
-) -> int:
-    """Learnable scalar count for a stack of multi- and single-stream blocks.
-
-    Per multi-stream block: 3 d^2 QKV weights and a (d*d_ffn + d_ffn +
-    d_ffn*d + d) FFN per modality, plus one shared d^2 output projection.
-    Per single-stream block: four d^2 projections plus the d^2 + d parallel
-    branch.
-    """
-    multi = n_modalities * (3 * d * d + 2 * d * d_ffn + d_ffn + d) + d * d
-    single = 5 * d * d + d
-    return n_multi * multi + n_single * single
-
-
-def count_params(params) -> int:
-    """Actual scalar count of a params object, for checking the formula."""
-    total = 0
-    for val in vars(params).values():
-        if isinstance(val, np.ndarray):
-            total += val.size
-        elif isinstance(val, dict):
-            total += sum(a.size for a in val.values())
-    return total

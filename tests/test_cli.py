@@ -162,18 +162,19 @@ def _train_case(*flags):
     return argv
 
 
-def _config_case(command, text):
+def _config_case(command, data):
     def argv(tmp_path):
         conf = tmp_path / "run.conf"
-        conf.write_text(text)
+        conf.write_bytes(data)
         return [command, "--config", str(conf), "--out", str(tmp_path / "o")]
     return argv
 
 
-def _truncated_ckpt_case(command):
+def _raw_ckpt_case(command, edit):
+    """A valid checkpoint whose bytes ``edit`` then rewrites."""
     def argv(tmp_path):
         ckpt = _edited_checkpoint(tmp_path / "ckpt.json", _unedited)
-        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        ckpt.write_bytes(edit(ckpt.read_bytes()))
         return [command, str(ckpt), "--out", str(tmp_path / "o")]
     return argv
 
@@ -208,6 +209,16 @@ def _eval_case(real_csv, *flags):
         return ["eval", "--real", str(real), "--fake", str(fake), *flags,
                 "--out", str(tmp_path / "o")]
     return argv
+
+
+def _run_python(*args, timeout=120):
+    """Run a fresh interpreter that imports this checkout's flowfx."""
+    src = str(Path(flowfx.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestMalformedInputs:
@@ -252,8 +263,17 @@ class TestMalformedInputs:
                          1, id="distill-cfg-lo-nan"),
             pytest.param(_ckpt_case("distill", _unedited, "--guidance", "true", "--cfg-hi", "inf"),
                          1, id="distill-cfg-hi-inf"),
-            pytest.param(_config_case("train-fm", "steps = 2\nstep_count = 2\n"), 1,
+            pytest.param(_config_case("train-fm", b"steps = 2\nstep_count = 2\n"), 1,
                          id="unknown-config-key"),
+            pytest.param(_config_case("train-fm", b"steps = 5\n\xff\xfe = 1\n"), 1,
+                         id="config-not-utf8"),
+            pytest.param(_config_case("train-fm", b"steps = 2\nseed = -1\n"), 1,
+                         id="config-seed-negative"),
+            pytest.param(_train_case("--seed", "-1"), 1, id="train-fm-seed-negative"),
+            pytest.param(_ckpt_case("sample", _unedited, "--seed", "-3"), 1,
+                         id="sample-seed-negative"),
+            pytest.param(_ckpt_case("distill", _unedited, "--seed", "-2"), 1,
+                         id="distill-seed-negative"),
             pytest.param(_train_case("--hidden", "0"), 1, id="hidden-zero"),
             pytest.param(_train_case("--hidden", "-3"), 1, id="hidden-negative"),
             pytest.param(_train_case("--hidden", "8,0"), 1, id="hidden-second-zero"),
@@ -266,7 +286,10 @@ class TestMalformedInputs:
                          id="codec-non-riff"),
             pytest.param(_codec_case(_write_pcm24), 2, id="codec-pcm24"),
             pytest.param(_codec_case(_write_empty_wav), 1, id="codec-empty-wav"),
-            pytest.param(_truncated_ckpt_case("sample"), 2, id="sample-truncated-checkpoint"),
+            pytest.param(_raw_ckpt_case("sample", lambda b: b[: len(b) // 2]), 2,
+                         id="sample-truncated-checkpoint"),
+            pytest.param(_raw_ckpt_case("sample", lambda b: b.replace(b"{", b"{\xff", 1)), 2,
+                         id="sample-checkpoint-not-utf8"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0\n"), 2,
                          id="eval-ragged-csv"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,abc\n"), 2, id="eval-non-numeric-csv"),
@@ -289,13 +312,7 @@ class TestMalformedInputs:
         ],
     )
     def test_subprocess_failure_prints_one_line(self, argv, tmp_path):
-        src = str(Path(flowfx.__file__).resolve().parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowfx.cli", *argv(tmp_path)],
-            capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _run_python("-m", "flowfx.cli", *argv(tmp_path), timeout=300)
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
@@ -308,15 +325,16 @@ class TestMalformedInputs:
         assert [row[2] for row in rows] == ["0.01", "0.01"]
 
     def test_module_entry_point_prints_no_warning(self):
-        src = str(Path(flowfx.__file__).resolve().parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-W", "default::RuntimeWarning", "-m", "flowfx.cli", "--help"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _run_python("-W", "default::RuntimeWarning", "-m", "flowfx.cli", "--help")
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    def test_cli_import_loads_neither_transformer_nor_scipy_special(self):
+        # no command needs them, so importing the command line must not pay for them
+        proc = _run_python("-c", "import sys, flowfx.cli; print(sorted(m for m in sys.modules "
+                           "if m in ('flowfx.transformer', 'scipy.special')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCodec:

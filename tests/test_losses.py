@@ -8,13 +8,9 @@ from flowfx.losses import (
     ae_total_loss,
     cfg_combine,
     cfg_neutral_scale,
-    clap_project,
     contrastive_loss,
-    feature_matching_loss,
     hinge_disc_loss,
     hinge_gen_loss,
-    lsgan_adv_loss,
-    lsgan_disc_loss,
     multiscale_spectral_l1,
 )
 
@@ -64,20 +60,6 @@ def test_multiscale_rejects_mismatch():
         multiscale_spectral_l1(a, AudioBuffer(a.samples, 44100))
 
 
-def test_lsgan_hand_cases():
-    assert lsgan_disc_loss(np.array([1.0]), np.array([-1.0])) == 0.0
-    assert lsgan_disc_loss(np.array([0.0]), np.array([0.0])) == 1.0
-    assert lsgan_adv_loss(np.array([1.0])) == 0.0
-    assert lsgan_adv_loss(np.array([0.0])) == 1.0
-    assert lsgan_adv_loss(np.array([-1.0])) == 4.0
-
-
-def test_lsgan_quadratic_in_distance():
-    rng = np.random.default_rng(0)
-    d = rng.standard_normal(100)
-    assert lsgan_adv_loss(d) == pytest.approx(np.mean((d - 1) ** 2), rel=1e-15)
-
-
 def test_hinge_hand_cases():
     assert hinge_disc_loss(np.array([2.0]), np.array([-2.0])) == 0.0
     assert hinge_disc_loss(np.array([0.0]), np.array([0.0])) == 2.0
@@ -85,61 +67,11 @@ def test_hinge_hand_cases():
     assert hinge_gen_loss(np.array([3.0, -1.0])) == -1.0
 
 
-def test_feature_matching_hand_case():
-    # one discriminator, two layers: per-layer normalized L1 sums are 1.0
-    # and 0.5, so the loss is their mean 0.75
-    real = [[np.zeros(4), np.zeros((2, 2))]]
-    fake = [[np.ones(4), 0.5 * np.ones((2, 2))]]
-    assert feature_matching_loss(real, fake) == pytest.approx(0.75, rel=1e-15)
-
-
-def test_feature_matching_averages_discriminators():
-    real = [[np.zeros(2)], [np.zeros(2)]]
-    fake = [[np.ones(2)], [3.0 * np.ones(2)]]
-    assert feature_matching_loss(real, fake) == pytest.approx(2.0, rel=1e-15)
-
-
-def test_feature_matching_identity_and_validation():
-    feats = [[np.arange(6.0).reshape(2, 3)]]
-    assert feature_matching_loss(feats, feats) == 0.0
-    with pytest.raises(DomainError):
-        feature_matching_loss([[np.zeros(3)]], [[np.zeros(4)]])
-    with pytest.raises(DomainError):
-        feature_matching_loss([], [])
-
-
 def test_ae_total_weights():
     assert ae_total_loss(1.0, 0.0, 0.0) == 15.0
     assert ae_total_loss(0.0, 1.0, 0.0) == 1.0
     assert ae_total_loss(0.0, 0.0, 1.0) == 2.0
     assert ae_total_loss(0.5, 2.0, 0.25) == pytest.approx(10.0, rel=1e-15)
-
-
-def test_clap_project_normalizes():
-    rng = np.random.default_rng(3)
-    w = rng.standard_normal((8, 16))
-    b = rng.standard_normal(8)
-    f = rng.standard_normal((5, 16))
-    out = clap_project(f, w, b)
-    assert out.shape == (5, 8)
-    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
-    single = clap_project(f[0], w, b)
-    assert single.shape == (8,)
-    assert np.allclose(single, out[0], atol=1e-15)
-
-
-def test_clap_project_zero_vector_rejected():
-    w = np.zeros((4, 6))
-    b = np.zeros(4)
-    with pytest.raises(DomainError):
-        clap_project(np.ones(6), w, b)
-
-
-def test_clap_project_shape_validation():
-    with pytest.raises(DomainError):
-        clap_project(np.ones(5), np.ones((4, 6)), np.zeros(4))
-    with pytest.raises(DomainError):
-        clap_project(np.ones(6), np.ones((4, 6)), np.zeros(3))
 
 
 def test_contrastive_orthonormal_hand_case():

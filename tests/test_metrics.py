@@ -346,18 +346,18 @@ class TestRecallAtK:
 class TestCsv:
     def test_embedding_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(71)
-        emb = EmbeddingSet(rng.standard_normal((5, 3)), ids=("a", "b", "c", "d", "e"))
+        emb = EmbeddingSet(rng.standard_normal((5, 3)))
         path = tmp_path / "emb.csv"
         write_embedding_csv(path, emb)
         back = read_embedding_csv(path)
-        assert back.ids == emb.ids
         assert np.array_equal(back.rows, emb.rows)  # repr roundtrips exactly
 
     def test_default_ids_are_row_indices(self, tmp_path):
         emb = EmbeddingSet(np.ones((3, 2)))
         path = tmp_path / "emb.csv"
         write_embedding_csv(path, emb)
-        assert read_embedding_csv(path).ids == ("0", "1", "2")
+        lines = path.read_text().splitlines()
+        assert lines == ["id,dim0,dim1", "0,1.0,1.0", "1,1.0,1.0", "2,1.0,1.0"]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -401,7 +401,3 @@ class TestEmbeddingSet:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             EmbeddingSet(np.array([[1.0, np.nan]]))
-
-    def test_id_count_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            EmbeddingSet(np.ones((2, 2)), ids=("only-one",))
