@@ -9,7 +9,8 @@ Commands:
 
 Configuration is a flat ``key = value`` text file; command-line flags override
 file values; unknown keys are rejected.  The output directory resolves as
-``--out``, then the config, then ``$FLOWFX_OUT``, then ``./flowfx_out``.  Every
+``--out``, then the config, then ``$FLOWFX_OUT``, then ``./flowfx_out``; it is
+made by the first artifact write, so a refused run leaves nothing behind.  Every
 command is deterministic given (config, seed): outputs are byte-identical
 across runs.  Exit codes: 0 success, 1 usage or config error, 2 I/O error,
 3 numeric failure (divergence, solver breakdown).
@@ -55,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_bool(text):
-    lowered = str(text).strip().lower()
+    lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -64,16 +65,23 @@ def _parse_bool(text):
 
 
 def _parse_hidden(text):
-    if isinstance(text, tuple):
-        return text
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected comma-separated layer widths")
     return tuple(int(p) for p in parts)
 
 
-# Per-command tunables: key -> (caster, default, help).  Path arguments are
-# positional on the command line and never come from the config file.
+def _parse_seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"must be >= 0, got {seed}")
+    return seed
+
+
+# Tunables: key -> (caster, default, help), the same for flag and config file.
+# COMMON holds the keys every command takes.  Path arguments are command
+# inputs (see COMMANDS) and never come from the config file.
+COMMON = {"seed": (_parse_seed, 0, "global seed")}
 SCHEMAS = {
     "codec": {
         "n_fft": (int, 960, "STFT frame size"),
@@ -119,7 +127,6 @@ SCHEMAS = {
 class RunConfig:
     """A command's fully-resolved parameters plus seed and output directory."""
 
-    command: str
     seed: int
     out_dir: Path
     values: dict
@@ -148,42 +155,29 @@ def load_config_file(path):
 
 
 def resolve_config(command: str, args) -> RunConfig:
-    """Merge schema defaults, config-file entries, and flag overrides."""
-    schema = SCHEMAS[command]
+    """Merge schema defaults, config-file entries, and flag overrides; a flag
+    or file value goes through its key's caster.  Creates nothing on disk."""
+    schema = {**COMMON, **SCHEMAS[command]}
     file_values = load_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - set(schema) - {"seed", "out"}
+    unknown = set(file_values) - set(schema) - {"out"}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     values = {}
     for key, (cast, default, _) in schema.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            values[key] = flag_value
-        elif key in file_values:
-            try:
-                values[key] = cast(file_values[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-        else:
-            values[key] = default
-
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in file_values:
+        text = getattr(args, key)
+        if text is None:
+            text = file_values.get(key)
         try:
-            seed = int(file_values["seed"])
+            values[key] = default if text is None else cast(text)
         except ValueError as exc:
-            raise ConfigError(f"bad value for 'seed': {exc}") from exc
-    else:
-        seed = 0
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
-    out = args.out or file_values.get("out") or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return RunConfig(command, seed, out_dir, values)
+    out_dir = Path(args.out or file_values.get("out") or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT)
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():  # the first write would fail; fail before any work
+        raise NotADirectoryError(f"not a directory: {nearest}")
+    return RunConfig(values.pop("seed"), out_dir, values)
 
 
 def ring_model_config(hidden) -> net.ModelConfig:
@@ -318,7 +312,7 @@ def cmd_sample(cfg: RunConfig, ckpt_path) -> None:
         cfg_mode=v["cfg_mode"],
         max_nfe=v["max_nfe"],
     )
-    if v["solver"] == "euler":
+    if solver_cfg.kind == "euler":
         trace = solvers.euler_sample(model, x1, cond, solver_cfg)
     else:
         trace = solvers.dopri5_sample(model, x1, cond, solver_cfg)
@@ -410,71 +404,47 @@ def cmd_eval(cfg: RunConfig, real_dir, fake_dir) -> None:
     metrics.write_report_csv(cfg.out_dir / "eval_report.csv", entries)
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--config", default=None, help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=None, help="global seed (default 0)")
-    parser.add_argument(
-        "--out", default=None, help=f"output directory (default ${OUT_ENV_VAR} or {DEFAULT_OUT})"
-    )
-
-
-def _add_schema_flags(parser, command: str) -> None:
-    for key, (cast, default, text) in SCHEMAS[command].items():
-        parser.add_argument(
-            f"--{key.replace('_', '-')}",
-            dest=key,
-            type=cast,
-            default=None,
-            help=f"{text} (default {default})",
-        )
+# Each command once: name -> (handler, help, inputs).  Inputs are (name, help)
+# pairs passed to the handler after the config; one spelled as a flag is
+# required.  Handlers go by name, so a wrapper on the module attribute sees them.
+COMMANDS = {
+    "codec": ("cmd_codec", "WAV roundtrip through the spectral codec",
+              [("input", "input WAV file")]),
+    "train-fm": ("cmd_train_fm", "train the flow model on the ring dataset", []),
+    "distill": ("cmd_distill", "distill a teacher checkpoint into a student",
+                [("teacher", "teacher checkpoint (fm_teacher.json)")]),
+    "sample": ("cmd_sample", "sample from a checkpoint", [("ckpt", "model checkpoint")]),
+    "eval": ("cmd_eval", "metric report comparing two directories",
+             [("--real", "reference directory"), ("--fake", "candidate directory")]),
+}
 
 
 @lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     """The command-line parser, built once per process from module constants;
-    parsing leaves it unchanged, so every ``main`` call shares it."""
+    parsing leaves it unchanged, so every ``main`` call shares it.  Flags
+    keep their text; ``resolve_config`` casts it."""
     parser = _Parser(prog="flowfx", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("codec", help="WAV roundtrip through the spectral codec")
-    p.add_argument("input", help="input WAV file")
-    _add_common(p)
-    _add_schema_flags(p, "codec")
-
-    p = sub.add_parser("train-fm", help="train the flow model on the ring dataset")
-    _add_common(p)
-    _add_schema_flags(p, "train-fm")
-
-    p = sub.add_parser("distill", help="distill a teacher checkpoint into a student")
-    p.add_argument("teacher", help="teacher checkpoint (fm_teacher.json)")
-    _add_common(p)
-    _add_schema_flags(p, "distill")
-
-    p = sub.add_parser("sample", help="sample from a checkpoint")
-    p.add_argument("ckpt", help="model checkpoint")
-    _add_common(p)
-    _add_schema_flags(p, "sample")
-
-    p = sub.add_parser("eval", help="metric report comparing two directories")
-    p.add_argument("--real", required=True, help="reference directory")
-    p.add_argument("--fake", required=True, help="candidate directory")
-    _add_common(p)
-    _add_schema_flags(p, "eval")
+    for command, (_, text, inputs) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, help_text in inputs:
+            if name.startswith("--"):
+                p.add_argument(name, required=True, help=help_text)
+            else:
+                p.add_argument(name, help=help_text)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or {DEFAULT_OUT})")
+        for key, (_, default, help_text) in {**COMMON, **SCHEMAS[command]}.items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                           help=f"{help_text} (default {default})")
     return parser
 
 
 def _dispatch(args) -> None:
+    handler, _, inputs = COMMANDS[args.command]
     cfg = resolve_config(args.command, args)
-    if args.command == "codec":
-        cmd_codec(cfg, args.input)
-    elif args.command == "train-fm":
-        cmd_train_fm(cfg)
-    elif args.command == "distill":
-        cmd_distill(cfg, args.teacher)
-    elif args.command == "sample":
-        cmd_sample(cfg, args.ckpt)
-    else:
-        cmd_eval(cfg, args.real, args.fake)
+    globals()[handler](cfg, *(getattr(args, name.lstrip("-")) for name, _ in inputs))
 
 
 # The exit code of each error a command may end in; see the module docstring.

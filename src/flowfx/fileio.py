@@ -7,10 +7,12 @@ from contextlib import contextmanager
 
 @contextmanager
 def atomic_write(path, mode="w", **kwargs):
-    """Yield a temp file beside ``path``, opened as ``open(.., mode, **kwargs)``
-    would open it but created fresh ("x" for "w").  A clean exit moves it onto
-    ``path`` with os.replace; an error deletes it and leaves ``path`` intact."""
+    """Yield a temp file beside ``path`` (making its directory if missing),
+    opened as ``open(.., mode, **kwargs)`` would open it but created fresh ("x"
+    for "w").  A clean exit moves it onto ``path`` with os.replace; an error
+    deletes it and leaves ``path`` intact."""
     tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    os.makedirs(os.path.dirname(tmp) or os.curdir, exist_ok=True)
     fh = open(tmp, mode.replace("w", "x"), **kwargs)
     try:
         with fh:

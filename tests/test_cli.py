@@ -7,6 +7,8 @@ against the documented contracts.
 
 import json
 import os
+import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -18,7 +20,7 @@ import pytest
 
 import flowfx
 from flowfx import distill, dsp, flow, metrics, net
-from flowfx.cli import build_parser, load_config_file, main, ring_model_config
+from flowfx.cli import SCHEMAS, build_parser, load_config_file, main, ring_model_config
 from flowfx.errors import ConfigError
 
 
@@ -94,7 +96,8 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("command", ["codec", "train-fm", "distill", "sample", "eval"])
     def test_help_exits_zero(self, command, capsys):
         assert main([command, "--help"]) == 0
-        assert "--seed" in capsys.readouterr().out
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert {"--seed", *(f"--{key.replace('_', '-')}" for key in SCHEMAS[command])} <= listed
 
     def test_missing_command_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -108,9 +111,47 @@ class TestConfigPlumbing:
     def test_parser_is_built_once_and_parsing_leaves_it_unchanged(self, capsys):
         parser = build_parser()
         assert main(["train-fm", "--steps", "many"]) == 1
-        assert parser.parse_args(["train-fm", "--steps", "3"]).steps == 3
+        assert parser.parse_args(["train-fm", "--steps", "3"]).steps == "3"
         assert build_parser() is parser
         assert parser.parse_args(["train-fm"]).steps is None
+
+    # eval's --real/--fake and the checkpoint paths need not exist: values
+    # are cast before any input is read
+    @pytest.mark.parametrize(
+        "command, key, text",
+        [
+            ("train-fm", "steps", "many"),
+            ("train-fm", "seed", "-1"),
+            ("train-fm", "hidden", "8,x"),
+            ("train-fm", "lr", "fast"),
+            ("distill", "guidance", "maybe"),
+            ("sample", "n", "1.5"),
+            ("codec", "hop", "half"),
+            ("eval", "k", "two"),
+        ],
+    )
+    def test_flag_and_config_file_cast_alike(self, command, key, text, tmp_path, capsys):
+        inputs = {"codec": ["in.wav"], "distill": ["t.json"], "sample": ["c.json"],
+                  "eval": ["--real", "r", "--fake", "f"]}.get(command, [])
+        out = ["--out", str(tmp_path / "o")]
+        assert main([command, *inputs, f"--{key.replace('_', '-')}", text, *out]) == 1
+        from_flag = capsys.readouterr().err
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {text}\n")
+        assert main([command, *inputs, "--config", str(conf), *out]) == 1
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.startswith(f"error: bad value for '{key}': ")
+        assert len(from_flag.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_hidden_flag_and_config_file_give_the_same_checkpoint(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("hidden = 8,8\n")
+        base = ["train-fm", "--steps", "2", "--batch-size", "8"]
+        assert main(base + ["--hidden", "8,8", "--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--config", str(conf), "--out", str(tmp_path / "b")]) == 0
+        ckpt = "fm_teacher.json"
+        assert (tmp_path / "a" / ckpt).read_bytes() == (tmp_path / "b" / ckpt).read_bytes()
 
 
 def _edited_checkpoint(path, edit):
@@ -211,13 +252,14 @@ def _eval_case(real_csv, *flags):
     return argv
 
 
-def _run_python(*args, timeout=120):
-    """Run a fresh interpreter that imports this checkout's flowfx."""
+def _run_python(*args, timeout=120, **env):
+    """Run a fresh interpreter that imports this checkout's flowfx, with
+    ``env`` added to the environment."""
     src = str(Path(flowfx.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 
@@ -301,6 +343,17 @@ class TestMalformedInputs:
         assert main(argv(tmp_path)) == code
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not (tmp_path / "o").exists()  # a refused run writes nothing
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_on_a_file_exits_2_before_training(self, below, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(flow, "fm_loss", lambda *args: pytest.fail("a step ran"))
+        blocker = tmp_path / "o"
+        blocker.write_bytes(b"keep")
+        assert main(["train-fm", "--out", str(blocker / below)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: not a directory: {blocker}"]
+        assert blocker.read_bytes() == b"keep"
 
     # both runs overflow, so numpy warns before the error is raised
     @pytest.mark.parametrize(
@@ -710,3 +763,73 @@ class TestEvalCommand:
         assert main(base + ["--workers", "1", "--out", str(out_a)]) == 0
         assert main(base + ["--workers", "4", "--out", str(out_b)]) == 0
         assert (out_a / "eval_report.csv").read_bytes() == (out_b / "eval_report.csv").read_bytes()
+
+
+# Runs each argv list through main in one interpreter; exits with the worst code.
+_RUN_ALL = "import json, sys\nfrom flowfx.cli import main\n" \
+           "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))"
+
+# OpenBLAS splits dsp.log_mel's filterbank gemm (frames x bins times bins x
+# mels) across its threads, so mel_dist's low bits follow the thread count.
+# Not strict: a one-core machine may not split it.
+_MEL_GEMM = pytest.mark.xfail(
+    strict=False, reason="dsp.log_mel's filterbank gemm sums in thread-count order"
+)
+
+
+def _training_and_sampling(inputs, run):
+    teacher = str(run / "train" / "fm_teacher.json")
+    return [
+        ["train-fm", "--steps", "100", "--out", str(run / "train")],
+        ["distill", teacher, "--steps", "20", "--warmup-steps", "10",
+         "--out", str(run / "distill")],
+        ["sample", teacher, "--n", "2048", "--out", str(run / "euler")],
+        ["sample", teacher, "--solver", "dopri5", "--n", "2048", "--cfg-scale", "2",
+         "--out", str(run / "dopri5")],
+    ]
+
+
+def _codec_2s(inputs, run):
+    dsp.write_wav(inputs / "in.wav", dsp.synth_signal(0, 2.0))
+    return [["codec", str(inputs / "in.wav"), "--out", str(run)]]
+
+
+def _eval_2s(inputs, run):
+    # every 4800th sample one float32 step apart: mel_dist reads about 3e-6,
+    # small enough that the gemm's rounding shows in its low bits
+    real, fake = inputs / "real", inputs / "fake"
+    audio = dsp.synth_signal(0, 2.0)
+    clip = audio.samples.astype(np.float32)
+    nudged = clip.copy()
+    nudged[::4800] = np.nextafter(nudged[::4800], np.float32(np.inf))
+    for seed, (side, samples) in enumerate(((real, clip), (fake, nudged))):
+        side.mkdir()
+        dsp.write_wav(side / "a.wav", dsp.AudioBuffer(samples, audio.sample_rate))
+        rows = np.random.default_rng(seed).standard_normal((500, 16))
+        metrics.write_embedding_csv(side / "e.csv", metrics.EmbeddingSet(rows))
+    return [["eval", "--real", str(real), "--fake", str(fake), "--out", str(run)]]
+
+
+class TestBlasThreadCount:
+    @pytest.mark.parametrize(
+        "commands",
+        [
+            pytest.param(_training_and_sampling, id="train-fm-distill-sample"),
+            pytest.param(_codec_2s, id="codec", marks=_MEL_GEMM),
+            pytest.param(_eval_2s, id="eval", marks=_MEL_GEMM),
+        ],
+    )
+    def test_same_bytes_at_one_and_two_threads(self, commands, tmp_path):
+        inputs, run = tmp_path / "in", tmp_path / "run"
+        inputs.mkdir()
+        argvs = json.dumps([[str(a) for a in argv] for argv in commands(inputs, run)])
+        artifacts = []
+        for threads in ("1", "2"):  # the same --out paths, so metadata matches
+            proc = _run_python("-c", _RUN_ALL, argvs, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            artifacts.append({str(p.relative_to(run)): p.read_bytes()
+                              for p in sorted(run.rglob("*")) if p.is_file()})
+            shutil.rmtree(run)
+        one, two = artifacts
+        assert sorted(one) == sorted(two)
+        assert [name for name in one if one[name] != two[name]] == []
