@@ -20,11 +20,16 @@ running the pass again.  The tape keeps each layer's input and its SiLU
 slope, taken once in the primal pass and read by the tangent and by the
 chain rule alike.
 
-When t and r are both scalars, as in every solver call, the whole batch
-shares one (t, r), so ``_core`` evaluates the sinusoidal time features once,
-on that single row, and repeats the row to the batch before the embedding
-product; per-sample t or r vectors, as in training, get one feature row per
-sample.  Either way the values are the same bits.
+When the batch shares one (t, r), that is t and r are each a scalar or a
+vector of bitwise-equal entries, as in every solver call, ``_core``
+evaluates the time features and their embedding once, on that single row,
+and takes the first affine map block by block over [x, e, c]: the x block
+on the batch, one row per condition id and one time row.  Per-sample t or
+r vectors, as in training, get one feature row per sample and the product
+with the concatenated input.  The two sum the same terms in another order,
+so they agree to rounding, not in every bit; a batch that shares one
+(t, r) gives the same bits whether its times come as scalars or vectors,
+and with or without a tape or tangent.
 
 Each model owns a scratch (``_Scratch``) for the one temporary of the pass
 that never leaves it: the (rows x width) logistic inside the SiLU.  The
@@ -197,6 +202,20 @@ def _as_scalar_batch(val, n, name):
     return arr
 
 
+def _as_time_rows(val, n, name):
+    """A time argument as one row when all n samples share its bits (a 0-d
+    value, or a vector whose entries are bitwise equal), else as n rows."""
+    arr = np.asarray(val, dtype=np.float64)
+    if arr.ndim == 0:
+        return arr.reshape(1)
+    arr = _as_scalar_batch(arr, n, name)
+    bits = arr.view(np.uint64)
+    # first against last settles a batch of distinct times in O(1)
+    if n and bits[0] == bits[-1] and np.all(bits == bits[0]):
+        return arr[:1]
+    return arr
+
+
 def _resolve_cond(cond, n, config):
     if cond is None:
         return np.full(n, config.null_cond, dtype=np.intp)
@@ -249,17 +268,25 @@ def _silu(a, s, want_slope=True, slope_out=None):
 def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     """Shared primal pass.  Optionally records a tape for _tape_backward
     and/or propagates a (dx, dt, dr) tangent in lockstep with the primal ops.
-    With ``readout`` false the pass stops at the last hidden activations,
+    With ``readout`` false the pass stops at the last hidden activations
+    (the network input z = [x, e, c] for a model without hidden layers),
     which then stand in for u (and du).
+
+    When the batch shares one (t, r), the first affine map (w0/b0, or
+    w_out/b_out without hidden layers) is taken block by block over
+    [x, e, c]: x @ Wx.T, plus (cond_table @ Wc.T)[ids], plus the single
+    time-embedding row e_row @ We.T + b.  z, the n-row embedding product
+    behind it and the repeated features are built only for a tape or for
+    the features of a model without hidden layers.  Per-sample times take
+    z @ W.T.
     Returns (u, du or None, tape or None, squeeze)."""
     cfg = model.config
     p = model.params
     x2, squeeze = _as_batch(x, cfg.dim)
     n = x2.shape[0]
+    t_arr, r_arr = np.broadcast_arrays(_as_time_rows(t, n, "t"), _as_time_rows(r, n, "r"))
     # a batch that shares one (t, r) has one distinct feature row
-    rows = 1 if np.ndim(t) == 0 and np.ndim(r) == 0 else n
-    t_arr = _as_scalar_batch(t, rows, "t")
-    r_arr = _as_scalar_batch(r, rows, "r")
+    shared = len(t_arr) == 1
     ids = _resolve_cond(cond, n, cfg)
     freqs = cfg.frequencies()
 
@@ -272,13 +299,26 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
         ang_r = r_arr[:, None] * freqs[None, :]
         sin_r, cos_r = np.sin(ang_r), np.cos(ang_r)
     e_in = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1)
-    if rows != n:
-        # the product stays at n rows: OpenBLAS gives a 1-row product
-        # other bits than the rows of an n-row one
-        e_in = np.repeat(e_in, n, axis=0)
-    e = e_in @ p["embed_w"].T + p["embed_b"]
-    c = p["cond_table"][ids]
-    z = np.concatenate([x2, e, c], axis=1)
+    if shared:
+        e_row = e_in @ p["embed_w"].T + p["embed_b"]
+    z = None
+    if not shared or want_tape or not (cfg.hidden or readout):
+        if shared:
+            # z keeps the n-row product: OpenBLAS gives a 1-row product
+            # other bits than the rows of an n-row one
+            e_in = np.repeat(e_in, n, axis=0)
+        e = e_in @ p["embed_w"].T + p["embed_b"]
+        z = np.concatenate([x2, e, p["cond_table"][ids]], axis=1)
+
+    w, b = (p["w0"], p["b0"]) if cfg.hidden else (p["w_out"], p["b_out"])
+    if shared:
+        dim, ed = cfg.dim, cfg.embed_dim
+        a = x2 @ w[:, :dim].T
+        a += (p["cond_table"] @ w[:, dim + ed :].T)[ids]
+        a += e_row @ w[:, dim : dim + ed].T + b
+    else:
+        a = z @ w.T
+        a += b
 
     dh = None
     if tangent is not None:
@@ -295,7 +335,7 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
             axis=1,
         )
         de = de_in @ p["embed_w"].T
-        dh = np.concatenate([dx2, de, np.zeros_like(c)], axis=1)
+        dh = np.concatenate([dx2, de, np.zeros((n, cfg.cond_dim))], axis=1)
 
     tape = None
     if want_tape:
@@ -305,8 +345,10 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     for i in range(len(cfg.hidden)):
         if want_tape:
             tape["inputs"].append(h)
-        h = h @ p[f"w{i}"].T
-        h += p[f"b{i}"]
+        if i:
+            a = h @ p[f"w{i}"].T
+            a += p[f"b{i}"]
+        h = a
         s = model._scratch.take("logistic", n, h.shape[1])
         slope = _silu(h, s, want_tape or tangent is not None)
         if want_tape:
@@ -317,7 +359,7 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     if want_tape:
         tape["inputs"].append(h)
     if readout:
-        u = h @ p["w_out"].T + p["b_out"]
+        u = h @ p["w_out"].T + p["b_out"] if cfg.hidden else a
         du = dh @ p["w_out"].T if tangent is not None else None
     else:
         u, du = h, dh

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -256,16 +257,22 @@ def test_logistic_limits_exact_and_silent():
     assert np.array_equal(a[:4], [-800.0, -np.inf, 800.0, np.inf])  # input untouched
 
 
-def _core_reference(model, x, t, r, cond, tangent):
+def _core_reference(model, x, t, r, cond, tangent, blockwise=False):
     """The primal pass with the r features computed on their own and the
     SiLU slope written out as s * (1 + a * (1 - s)).  Returns (u, du,
-    slopes) for batched x, t, r, cond and a (dx, dt, dr) tangent."""
+    slopes) for batched x, t, r, cond and a (dx, dt, dr) tangent.
+
+    ``blockwise`` takes the first affine map block by block over [x, e, c],
+    from the first time row and the condition table, as a batch that shares
+    one (t, r) does; otherwise it is the product with the concatenation."""
     cfg, p = model.config, model.params
+    dim, ed = cfg.dim, cfg.embed_dim
     dx, dt, dr = tangent
     freqs = cfg.frequencies()
     ang_t, ang_r = t[:, None] * freqs[None, :], r[:, None] * freqs[None, :]
     sin_t, cos_t, sin_r, cos_r = np.sin(ang_t), np.cos(ang_t), np.sin(ang_r), np.cos(ang_r)
-    e = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1) @ p["embed_w"].T + p["embed_b"]
+    e_in = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1)
+    e = e_in @ p["embed_w"].T + p["embed_b"]
     c = p["cond_table"][cond]
     d_ang_t = np.full(len(t), dt)[:, None] * freqs[None, :]
     d_ang_r = np.full(len(t), dr)[:, None] * freqs[None, :]
@@ -274,14 +281,23 @@ def _core_reference(model, x, t, r, cond, tangent):
     )
     h = np.concatenate([x, e, c], axis=1)
     dh = np.concatenate([dx, de_in @ p["embed_w"].T, np.zeros_like(c)], axis=1)
+    layers = [(p[f"w{i}"], p[f"b{i}"]) for i in range(len(cfg.hidden))]
+    layers.append((p["w_out"], p["b_out"]))
+    w, b = layers[0]
+    if blockwise:
+        e_row = e_in[:1] @ p["embed_w"].T + p["embed_b"]
+        a = (x @ w[:, :dim].T + (p["cond_table"] @ w[:, dim + ed :].T)[cond]
+             + (e_row @ w[:, dim : dim + ed].T + b))
+    else:
+        a = h @ w.T + b
     slopes = []
-    for i in range(len(cfg.hidden)):
-        a = h @ p[f"w{i}"].T + p[f"b{i}"]
+    for i, (w, b) in enumerate(layers[1:]):
         s = net._logistic(a)
         slopes.append(s * (1.0 + a * (1.0 - s)))
         dh = slopes[-1] * (dh @ p[f"w{i}"].T)
         h = a * s
-    return h @ p["w_out"].T + p["b_out"], dh @ p["w_out"].T, slopes
+        a = h @ w.T + b
+    return a, dh @ p["w_out"].T, slopes
 
 
 @pytest.mark.parametrize("r_equals_t", [True, False])
@@ -325,11 +341,15 @@ def test_scalar_times_match_full_vectors(n, hidden, r_equals_t, cond_kind):
     tangent = (dx, 1.0, 0.0)
     t_vec, r_vec = np.full(n, t), np.full(n, r)
 
-    want_u, want_du, _ = _core_reference(model, x, t_vec, r_vec, ids, tangent)
+    want_u, want_du, _ = _core_reference(model, x, t_vec, r_vec, ids, tangent, blockwise=True)
+    cat_u, cat_du, _ = _core_reference(model, x, t_vec, r_vec, ids, tangent)
     u, du, tape, _ = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
     vu, vdu, vtape, _ = net._core(model, x, t_vec, r_vec, cond, want_tape=True,
                                   tangent=tangent)
     assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
+    # the concatenated product sums the same terms in another order
+    assert np.allclose(u, cat_u, rtol=1e-12, atol=1e-12)
+    assert np.allclose(du, cat_du, rtol=1e-12, atol=1e-12)
     assert np.array_equal(u, vu) and np.array_equal(du, vdu)
     assert tape["e_in"].flags.c_contiguous
     assert np.array_equal(tape["e_in"], vtape["e_in"])
@@ -337,6 +357,84 @@ def test_scalar_times_match_full_vectors(n, hidden, r_equals_t, cond_kind):
         assert len(tape[key]) == len(vtape[key])
         assert all(np.array_equal(a, b) for a, b in zip(tape[key], vtape[key])), key
     assert np.array_equal(forward(model, x, t, r, cond), vu)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1024])
+def test_bitwise_equal_time_vectors_take_the_scalar_pass(n):
+    model = small_model(27)
+    rng = np.random.default_rng(28)
+    x, cond = rng.standard_normal((n, 3)), rng.integers(0, 3, n)
+    t, r = 0.625, 0.25
+    t_vec, r_vec = np.full(n, t), np.full(n, r)
+    want = forward(model, x, t, r, cond)
+    block, _, _ = _core_reference(model, x, t_vec, r_vec, cond, (x, 0.0, 0.0), blockwise=True)
+    assert np.array_equal(want, block)
+    for tt, rr in [(t_vec, r_vec), (t, r_vec), (t_vec, r)]:
+        assert np.array_equal(forward(model, x, tt, rr, cond), want)
+
+
+def test_time_vector_mixing_signed_zeros_takes_the_per_sample_path():
+    # 0.0 and -0.0 compare equal but have other bits, and other sines
+    model = small_model(29)
+    rng = np.random.default_rng(30)
+    n = 1024
+    x, cond = rng.standard_normal((n, 3)), rng.integers(0, 3, n)
+    t = np.zeros(n)
+    t[1::2] = -0.0
+    r = np.zeros(n)
+    want, _, _ = _core_reference(model, x, t, r, cond, (x, 0.0, 0.0))
+    block, _, _ = _core_reference(model, x, t, r, cond, (x, 0.0, 0.0), blockwise=True)
+    assert not np.array_equal(want, block)  # so the paths give other bits
+    assert np.array_equal(forward(model, x, t, r, cond), want)
+    u, _, tape, _ = net._core(model, x, t, r, cond, want_tape=True)
+    assert np.array_equal(u, want)
+    assert np.array_equal(np.signbit(tape["e_in"][:, 0]), np.signbit(t))
+
+
+@pytest.mark.parametrize("readout", [True, False])
+def test_features_without_hidden_layers_are_the_network_input(readout):
+    cfg = ModelConfig(dim=3, hidden=(), n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
+    model = init_model(cfg, np.random.default_rng(31))
+    p = model.params
+    rng = np.random.default_rng(32)
+    n = 7
+    x, cond = rng.standard_normal((n, 3)), rng.integers(0, 3, n)
+    t, r = 0.4, 0.1
+    freqs = cfg.frequencies()
+    ang_t, ang_r = np.full((n, 1), t) * freqs, np.full((n, 1), r) * freqs
+    e_in = np.concatenate([np.sin(ang_t), np.cos(ang_t), np.sin(ang_r), np.cos(ang_r)], axis=1)
+    z = np.concatenate([x, e_in @ p["embed_w"].T + p["embed_b"], p["cond_table"][cond]], axis=1)
+
+    u, _, tape, _ = net._core(model, x, t, r, cond, want_tape=True, readout=readout)
+    assert np.array_equal(tape["inputs"][-1], z)
+    untaped, _, _, _ = net._core(model, x, t, r, cond, readout=readout)
+    if readout:
+        want, _, _ = _core_reference(model, x, np.full(n, t), np.full(n, r), cond,
+                                     (x, 0.0, 0.0), blockwise=True)
+    else:
+        want = z
+    assert np.array_equal(u, want) and np.array_equal(untaped, want)
+
+
+def test_shared_row_forward_peaks_below_the_per_sample_pass():
+    # the ring teacher's geometry: in_dim 50, hidden (64, 64)
+    cfg = ModelConfig(dim=2, hidden=(64, 64), n_cond=8, cond_dim=16, embed_dim=32,
+                      n_freqs=8, freq_max=100.0)
+    model = init_model(cfg, np.random.default_rng(33))
+    rng = np.random.default_rng(34)
+    n = 2048
+    x, t = rng.standard_normal((n, 2)), rng.uniform(0.0, 1.0, n)
+
+    def peak(times):
+        forward(model, x, times, times)  # the scratch is warm before tracing
+        tracemalloc.start()
+        try:
+            forward(model, x, times, times)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(t) - peak(t[0]) >= n * cfg.in_dim * 8
 
 
 def test_frequencies_cached_and_read_only():
