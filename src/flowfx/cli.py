@@ -448,8 +448,8 @@ def _dispatch(args) -> None:
 
 
 # The exit code of each error a command may end in; see the module docstring.
-_EXIT_CODES = {_UsageError: 1, ConfigError: 1, DomainError: 1, FileFormatError: 2,
-               OSError: 2, SolverError: 3, DivergenceError: 3}
+_EXIT_CODES = {_UsageError: 1, ConfigError: 1, DomainError: 1, MemoryError: 1,
+               FileFormatError: 2, OSError: 2, SolverError: 3, DivergenceError: 3}
 
 
 def main(argv=None) -> int:

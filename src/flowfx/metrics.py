@@ -223,6 +223,13 @@ def write_embedding_csv(path, emb: EmbeddingSet) -> None:
     write_csv(path, header, ([str(i)] + row.tolist() for i, row in enumerate(emb.rows)))
 
 
+def _csv_float(text) -> float:
+    """float(text), without the digit-group underscores Python's float takes."""
+    if "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def read_embedding_csv(path) -> EmbeddingSet:
     """Parse an `id,dim0..dimN` CSV into its rows; the id column is not
     kept.  Malformed content reports the byte offset of the offending line."""
@@ -250,7 +257,7 @@ def read_embedding_csv(path) -> EmbeddingSet:
                     path, f"expected {dim + 1} fields, got {len(parts)}", offset=offset
                 )
             try:
-                rows.append([float(v) for v in parts[1:]])
+                rows.append([_csv_float(v) for v in parts[1:]])
             except ValueError as exc:
                 raise FileFormatError(path, f"bad number: {exc}", offset=offset) from exc
     if not rows:

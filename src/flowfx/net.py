@@ -20,16 +20,14 @@ running the pass again.  The tape keeps each layer's input and its SiLU
 slope, taken once in the primal pass and read by the tangent and by the
 chain rule alike.
 
-When the batch shares one (t, r), that is t and r are each a scalar or a
-vector of bitwise-equal entries, as in every solver call, ``_core``
-evaluates the time features and their embedding once, on that single row,
-and takes the first affine map block by block over [x, e, c]: the x block
-on the batch, one row per condition id and one time row.  Per-sample t or
-r vectors, as in training, get one feature row per sample and the product
-with the concatenated input.  The two sum the same terms in another order,
-so they agree to rounding, not in every bit; a batch that shares one
-(t, r) gives the same bits whether its times come as scalars or vectors,
-and with or without a tape or tangent.
+The time features and their embedding e have one row per distinct time
+row: a single row when the batch shares one (t, r), that is t and r are
+each a scalar or a vector of bitwise-equal entries, as in every solver
+call, and one row per sample otherwise, as in training.  Every pass takes
+the first affine map the same way, block by block over the network input
+[x, e, c]: the x block on the batch, one row per condition id and the time
+rows.  So a batch gives the same bits whether its times come as scalars or
+as vectors, and with or without a tape or tangent.
 
 Each model owns a scratch (``_Scratch``) for the one temporary of the pass
 that never leaves it: the (rows x width) logistic inside the SiLU.  The
@@ -272,21 +270,18 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     (the network input z = [x, e, c] for a model without hidden layers),
     which then stand in for u (and du).
 
-    When the batch shares one (t, r), the first affine map (w0/b0, or
-    w_out/b_out without hidden layers) is taken block by block over
-    [x, e, c]: x @ Wx.T, plus (cond_table @ Wc.T)[ids], plus the single
-    time-embedding row e_row @ We.T + b.  z, the n-row embedding product
-    behind it and the repeated features are built only for a tape or for
-    the features of a model without hidden layers.  Per-sample times take
-    z @ W.T.
+    The first affine map (w0/b0, or w_out/b_out without hidden layers) is
+    x @ Wx.T, plus (cond_table @ Wc.T)[ids], plus e @ We.T + b, where the
+    time embedding e has one row when the batch shares one (t, r) and n
+    rows otherwise.  z is built only for a tape (the w0 gradient) or for
+    the features of a model without hidden layers; a shared time row is
+    broadcast to the batch there and in the tape's e_in.
     Returns (u, du or None, tape or None, squeeze)."""
     cfg = model.config
     p = model.params
     x2, squeeze = _as_batch(x, cfg.dim)
     n = x2.shape[0]
     t_arr, r_arr = np.broadcast_arrays(_as_time_rows(t, n, "t"), _as_time_rows(r, n, "r"))
-    # a batch that shares one (t, r) has one distinct feature row
-    shared = len(t_arr) == 1
     ids = _resolve_cond(cond, n, cfg)
     freqs = cfg.frequencies()
 
@@ -299,26 +294,16 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
         ang_r = r_arr[:, None] * freqs[None, :]
         sin_r, cos_r = np.sin(ang_r), np.cos(ang_r)
     e_in = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1)
-    if shared:
-        e_row = e_in @ p["embed_w"].T + p["embed_b"]
-    z = None
-    if not shared or want_tape or not (cfg.hidden or readout):
-        if shared:
-            # z keeps the n-row product: OpenBLAS gives a 1-row product
-            # other bits than the rows of an n-row one
-            e_in = np.repeat(e_in, n, axis=0)
-        e = e_in @ p["embed_w"].T + p["embed_b"]
-        z = np.concatenate([x2, e, p["cond_table"][ids]], axis=1)
+    e = e_in @ p["embed_w"].T + p["embed_b"]
 
+    dim, ed = cfg.dim, cfg.embed_dim
     w, b = (p["w0"], p["b0"]) if cfg.hidden else (p["w_out"], p["b_out"])
-    if shared:
-        dim, ed = cfg.dim, cfg.embed_dim
-        a = x2 @ w[:, :dim].T
-        a += (p["cond_table"] @ w[:, dim + ed :].T)[ids]
-        a += e_row @ w[:, dim : dim + ed].T + b
-    else:
-        a = z @ w.T
-        a += b
+    a = x2 @ w[:, :dim].T
+    a += (p["cond_table"] @ w[:, dim + ed :].T)[ids]
+    a += e @ w[:, dim : dim + ed].T + b
+    z = None
+    if want_tape or not (cfg.hidden or readout):
+        z = np.concatenate([x2, np.broadcast_to(e, (n, ed)), p["cond_table"][ids]], axis=1)
 
     dh = None
     if tangent is not None:
@@ -339,6 +324,7 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
 
     tape = None
     if want_tape:
+        e_in = np.broadcast_to(e_in, (n, e_in.shape[1]))
         tape = {"e_in": e_in, "ids": ids, "inputs": [], "slope": []}
 
     h = z
@@ -510,13 +496,22 @@ def _config_to_dict(config: ModelConfig) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
+def _config_from_dict(d: dict, path) -> ModelConfig:
+    """The config a checkpoint at ``path`` stores.  Sizes must be JSON
+    integers: ModelConfig would read a hidden of "64" as (6, 4) and keep a
+    dim of 2.0."""
     try:
         d = dict(d)
-        d["hidden"] = tuple(d["hidden"])
+        hidden = d["hidden"]
+        if not (isinstance(hidden, list) and all(type(h) is int for h in hidden)):
+            raise DomainError("hidden must be a list of integers")
+        for f in fields(ModelConfig):
+            if f.type == "int" and type(d.get(f.name, 0)) is not int:
+                raise DomainError(f"{f.name} must be an integer")
+        d["hidden"] = tuple(hidden)
         return ModelConfig(**d)
     except (TypeError, KeyError, DomainError) as exc:
-        raise FileFormatError("<config>", f"bad model config: {exc}") from exc
+        raise FileFormatError(path, f"bad model config: {exc}") from exc
 
 
 def save_checkpoint(path, model: VelocityModel, meta=None) -> None:
@@ -554,12 +549,14 @@ def load_checkpoint(path):
         raise FileFormatError(path, f"not UTF-8 text ({exc.reason})", offset=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(path, f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(path, "invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise FileFormatError(path, f"not a {CHECKPOINT_FORMAT} checkpoint")
     if obj.get("optimizer") is not None:
         raise FileFormatError(path, "optimizer state is not supported; expected null")
     try:
-        config = _config_from_dict(obj["config"])
+        config = _config_from_dict(obj["config"], path)
         params = {k: np.array(v, dtype=np.float64) for k, v in obj["params"].items()}
         expected = _param_shapes(config)
         if set(params) != set(expected):

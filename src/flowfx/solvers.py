@@ -113,6 +113,11 @@ def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig()) ->
     """
     if config.kind != "euler":
         raise DomainError("euler_sample needs config.kind == 'euler'")
+    # every step calls the field: refuse a grid longer than the budget before
+    # building it, with the error the first call past the budget raises
+    if config.steps > config.max_nfe:
+        msg = f"nfe budget {config.max_nfe} exhausted"
+        raise SolverError(msg, nfe=config.max_nfe + 1)
     f, nfe = _field(model, cond, config)
     x = np.array(x1, dtype=np.float64)
     grid = 1.0 - np.arange(config.steps + 1) / config.steps

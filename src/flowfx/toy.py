@@ -15,22 +15,16 @@ MODE_SIGMA = 0.1
 RING_RADIUS = 1.0
 
 
-def ring_centers(n_modes: int = N_MODES, radius: float = RING_RADIUS) -> np.ndarray:
-    """Mode centers equally spaced on a circle, shape (n_modes, 2)."""
-    if n_modes < 1 or radius <= 0:
-        raise DomainError("need n_modes >= 1 and radius > 0")
-    ang = 2.0 * np.pi * np.arange(n_modes) / n_modes
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1) * radius
+def ring_centers() -> np.ndarray:
+    """The N_MODES mode centers, equally spaced on the circle of radius
+    RING_RADIUS, shape (N_MODES, 2)."""
+    ang = 2.0 * np.pi * np.arange(N_MODES) / N_MODES
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1) * RING_RADIUS
 
 
-def sample_ring(
-    rng: np.random.Generator,
-    n: int,
-    n_modes: int = N_MODES,
-    sigma: float = MODE_SIGMA,
-    radius: float = RING_RADIUS,
-):
-    """Draw n points from the Gaussian ring mixture.
+def sample_ring(rng: np.random.Generator, n: int):
+    """Draw n points from the Gaussian ring mixture (N_MODES modes of
+    standard deviation MODE_SIGMA).
 
     Returns (x0, labels) where labels are the mode indices, usable directly
     as condition ids.  Draw order (labels, then offsets) is part of the
@@ -38,8 +32,8 @@ def sample_ring(
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    labels = rng.integers(0, n_modes, n)
-    x0 = ring_centers(n_modes, radius)[labels] + sigma * rng.standard_normal((n, 2))
+    labels = rng.integers(0, N_MODES, n)
+    x0 = ring_centers()[labels] + MODE_SIGMA * rng.standard_normal((n, 2))
     return x0, labels
 
 

@@ -181,6 +181,10 @@ def _params_as_list(obj):
     obj["params"] = list(obj["params"].values())
 
 
+def _hidden_as_string(obj):
+    obj["config"]["hidden"] = "8"
+
+
 def _huge_w_out(obj):
     obj["params"]["w_out"] = [[1e300 * v for v in row] for row in obj["params"]["w_out"]]
 
@@ -332,9 +336,22 @@ class TestMalformedInputs:
                          id="sample-truncated-checkpoint"),
             pytest.param(_raw_ckpt_case("sample", lambda b: b.replace(b"{", b"{\xff", 1)), 2,
                          id="sample-checkpoint-not-utf8"),
+            pytest.param(_raw_ckpt_case("sample", lambda b: b"[" * 100_000), 2,
+                         id="sample-checkpoint-nested-100k"),
+            pytest.param(_ckpt_case("sample", _hidden_as_string), 2,
+                         id="sample-hidden-not-a-list"),
+            # numpy refuses these TiB-scale arrays at once, without touching memory
+            pytest.param(_ckpt_case("sample", _unedited, "--n", "1000000000000"), 1,
+                         id="sample-n-unallocatable"),
+            pytest.param(_train_case("--steps", "1", "--batch-size", "1000000000000"), 1,
+                         id="train-fm-batch-size-unallocatable"),
+            pytest.param(_ckpt_case("sample", _unedited, "--steps", "1000000000000",
+                                    "--max-nfe", "3"), 3, id="sample-euler-grid-over-nfe-budget"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0\n"), 2,
                          id="eval-ragged-csv"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,abc\n"), 2, id="eval-non-numeric-csv"),
+            pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,1_0,4.0\n"), 2,
+                         id="eval-underscore-in-number"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0,4.0\n", "--workers", "0"), 1,
                          id="eval-workers-zero"),
         ],

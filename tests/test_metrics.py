@@ -372,6 +372,14 @@ class TestCsv:
             read_embedding_csv(path)
         assert exc.value.offset == len("id,dim0\nrow0,1.5\n")
 
+    def test_underscore_in_number_reports_offset(self, tmp_path):
+        # Python's float reads "1_0" as 10.0
+        path = tmp_path / "bad.csv"
+        path.write_text("id,dim0\nrow0,1.5\nrow1,1_0\n")
+        with pytest.raises(FileFormatError, match="bad number") as exc:
+            read_embedding_csv(path)
+        assert exc.value.offset == len("id,dim0\nrow0,1.5\n")
+
     def test_field_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,dim0,dim1\nrow0,1.0\n")

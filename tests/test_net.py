@@ -257,47 +257,63 @@ def test_logistic_limits_exact_and_silent():
     assert np.array_equal(a[:4], [-800.0, -np.inf, 800.0, np.inf])  # input untouched
 
 
-def _core_reference(model, x, t, r, cond, tangent, blockwise=False):
-    """The primal pass with the r features computed on their own and the
-    SiLU slope written out as s * (1 + a * (1 - s)).  Returns (u, du,
-    slopes) for batched x, t, r, cond and a (dx, dt, dr) tangent.
-
-    ``blockwise`` takes the first affine map block by block over [x, e, c],
-    from the first time row and the condition table, as a batch that shares
-    one (t, r) does; otherwise it is the product with the concatenation."""
+def _reference_inputs(model, x, t, r, cond, tangent):
+    """The time features with the r features computed on their own, and the
+    network input's tangent: (e_in, dh) for batched t, r and a (dx, dt, dr)
+    tangent."""
     cfg, p = model.config, model.params
-    dim, ed = cfg.dim, cfg.embed_dim
     dx, dt, dr = tangent
     freqs = cfg.frequencies()
     ang_t, ang_r = t[:, None] * freqs[None, :], r[:, None] * freqs[None, :]
     sin_t, cos_t, sin_r, cos_r = np.sin(ang_t), np.cos(ang_t), np.sin(ang_r), np.cos(ang_r)
     e_in = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1)
-    e = e_in @ p["embed_w"].T + p["embed_b"]
-    c = p["cond_table"][cond]
     d_ang_t = np.full(len(t), dt)[:, None] * freqs[None, :]
     d_ang_r = np.full(len(t), dr)[:, None] * freqs[None, :]
     de_in = np.concatenate(
         [cos_t * d_ang_t, -sin_t * d_ang_t, cos_r * d_ang_r, -sin_r * d_ang_r], axis=1
     )
-    h = np.concatenate([x, e, c], axis=1)
-    dh = np.concatenate([dx, de_in @ p["embed_w"].T, np.zeros_like(c)], axis=1)
-    layers = [(p[f"w{i}"], p[f"b{i}"]) for i in range(len(cfg.hidden))]
+    dh = np.concatenate([dx, de_in @ p["embed_w"].T, np.zeros((len(x), cfg.cond_dim))], axis=1)
+    return e_in, dh
+
+
+def _reference_layers(model, a, dh):
+    """The rest of the pass from the first pre-activation ``a``, with the
+    SiLU slope written out as s * (1 + a * (1 - s)): (u, du, slopes)."""
+    p = model.params
+    layers = [(p[f"w{i}"], p[f"b{i}"]) for i in range(len(model.config.hidden))]
     layers.append((p["w_out"], p["b_out"]))
-    w, b = layers[0]
-    if blockwise:
-        e_row = e_in[:1] @ p["embed_w"].T + p["embed_b"]
-        a = (x @ w[:, :dim].T + (p["cond_table"] @ w[:, dim + ed :].T)[cond]
-             + (e_row @ w[:, dim : dim + ed].T + b))
-    else:
-        a = h @ w.T + b
     slopes = []
     for i, (w, b) in enumerate(layers[1:]):
         s = net._logistic(a)
         slopes.append(s * (1.0 + a * (1.0 - s)))
         dh = slopes[-1] * (dh @ p[f"w{i}"].T)
-        h = a * s
-        a = h @ w.T + b
+        a = (a * s) @ w.T + b
     return a, dh @ p["w_out"].T, slopes
+
+
+def _core_reference(model, x, t, r, cond, tangent, one_row=False):
+    """The primal pass with its first affine map taken block by block over
+    [x, e, c], as _core takes it.  Returns (u, du, slopes) for batched x, t,
+    r, cond and a (dx, dt, dr) tangent.  ``one_row`` embeds only the first
+    time row, as a batch that shares one (t, r) does."""
+    cfg, p = model.config, model.params
+    dim, ed = cfg.dim, cfg.embed_dim
+    e_in, dh = _reference_inputs(model, x, t, r, cond, tangent)
+    e = (e_in[:1] if one_row else e_in) @ p["embed_w"].T + p["embed_b"]
+    w, b = (p["w0"], p["b0"]) if cfg.hidden else (p["w_out"], p["b_out"])
+    a = (x @ w[:, :dim].T + (p["cond_table"] @ w[:, dim + ed :].T)[cond]
+         + (e @ w[:, dim : dim + ed].T + b))
+    return _reference_layers(model, a, dh)
+
+
+def _concatenated_reference(model, x, t, r, cond, tangent):
+    """The same pass with the first affine map as one product with the
+    concatenated input [x, e, c]: the same terms summed in another order."""
+    cfg, p = model.config, model.params
+    e_in, dh = _reference_inputs(model, x, t, r, cond, tangent)
+    z = np.concatenate([x, e_in @ p["embed_w"].T + p["embed_b"], p["cond_table"][cond]], axis=1)
+    w, b = (p["w0"], p["b0"]) if cfg.hidden else (p["w_out"], p["b_out"])
+    return _reference_layers(model, z @ w.T + b, dh)
 
 
 @pytest.mark.parametrize("r_equals_t", [True, False])
@@ -341,8 +357,8 @@ def test_scalar_times_match_full_vectors(n, hidden, r_equals_t, cond_kind):
     tangent = (dx, 1.0, 0.0)
     t_vec, r_vec = np.full(n, t), np.full(n, r)
 
-    want_u, want_du, _ = _core_reference(model, x, t_vec, r_vec, ids, tangent, blockwise=True)
-    cat_u, cat_du, _ = _core_reference(model, x, t_vec, r_vec, ids, tangent)
+    want_u, want_du, _ = _core_reference(model, x, t_vec, r_vec, ids, tangent, one_row=True)
+    cat_u, cat_du, _ = _concatenated_reference(model, x, t_vec, r_vec, ids, tangent)
     u, du, tape, _ = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
     vu, vdu, vtape, _ = net._core(model, x, t_vec, r_vec, cond, want_tape=True,
                                   tangent=tangent)
@@ -351,7 +367,6 @@ def test_scalar_times_match_full_vectors(n, hidden, r_equals_t, cond_kind):
     assert np.allclose(u, cat_u, rtol=1e-12, atol=1e-12)
     assert np.allclose(du, cat_du, rtol=1e-12, atol=1e-12)
     assert np.array_equal(u, vu) and np.array_equal(du, vdu)
-    assert tape["e_in"].flags.c_contiguous
     assert np.array_equal(tape["e_in"], vtape["e_in"])
     for key in ("inputs", "slope"):
         assert len(tape[key]) == len(vtape[key])
@@ -367,7 +382,7 @@ def test_bitwise_equal_time_vectors_take_the_scalar_pass(n):
     t, r = 0.625, 0.25
     t_vec, r_vec = np.full(n, t), np.full(n, r)
     want = forward(model, x, t, r, cond)
-    block, _, _ = _core_reference(model, x, t_vec, r_vec, cond, (x, 0.0, 0.0), blockwise=True)
+    block, _, _ = _core_reference(model, x, t_vec, r_vec, cond, (x, 0.0, 0.0), one_row=True)
     assert np.array_equal(want, block)
     for tt, rr in [(t_vec, r_vec), (t, r_vec), (t_vec, r)]:
         assert np.array_equal(forward(model, x, tt, rr, cond), want)
@@ -383,11 +398,11 @@ def test_time_vector_mixing_signed_zeros_takes_the_per_sample_path():
     t[1::2] = -0.0
     r = np.zeros(n)
     want, _, _ = _core_reference(model, x, t, r, cond, (x, 0.0, 0.0))
-    block, _, _ = _core_reference(model, x, t, r, cond, (x, 0.0, 0.0), blockwise=True)
-    assert not np.array_equal(want, block)  # so the paths give other bits
     assert np.array_equal(forward(model, x, t, r, cond), want)
     u, _, tape, _ = net._core(model, x, t, r, cond, want_tape=True)
     assert np.array_equal(u, want)
+    # one embedded row would give equal values; the taped sines' signs show
+    # which pass ran
     assert np.array_equal(np.signbit(tape["e_in"][:, 0]), np.signbit(t))
 
 
@@ -401,16 +416,18 @@ def test_features_without_hidden_layers_are_the_network_input(readout):
     x, cond = rng.standard_normal((n, 3)), rng.integers(0, 3, n)
     t, r = 0.4, 0.1
     freqs = cfg.frequencies()
-    ang_t, ang_r = np.full((n, 1), t) * freqs, np.full((n, 1), r) * freqs
+    # scalar times: one time row, embedded once and broadcast to the batch
+    ang_t, ang_r = np.full((1, 1), t) * freqs, np.full((1, 1), r) * freqs
     e_in = np.concatenate([np.sin(ang_t), np.cos(ang_t), np.sin(ang_r), np.cos(ang_r)], axis=1)
-    z = np.concatenate([x, e_in @ p["embed_w"].T + p["embed_b"], p["cond_table"][cond]], axis=1)
+    e = np.repeat(e_in @ p["embed_w"].T + p["embed_b"], n, axis=0)
+    z = np.concatenate([x, e, p["cond_table"][cond]], axis=1)
 
     u, _, tape, _ = net._core(model, x, t, r, cond, want_tape=True, readout=readout)
     assert np.array_equal(tape["inputs"][-1], z)
     untaped, _, _, _ = net._core(model, x, t, r, cond, readout=readout)
     if readout:
         want, _, _ = _core_reference(model, x, np.full(n, t), np.full(n, r), cond,
-                                     (x, 0.0, 0.0), blockwise=True)
+                                     (x, 0.0, 0.0), one_row=True)
     else:
         want = z
     assert np.array_equal(u, want) and np.array_equal(untaped, want)
@@ -710,6 +727,25 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(p)
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("key, value, why", [
+    pytest.param("hidden", "64", "hidden must be a list of integers", id="hidden-string"),
+    pytest.param("hidden", [8.0], "hidden must be a list of integers", id="hidden-float"),
+    pytest.param("hidden", [8, True], "hidden must be a list of integers", id="hidden-bool"),
+    pytest.param("hidden", [8, 0], "hidden layer widths must be >= 1", id="hidden-zero"),
+    pytest.param("dim", 3.0, "dim must be an integer", id="dim-float"),
+    pytest.param("n_freqs", "4", "n_freqs must be an integer", id="n-freqs-string"),
+])
+def test_checkpoint_config_errors_name_the_file(key, value, why, tmp_path):
+    p = tmp_path / "ckpt.json"
+    save_checkpoint(p, small_model(24))
+    obj = json.loads(p.read_text())
+    obj["config"][key] = value
+    p.write_text(json.dumps(obj))
+    with pytest.raises(FileFormatError, match=why) as exc:
+        load_checkpoint(p)
+    assert exc.value.path == str(p)
 
 
 def test_checkpoint_refuses_non_finite(tmp_path):
