@@ -2,18 +2,19 @@
 student.
 
 The loop alternates one discriminator step and one generator step per batch
-once a warmup period ends.  The discriminator scores partially denoised
-states: a frozen copy of the teacher supplies hidden features, and small
-trainable heads map them to one scalar each under a hinge loss.  The heads
-are one stacked dense SiLU layer with a per-head linear readout, so every
-head runs in the same matrix products.  Each discriminator keeps the
-stacked-head buffers (activations, their logistic, the SiLU slopes, and the
-pre-activation gradient in the dead logistic buffer) in a per-thread
-scratch, grown to the largest row count seen: the 512-row discriminator
-step and the 256-row generator step share one set.  A head cache from
-disc_scores therefore lasts only until the next scoring call on the same
-discriminator in the same thread.  The generator
-objective is the mean-velocity distillation loss plus a weighted
+once a warmup period ends; distill_loop alone decides when, and hands
+gen_step the discriminator only then.  The discriminator scores partially
+denoised states: a frozen copy of the teacher supplies hidden features, and
+small trainable heads map them to one scalar each under a hinge loss.  Both
+steps score through disc_scores.  The heads are one stacked dense SiLU
+layer with a per-head linear readout, so every head runs in the same matrix
+products.  Each discriminator keeps the stacked-head buffers (activations,
+their logistic, the SiLU slopes, and the pre-activation gradient in the
+dead logistic buffer) in a per-thread scratch, grown to the largest row
+count seen: the 512-row discriminator step and the 256-row generator step
+share one set.  A head cache from disc_scores therefore lasts only until
+the next scoring call on the same discriminator in the same thread.  The
+generator objective is the mean-velocity distillation loss plus a weighted
 -D(x_r) term whose gradient enters the student through x_r = x_t - (t-r)*u.
 """
 
@@ -113,13 +114,14 @@ def _head_scores(disc: Discriminator, feats: np.ndarray, handle):
     return scores, cache
 
 
-def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray):
+def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray, want_tape=True):
     """Head scores (n, n_heads) for states x at time r.
 
     The trunk sees (x, t=r, r=r) unconditionally; returns (scores, cache)
-    where cache replays the forward pass for the backward helpers.
+    where cache replays the forward pass for the backward helpers; without
+    ``want_tape`` its trunk handle is None, so only the head gradients work.
     """
-    feats, handle = net.hidden_forward(disc.trunk, x, r, r, None)
+    feats, handle = net.hidden_forward(disc.trunk, x, r, r, None, want_tape)
     return _head_scores(disc, feats, handle)
 
 
@@ -167,8 +169,8 @@ def disc_step(
 
     Real states are exact path points x_r = (1-r) x0 + r x1; fakes are the
     student's one-jump estimates x_t - (t-r) u, treated as constants so no
-    gradient reaches the student.  Only the heads train, so the trunk
-    features are computed as disc_scores computes them, but without a tape.
+    gradient reaches the student.  Both halves are scored in one
+    disc_scores call; only the heads train, so the trunk records no tape.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     n = x0.shape[0]
@@ -177,11 +179,9 @@ def disc_step(
     u = net.forward(student, batch.xt, t, r, cond)
     x_fake = batch.xt - (t - r)[:, None] * u
     x_true = (1.0 - r)[:, None] * batch.x0 + r[:, None] * batch.x1
-    rr = np.concatenate([r, r])
-    feats, _, _, _ = net._core(
-        disc.trunk, np.concatenate([x_true, x_fake]), rr, rr, None, readout=False
+    scores, cache = disc_scores(
+        disc, np.concatenate([x_true, x_fake]), np.concatenate([r, r]), want_tape=False
     )
-    scores, cache = _head_scores(disc, feats, None)
     s_true, s_fake = scores[:n], scores[n:]
     loss = losses.hinge_disc_loss(s_true, s_fake)
     up_scores = np.concatenate([
@@ -213,13 +213,12 @@ def gen_step(
     scheduler: flow.TrScheduler,
     opt: net.OptimizerState,
     rng: np.random.Generator,
-    step: int,
-    config: DistillConfig,
+    adv_weight: float,
     cond=None,
     cfg: flow.CfgSpec | None = None,
 ):
-    """One generator update: mean-velocity distillation loss plus, once the
-    warmup ends, adv_weight times the adversarial term.  Returns
+    """One generator update: mean-velocity distillation loss plus, when
+    ``disc`` is given, adv_weight times the adversarial term.  Returns
     (mf_loss, adv_loss or None, total); the discriminator is read-only here.
 
     The student runs once, with the jvp tangent and a tape; both terms'
@@ -228,8 +227,8 @@ def gen_step(
     trunk is unconditional, and it judges the x_r made by that same student
     call.
 
-    The adversarial branch draws nothing from rng, so runs with the term
-    gated off consume exactly the same random stream as a loop of plain
+    The adversarial branch draws nothing from rng, so runs with no
+    discriminator consume exactly the same random stream as a loop of plain
     mean-velocity distillation steps and update the student bit for bit as
     it does.
     """
@@ -243,10 +242,10 @@ def gen_step(
     )
     adv_loss = None
     total = mf_loss
-    if step > config.warmup_steps and config.adv_weight != 0.0 and disc is not None:
+    if disc is not None:
         adv_loss, adv_upstream = _adversarial_upstream(disc, batch.xt, t, r, u)
-        upstream = upstream + config.adv_weight * adv_upstream
-        total = mf_loss + config.adv_weight * adv_loss
+        upstream = upstream + adv_weight * adv_upstream
+        total = mf_loss + adv_weight * adv_loss
     net.adam_step(opt, student, net._tape_backward(student, tape, upstream))
     return mf_loss, adv_loss, total
 
@@ -290,16 +289,15 @@ def distill_loop(
     pinned = 0
     rows = []
     for step in range(1, n_steps + 1):
+        active = adversarial and step > config.warmup_steps
         disc_loss = None
-        if adversarial and step > config.warmup_steps:
+        if active:
             x0_d, cond_d = sample_batch(rng_disc, batch_size)
-            disc_loss = disc_step(
-                disc, student, x0_d, scheduler, disc_opt, rng_disc, cond_d
-            )
+            disc_loss = disc_step(disc, student, x0_d, scheduler, disc_opt, rng_disc, cond_d)
         x0, cond = sample_batch(rng_gen, batch_size)
         mf_loss, adv_loss, _ = gen_step(
-            student, teacher, disc, x0, scheduler, gen_opt, rng_gen,
-            step, config, cond, cfg,
+            student, teacher, disc if active else None, x0, scheduler, gen_opt, rng_gen,
+            config.adv_weight, cond, cfg,
         )
         if not all(np.isfinite(x) for x in (mf_loss, adv_loss, disc_loss) if x is not None):
             raise DivergenceError(step)

@@ -123,7 +123,7 @@ def _interval_loss(model, xt, t, r, cond, v_tgt, clip):
     run one reverse pass.
     """
     tangent = (v_tgt, 1.0, 0.0) if np.any(r != t) else None
-    u, dudt, tape, _ = net._core(model, xt, t, r, cond, want_tape=True, tangent=tangent)
+    u, dudt, tape = net._core(model, xt, t, r, cond, want_tape=True, tangent=tangent)
     target = v_tgt if dudt is None else v_tgt - (t - r)[:, None] * dudt
     g = u - target
     if clip is not None:

@@ -276,7 +276,7 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     rows otherwise.  z is built only for a tape (the w0 gradient) or for
     the features of a model without hidden layers; a shared time row is
     broadcast to the batch there and in the tape's e_in.
-    Returns (u, du or None, tape or None, squeeze)."""
+    Returns (u, du or None, tape or None)."""
     cfg = model.config
     p = model.params
     x2, squeeze = _as_batch(x, cfg.dim)
@@ -353,14 +353,14 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     if squeeze:
         u = u[0]
         du = du[0] if du is not None else None
-    return u, du, tape, squeeze
+    return u, du, tape
 
 
 def forward(model: VelocityModel, x, t, r, cond=None) -> np.ndarray:
     """Evaluate u(x, t, r, cond).  x is (dim,) or (batch, dim); t and r are
     scalars or per-sample vectors; cond is None (unconditional), a scalar id,
     or a per-sample id vector."""
-    u, _, _, _ = _core(model, x, t, r, cond)
+    u, _, _ = _core(model, x, t, r, cond)
     return u
 
 
@@ -400,10 +400,11 @@ def _tape_backward(model, tape, upstream) -> GradTape:
     return GradTape(grads, gx)
 
 
-def hidden_forward(model: VelocityModel, x, t, r, cond=None):
+def hidden_forward(model: VelocityModel, x, t, r, cond=None, want_tape=True):
     """Penultimate hidden activations (the features feeding the output
-    layer) plus a replay handle for hidden_input_gradient."""
-    h, _, tape, _ = _core(model, x, t, r, cond, want_tape=True, readout=False)
+    layer) plus a replay handle for hidden_input_gradient (None unless
+    ``want_tape``)."""
+    h, _, tape = _core(model, x, t, r, cond, want_tape=want_tape, readout=False)
     return h, tape
 
 
@@ -427,10 +428,10 @@ MAX_SKIPS = 20  # consecutive non-finite gradients at which adam_step gives up
 class OptimizerState:
     lr: float = 1e-4
     warmup: int = 1000
-    step: int = 0
-    skipped: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    step: int = field(default=0, init=False)
+    skipped: int = field(default=0, init=False)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0.0):
@@ -450,9 +451,8 @@ def init_optimizer(model: VelocityModel, **kwargs) -> OptimizerState:
     """Fresh state whose moments ``m`` and ``v`` are one flat vector each,
     laid out as the parameters in ``model.params`` order."""
     state = OptimizerState(**kwargs)
-    size = sum(p.size for p in model.params.values())
-    state.m = np.zeros(size)
-    state.v = np.zeros(size)
+    state.m = np.zeros(sum(p.size for p in model.params.values()))
+    state.v = np.zeros_like(state.m)
     return state
 
 

@@ -64,6 +64,7 @@ class SolverConfig:
             )
         if not math.isfinite(self.cfg_scale):
             raise DomainError(f"cfg_scale must be finite, got {self.cfg_scale}")
+        cfg_neutral_scale(self.cfg_mode)  # an unknown mode raises, with or without cond
         if self.max_nfe < 1:
             raise DomainError("max_nfe must be >= 1")
 

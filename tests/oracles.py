@@ -20,7 +20,8 @@ from flowfx.net import GradTape, VelocityModel
 def backward(model: VelocityModel, x, t, r, cond, upstream) -> GradTape:
     """Exact gradients of <forward(model, x, t, r, cond), upstream> with
     respect to every parameter and to x."""
-    u, _, tape, squeeze = net._core(model, x, t, r, cond, want_tape=True)
+    u, _, tape = net._core(model, x, t, r, cond, want_tape=True)
+    squeeze = np.ndim(x) == 1
     up, up_squeeze = net._as_batch(upstream, model.config.dim)
     if up_squeeze != squeeze or up.shape[0] != np.atleast_2d(u).shape[0]:
         raise DomainError("upstream shape does not match output")
@@ -36,7 +37,7 @@ def jvp(model: VelocityModel, x, t, r, cond, tangent):
     Returns (value, derivative); the value is bit-identical to forward
     because both run the same primal expressions.
     """
-    u, du, _, _ = net._core(model, x, t, r, cond, tangent=tangent)
+    u, du, _ = net._core(model, x, t, r, cond, tangent=tangent)
     return u, du
 
 
@@ -85,6 +86,6 @@ def adversarial_grads(
     x_r = x_t - (t-r) u(x_t, t, r); the loss gradient reaches the student
     only through u, as dL/du = -(t-r) dD/dx_r with the trunk frozen.
     """
-    u, _, tape, _ = net._core(student, xt, t, r, cond, want_tape=True)
+    u, _, tape = net._core(student, xt, t, r, cond, want_tape=True)
     adv_loss, upstream = _adversarial_upstream(disc, xt, t, r, u)
     return adv_loss, net._tape_backward(student, tape, upstream)

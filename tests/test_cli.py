@@ -193,6 +193,12 @@ def _unedited(obj):
     pass
 
 
+def _unconditional(obj):
+    """An n_cond = 0 checkpoint: only the null condition row is left."""
+    obj["config"]["n_cond"] = 0
+    obj["params"]["cond_table"] = obj["params"]["cond_table"][-1:]
+
+
 def _ckpt_case(command, edit, *flags):
     def argv(tmp_path):
         ckpt = _edited_checkpoint(tmp_path / "ckpt.json", edit)
@@ -295,6 +301,8 @@ class TestMalformedInputs:
                          id="sample-cfg-scale-nan"),
             pytest.param(_ckpt_case("sample", _unedited, "--cfg-scale", "inf"), 1,
                          id="sample-cfg-scale-inf"),
+            pytest.param(_ckpt_case("sample", _unconditional, "--cfg-mode", "bogus"), 1,
+                         id="sample-unconditional-cfg-mode-unknown"),
             pytest.param(_ckpt_case("distill", _unedited, "--cfg-lo", "9", "--cfg-hi", "1"), 1,
                          id="distill-cfg-range-reversed-unguided"),
             pytest.param(_ckpt_case("distill", _huge_w_out), 3, id="distill-non-finite-loss"),

@@ -71,6 +71,17 @@ class TestDiscriminator:
         s, _ = disc_scores(disc, rng.standard_normal((6, 2)), rng.uniform(0.1, 1, 6))
         assert s.shape == (6, 4)
 
+    def test_untaped_scores_match_taped(self):
+        disc = init_discriminator(_teacher(), np.random.default_rng(10), 4, 16)
+        rng = np.random.default_rng(11)
+        x, r = rng.standard_normal((7, 2)), rng.uniform(0.0, 1.0, 7)
+        scores, cache = disc_scores(disc, x, r)
+        assert cache["handle"] is not None
+        untaped, bare = disc_scores(disc, x, r, want_tape=False)
+        assert bare["handle"] is None
+        assert np.array_equal(untaped, scores)
+        assert np.array_equal(bare["feats"], cache["feats"])
+
     def test_head_gradients_match_finite_differences(self):
         teacher = _teacher()
         disc = init_discriminator(teacher, np.random.default_rng(3), 3, 8)
@@ -217,16 +228,14 @@ class TestHeadScratch:
     """The stacked-head buffers a discriminator reuses across calls change
     no result: warm objects give what fresh copies give, bit for bit."""
 
-    CONFIG = DistillConfig(warmup_steps=10, adv_weight=0.5, lr=1e-3)
-
-    def _iteration(self, state, teacher, step):
+    def _iteration(self, state, teacher):
         disc, student, d_opt, g_opt, rng_d, rng_g = state
         scheduler = flow.TrScheduler()
         x0, cond = _two_mode_batch(rng_d, 256)
         d_loss = disc_step(disc, student, x0, scheduler, d_opt, rng_d, cond)
         x0, cond = _two_mode_batch(rng_g, 256)
         return (d_loss, *gen_step(student, teacher, disc, x0, scheduler, g_opt, rng_g,
-                                  step, self.CONFIG, cond))
+                                  0.5, cond))
 
     def test_iterations_match_fresh_clones(self):
         teacher = _teacher(61)
@@ -239,10 +248,10 @@ class TestHeadScratch:
         # leave buffers of other row counts behind, larger and smaller
         disc_scores(disc, rng.standard_normal((700, 2)), rng.uniform(0.0, 1.0, 700))
         disc_scores(disc, rng.standard_normal((3, 2)), rng.uniform(0.0, 1.0, 3))
-        for step in (11, 12):  # past the warmup: a 512-row disc_step, a 256-row gen_step
+        for _ in range(2):  # adversarial iterations: a 512-row disc_step, a 256-row gen_step
             fresh = copy.deepcopy(state)  # copies start with empty scratch
-            got = self._iteration(state, teacher, step)
-            want = self._iteration(fresh, teacher, step)
+            got = self._iteration(state, teacher)
+            want = self._iteration(fresh, teacher)
             assert got == want and got[2] is not None
             _assert_bitwise_equal(state[0].params, fresh[0].params)
             _assert_bitwise_equal(state[1].params, fresh[1].params)
@@ -356,17 +365,16 @@ class TestAdversarialGrads:
 
 class TestGenStep:
     def test_before_warmup_total_is_mf_only_and_disc_untouched(self):
+        # before the warmup ends distill_loop hands gen_step no discriminator
         teacher = _teacher(51)
         student = teacher.clone()
         disc = init_discriminator(teacher, np.random.default_rng(52), 4, 16)
         before_disc = _snapshot(disc.params)
         opt = net.init_optimizer(student, lr=1e-3)
-        config = DistillConfig(warmup_steps=100, adv_weight=0.5, lr=1e-3)
         rng = np.random.default_rng(53)
         x0 = rng.standard_normal((6, 2))
         mf, adv, total = gen_step(
-            student, teacher, disc, x0, flow.TrScheduler(), opt, rng,
-            step=5, config=config,
+            student, teacher, None, x0, flow.TrScheduler(), opt, rng, adv_weight=0.5,
         )
         assert adv is None
         assert total == mf
@@ -380,12 +388,11 @@ class TestGenStep:
         before_disc = _snapshot(disc.params)
         before_trunk = _snapshot(disc.trunk.params)
         opt = net.init_optimizer(student, lr=1e-3)
-        config = DistillConfig(warmup_steps=3, adv_weight=0.5, lr=1e-3)
         rng = np.random.default_rng(56)
         before_student = _snapshot(student.params)
         mf, adv, total = gen_step(
             student, teacher, disc, rng.standard_normal((6, 2)),
-            flow.TrScheduler(), opt, rng, step=4, config=config,
+            flow.TrScheduler(), opt, rng, adv_weight=0.5,
         )
         assert adv is not None
         assert total == mf + 0.5 * adv
@@ -402,12 +409,11 @@ class TestGenStep:
         student.params["w_out"] = student.params["w_out"] * 0.5  # imperfect student
         frozen = student.clone()
         opt = net.init_optimizer(student, lr=1e-3)
-        config = DistillConfig(warmup_steps=10, adv_weight=0.5, lr=1e-3)
         scheduler = flow.TrScheduler()
         x0 = np.random.default_rng(58).standard_normal((6, 2))
         mf, _, _ = gen_step(
             student, teacher, None, x0, scheduler, opt,
-            np.random.default_rng(59), step=1, config=config,
+            np.random.default_rng(59), adv_weight=0.5,
         )
         # replay the same draws against the pre-step parameters
         rng = np.random.default_rng(59)
@@ -424,16 +430,14 @@ class TestGenStep:
         teacher.params["b_out"] = np.array([0.3, -0.7])
         student = teacher.clone()
         opt = net.init_optimizer(student, lr=1e-3)
-        config = DistillConfig(warmup_steps=10, adv_weight=0.5, lr=1e-3)
         mf, adv, total = gen_step(
             student, teacher, None, np.random.default_rng(61).standard_normal((5, 2)),
-            flow.TrScheduler(p_equal=1.0), opt, np.random.default_rng(62),
-            step=1, config=config,
+            flow.TrScheduler(p_equal=1.0), opt, np.random.default_rng(62), adv_weight=0.5,
         )
         assert mf == 0.0 and total == 0.0 and adv is None
 
 
-def _captured_gen_step(monkeypatch, student, teacher, disc, x0, cond, cfg, seed, config):
+def _captured_gen_step(monkeypatch, student, teacher, disc, x0, cond, cfg, seed, adv_weight):
     """Run gen_step with net.adam_step replaced by a recorder; returns the
     losses it reported and the gradient it handed to the optimizer."""
     captured = []
@@ -445,8 +449,7 @@ def _captured_gen_step(monkeypatch, student, teacher, disc, x0, cond, cfg, seed,
     monkeypatch.setattr(net, "adam_step", record)
     result = gen_step(
         student, teacher, disc, x0, flow.TrScheduler(), net.init_optimizer(student),
-        np.random.default_rng(seed), step=config.warmup_steps + 1, config=config,
-        cond=cond, cfg=cfg,
+        np.random.default_rng(seed), adv_weight, cond=cond, cfg=cfg,
     )
     (tape,) = captured
     return result, tape
@@ -474,9 +477,8 @@ class TestFusedGenStep:
 
     def test_unguided_gradient_is_mf_plus_weighted_adversarial(self, monkeypatch):
         teacher, student, disc, x0, cond = self._setup(101)
-        config = DistillConfig(warmup_steps=0, adv_weight=0.5, lr=1e-3)
         (mf, adv, total), tape = _captured_gen_step(
-            monkeypatch, student, teacher, disc, x0, cond, None, 104, config
+            monkeypatch, student, teacher, disc, x0, cond, None, 104, 0.5
         )
 
         rng = np.random.default_rng(104)
@@ -490,10 +492,9 @@ class TestFusedGenStep:
 
     def test_guided_terms_share_the_dropped_condition_ids(self, monkeypatch):
         teacher, student, disc, x0, cond = self._setup(111)
-        config = DistillConfig(warmup_steps=0, adv_weight=0.5, lr=1e-3)
         guide = flow.CfgSpec(scale_range=(1.0, 3.0), drop_prob=0.5)
         (mf, adv, total), tape = _captured_gen_step(
-            monkeypatch, student, teacher, disc, x0, cond, guide, 114, config
+            monkeypatch, student, teacher, disc, x0, cond, guide, 114, 0.5
         )
 
         rng = np.random.default_rng(114)
@@ -560,6 +561,29 @@ class TestDistillLoop:
             else:
                 assert np.isfinite(adv) and np.isfinite(d_loss)
             assert lr == pytest.approx(1e-3 * min(1.0, step / 1000), abs=0)
+
+    @pytest.mark.parametrize("adv_weight", [0.5, 0.0])
+    def test_gen_step_gets_the_disc_only_after_warmup(self, adv_weight, monkeypatch):
+        handed = []
+        real_gen_step = distill.gen_step
+
+        def record(student, teacher, disc, *args):
+            handed.append(disc)
+            return real_gen_step(student, teacher, disc, *args)
+
+        monkeypatch.setattr(distill, "gen_step", record)
+        teacher = _teacher(76)
+        config = DistillConfig(warmup_steps=3, adv_weight=adv_weight, lr=1e-3)
+        _, disc = distill_loop(
+            teacher.clone(), teacher, _two_mode_batch, n_steps=6, batch_size=4,
+            config=config, rng_gen=np.random.default_rng(94),
+            rng_disc=np.random.default_rng(95),
+        )
+        assert handed[:3] == [None] * 3
+        if adv_weight:
+            assert disc is not None and all(d is disc for d in handed[3:])
+        else:
+            assert handed[3:] == [None] * 3
 
     def test_deterministic_given_seeds(self):
         teacher = _teacher(73)

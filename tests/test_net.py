@@ -332,7 +332,7 @@ def test_core_matches_separate_r_features(r_equals_t, hidden):
     assert np.array_equal(forward(model, x, t, r, cond), want_u)
     u, du = jvp(model, x, t, r, cond, tangent)
     assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
-    u, du, tape, _ = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
+    u, du, tape = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
     assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
     assert len(tape["slope"]) == len(want_slopes)
     assert all(np.array_equal(a, b) for a, b in zip(tape["slope"], want_slopes))
@@ -359,9 +359,9 @@ def test_scalar_times_match_full_vectors(n, hidden, r_equals_t, cond_kind):
 
     want_u, want_du, _ = _core_reference(model, x, t_vec, r_vec, ids, tangent, one_row=True)
     cat_u, cat_du, _ = _concatenated_reference(model, x, t_vec, r_vec, ids, tangent)
-    u, du, tape, _ = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
-    vu, vdu, vtape, _ = net._core(model, x, t_vec, r_vec, cond, want_tape=True,
-                                  tangent=tangent)
+    u, du, tape = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
+    vu, vdu, vtape = net._core(model, x, t_vec, r_vec, cond, want_tape=True,
+                               tangent=tangent)
     assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
     # the concatenated product sums the same terms in another order
     assert np.allclose(u, cat_u, rtol=1e-12, atol=1e-12)
@@ -399,7 +399,7 @@ def test_time_vector_mixing_signed_zeros_takes_the_per_sample_path():
     r = np.zeros(n)
     want, _, _ = _core_reference(model, x, t, r, cond, (x, 0.0, 0.0))
     assert np.array_equal(forward(model, x, t, r, cond), want)
-    u, _, tape, _ = net._core(model, x, t, r, cond, want_tape=True)
+    u, _, tape = net._core(model, x, t, r, cond, want_tape=True)
     assert np.array_equal(u, want)
     # one embedded row would give equal values; the taped sines' signs show
     # which pass ran
@@ -422,9 +422,9 @@ def test_features_without_hidden_layers_are_the_network_input(readout):
     e = np.repeat(e_in @ p["embed_w"].T + p["embed_b"], n, axis=0)
     z = np.concatenate([x, e, p["cond_table"][cond]], axis=1)
 
-    u, _, tape, _ = net._core(model, x, t, r, cond, want_tape=True, readout=readout)
+    u, _, tape = net._core(model, x, t, r, cond, want_tape=True, readout=readout)
     assert np.array_equal(tape["inputs"][-1], z)
-    untaped, _, _, _ = net._core(model, x, t, r, cond, readout=readout)
+    untaped, _, _ = net._core(model, x, t, r, cond, readout=readout)
     if readout:
         want, _, _ = _core_reference(model, x, np.full(n, t), np.full(n, r), cond,
                                      (x, 0.0, 0.0), one_row=True)
@@ -469,7 +469,7 @@ def test_untaped_features_match_hidden_forward():
     rng = np.random.default_rng(26)
     x, r = rng.standard_normal((6, 3)), rng.uniform(0.0, 1.0, 6)
     feats, tape = net.hidden_forward(model, x, r, r, None)
-    untaped, _, no_tape, _ = net._core(model, x, r, r, None, readout=False)
+    untaped, _, no_tape = net._core(model, x, r, r, None, readout=False)
     assert no_tape is None
     assert np.array_equal(untaped, feats) and feats is tape["inputs"][-1]
 
@@ -488,8 +488,8 @@ def _scratch_case(n, seed):
 def _core_outputs(model, n, seed, want_tape, with_tangent):
     """Every array _core hands back for one pass, copied out of its result."""
     x, t, r, cond, tangent = _scratch_case(n, seed)
-    u, du, tape, _ = net._core(model, x, t, r, cond, want_tape=want_tape,
-                               tangent=tangent if with_tangent else None)
+    u, du, tape = net._core(model, x, t, r, cond, want_tape=want_tape,
+                            tangent=tangent if with_tangent else None)
     got = [u, du]
     if tape is not None:
         got += [tape["e_in"], *tape["inputs"], *tape["slope"]]
@@ -516,14 +516,14 @@ def test_tape_survives_later_calls_on_the_same_model():
     model = init_model(SCRATCH, np.random.default_rng(32))
     x, t, r, cond, tangent = _scratch_case(64, 33)
     up = np.random.default_rng(34).standard_normal((64, 3))
-    _, _, tape, _ = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
+    _, _, tape = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
     for n in (64, 1024, 16):
         xs, ts, rs, cs, tans = _scratch_case(n, 35 + n)
         net._core(model, xs, ts, rs, cs, want_tape=True, tangent=tans)
         forward(model, xs, ts, rs, cs)
     got = net._tape_backward(model, tape, up)
     fresh = model.clone()
-    _, _, fresh_tape, _ = net._core(fresh, x, t, r, cond, want_tape=True, tangent=tangent)
+    _, _, fresh_tape = net._core(fresh, x, t, r, cond, want_tape=True, tangent=tangent)
     want = net._tape_backward(fresh, fresh_tape, up)
     assert np.array_equal(got.grad_x, want.grad_x)
     for k in want.grads:

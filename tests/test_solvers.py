@@ -21,6 +21,12 @@ def test_config_validation():
         SolverConfig(kind="dopri5", atol=0.0)
 
 
+def test_unknown_cfg_mode_rejected_at_construction():
+    # _field reads the mode only for conditional fields; the config checks it always
+    with pytest.raises(DomainError, match="bogus"):
+        SolverConfig(cfg_mode="bogus")
+
+
 def test_euler_constant_field_one_step_exact():
     # dyadic values make the arithmetic exact, not just close
     x0 = np.array([0.5, -0.25])
