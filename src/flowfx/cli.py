@@ -200,7 +200,9 @@ def cmd_codec(cfg: RunConfig, input_path) -> None:
     st = dsp.StftConfig(n_fft=cfg.values["n_fft"], hop=cfg.values["hop"])
     spec = dsp.stft(audio, st)
     head = dsp.complex_to_head(spec)
-    recon_samples = dsp.istft(dsp.head_to_complex(head, st), length=len(audio.samples))
+    # unnamed, the coefficients are freed before the metrics' memory peak
+    recon_samples = dsp.istft(dsp.ComplexSpectrogram(dsp.head_to_complex(head), st),
+                              len(audio.samples))
     recon = dsp.AudioBuffer(recon_samples, audio.sample_rate)
     dsp.write_wav(cfg.out_dir / "reconstructed.wav", recon)
     if np.any(audio.samples != 0.0):
@@ -295,6 +297,8 @@ def cmd_sample(cfg: RunConfig, ckpt_path) -> None:
     n = v["n"]
     if n < 1:
         raise ConfigError("n must be >= 1")
+    if v["cond"] < -1:
+        raise ConfigError(f"cond must be a condition id or -1, got {v['cond']}")
     rng = np.random.default_rng(cfg.seed)
     x1 = rng.standard_normal((n, model.config.dim))
     if model.config.n_cond == 0:

@@ -4,15 +4,16 @@ student.
 The loop alternates one discriminator step and one generator step per batch
 once a warmup period ends; distill_loop alone decides when, and hands
 gen_step the discriminator only then.  The discriminator scores partially
-denoised states: a frozen copy of the teacher supplies hidden features, and
-small trainable heads map them to one scalar each under a hinge loss.  Both
-steps score through disc_scores.  The heads are one stacked dense SiLU
-layer with a per-head linear readout, so every head runs in the same matrix
-products.  Each discriminator keeps the stacked-head buffers (activations,
-their logistic, the SiLU slopes, and the pre-activation gradient in the
-dead logistic buffer) in a per-thread scratch, grown to the largest row
-count seen: the 512-row discriminator step and the 256-row generator step
-share one set.  A head cache from disc_scores therefore lasts only until
+denoised states: a frozen copy of the teacher supplies its last hidden
+activations as features, and small trainable heads map them to one scalar
+each under a hinge loss.  Both steps draw their own (t, r) pairs with
+flow.sample_times and score through disc_scores.  The heads are one
+stacked dense SiLU layer with a per-head linear readout, so every head runs
+in the same matrix products.  Each discriminator keeps the stacked-head
+buffers (activations, their logistic, the SiLU slopes, and the
+pre-activation gradient in the dead logistic buffer) in a per-thread
+scratch, grown to the largest row count seen: the 512-row discriminator
+step and the 256-row generator step share one set.  A head cache from disc_scores therefore lasts only until
 the next scoring call on the same discriminator in the same thread.  The
 generator objective is the mean-velocity distillation loss plus a weighted
 -D(x_r) term whose gradient enters the student through x_r = x_t - (t-r)*u.
@@ -76,8 +77,7 @@ def init_discriminator(
 ) -> Discriminator:
     if n_heads < 1 or head_hidden < 1:
         raise DomainError("need at least one head and one hidden unit")
-    # with no hidden layer the trunk features are the network input itself
-    feat_dim = (teacher.config.hidden or (teacher.config.in_dim,))[-1]
+    feat_dim = teacher.config.hidden[-1]
     w1, w2 = [], []
     for _ in range(n_heads):  # head by head, so a seed gives the same numbers
         w1.append(rng.normal(0.0, (2.0 / feat_dim) ** 0.5, (head_hidden, feat_dim)))
@@ -160,12 +160,12 @@ def disc_step(
     disc: Discriminator,
     student: net.VelocityModel,
     x0: np.ndarray,
-    scheduler: flow.TrScheduler,
     opt: net.OptimizerState,
     rng: np.random.Generator,
     cond=None,
 ) -> float:
-    """One hinge-loss discriminator update on fresh (t, r) draws.
+    """One hinge-loss discriminator update on fresh (t, r) draws from
+    flow.sample_times.
 
     Real states are exact path points x_r = (1-r) x0 + r x1; fakes are the
     student's one-jump estimates x_t - (t-r) u, treated as constants so no
@@ -174,7 +174,7 @@ def disc_step(
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     n = x0.shape[0]
-    t, r = scheduler.sample(rng, n)
+    t, r = flow.sample_times(rng, n)
     batch = flow.sample_path(x0, rng, t=t)
     u = net.forward(student, batch.xt, t, r, cond)
     x_fake = batch.xt - (t - r)[:, None] * u
@@ -210,16 +210,16 @@ def gen_step(
     teacher: net.VelocityModel,
     disc: Discriminator | None,
     x0: np.ndarray,
-    scheduler: flow.TrScheduler,
     opt: net.OptimizerState,
     rng: np.random.Generator,
     adv_weight: float,
     cond=None,
     cfg: flow.CfgSpec | None = None,
 ):
-    """One generator update: mean-velocity distillation loss plus, when
-    ``disc`` is given, adv_weight times the adversarial term.  Returns
-    (mf_loss, adv_loss or None, total); the discriminator is read-only here.
+    """One generator update on fresh (t, r) draws from flow.sample_times:
+    mean-velocity distillation loss plus, when ``disc`` is given, adv_weight
+    times the adversarial term.  Returns (mf_loss, adv_loss or None, total);
+    the discriminator is read-only here.
 
     The student runs once, with the jvp tangent and a tape; both terms'
     upstreams on u are summed and backpropagated in one reverse pass.  Both
@@ -234,7 +234,7 @@ def gen_step(
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     n = x0.shape[0]
-    t, r = scheduler.sample(rng, n)
+    t, r = flow.sample_times(rng, n)
     batch = flow.sample_path(x0, rng, t=t)
     v_tgt, cond_ids = flow._distill_target(teacher, batch, cond, cfg, rng)
     mf_loss, u, upstream, tape = flow._interval_loss(
@@ -277,7 +277,6 @@ def distill_loop(
     """
     if n_steps < 0 or batch_size < 1:
         raise DomainError("need n_steps >= 0 and batch_size >= 1")
-    scheduler = flow.TrScheduler()
     gen_opt = net.init_optimizer(student, lr=config.lr)
     adversarial = config.adv_weight != 0.0
     if adversarial:
@@ -293,10 +292,10 @@ def distill_loop(
         disc_loss = None
         if active:
             x0_d, cond_d = sample_batch(rng_disc, batch_size)
-            disc_loss = disc_step(disc, student, x0_d, scheduler, disc_opt, rng_disc, cond_d)
+            disc_loss = disc_step(disc, student, x0_d, disc_opt, rng_disc, cond_d)
         x0, cond = sample_batch(rng_gen, batch_size)
         mf_loss, adv_loss, _ = gen_step(
-            student, teacher, disc if active else None, x0, scheduler, gen_opt, rng_gen,
+            student, teacher, disc if active else None, x0, gen_opt, rng_gen,
             config.adv_weight, cond, cfg,
         )
         if not all(np.isfinite(x) for x in (mf_loss, adv_loss, disc_loss) if x is not None):

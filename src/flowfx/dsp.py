@@ -142,20 +142,19 @@ def stft(audio: AudioBuffer, config: StftConfig = StftConfig()) -> ComplexSpectr
     return ComplexSpectrogram(np.fft.rfft(segments, axis=1), config)
 
 
-def istft(spec: ComplexSpectrogram, length: int | None = None) -> np.ndarray:
+def istft(spec: ComplexSpectrogram, length: int) -> np.ndarray:
     """Inverse STFT by windowed overlap-add with window-square normalization.
 
-    ``length`` selects how many samples to return after trimming the analysis
-    padding; it defaults to ``frames * hop``.  Returns the raw sample vector
-    (callers attach the sample rate).
+    ``length`` is how many samples to return after trimming the analysis
+    padding, at most ``frames * hop``; callers pass the length of the signal
+    they analysed.  Returns the raw sample vector (callers attach the sample
+    rate).
     """
     cfg = spec.config
     n_fft, hop = cfg.n_fft, cfg.hop
     frames = spec.frames
     if frames == 0:
         raise DomainError("cannot invert an empty spectrogram")
-    if length is None:
-        length = frames * hop
     if length <= 0 or length > frames * hop:
         raise DomainError(
             f"length {length} not representable by {frames} frames of hop {hop}"
@@ -201,25 +200,21 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def head_to_complex(h: HeadOutput, config: StftConfig | None = None):
-    """Turn head pre-activations into complex STFT coefficients.
+def head_to_complex(h: HeadOutput) -> np.ndarray:
+    """Turn head pre-activations into an array of complex STFT coefficients
+    of h's shape.
 
     The magnitude is ``softplus(m)``; the phase direction is the unit vector
     of ``(x_raw, y_raw)``, so any positive scaling of the raw pair leaves the
     coefficient unchanged and no phase wrapping can occur.  The degenerate
     all-zero raw pair maps to phase 0.
-
-    When ``config`` is given the result is wrapped as a ComplexSpectrogram.
     """
     mag = softplus(h.m)
     norm = np.hypot(h.x_raw, h.y_raw)
     safe = np.where(norm == 0.0, 1.0, norm)
     cos = np.where(norm == 0.0, 1.0, h.x_raw / safe)
     sin = np.where(norm == 0.0, 0.0, h.y_raw / safe)
-    coeffs = mag * cos + 1j * (mag * sin)
-    if config is None:
-        return coeffs
-    return ComplexSpectrogram(coeffs, config)
+    return mag * cos + 1j * (mag * sin)
 
 
 def complex_to_head(spec: ComplexSpectrogram) -> HeadOutput:

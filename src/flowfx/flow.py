@@ -11,8 +11,8 @@ three are one interval loss that differs only in its target and clipping,
 and each runs the network's primal pass once.
 
 fm_loss and meanflow_loss return (value, GradTape); all three are
-deterministic given their inputs; (t, r) sampling and noise draws happen in the callers through
-TrScheduler and sample_path, which keeps the losses replayable.
+deterministic given their inputs.  The callers draw (t, r) pairs with
+sample_times and noise with sample_path, which keeps the losses replayable.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .errors import DomainError
 from .losses import cfg_combine
 
 CLIP_BOUNDS = (-1.0, 1.0)
+T_MIN = 0.001  # every path position t is drawn from U(T_MIN, 1)
+P_EQUAL = 0.5  # share of (t, r) pairs that collapse to r = t
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class PathSample:
 def sample_path(x0: np.ndarray, rng: np.random.Generator, t=None) -> PathSample:
     """Draw noise endpoints and path positions for a data batch.
 
-    t ~ U(0.001, 1) per sample unless forced via ``t``; x1 is standard
+    t ~ U(T_MIN, 1) per sample unless forced via ``t``; x1 is standard
     normal.  xt and v_target follow the PathSample invariants exactly.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
@@ -52,37 +54,24 @@ def sample_path(x0: np.ndarray, rng: np.random.Generator, t=None) -> PathSample:
     n = x0.shape[0]
     x1 = rng.standard_normal(x0.shape)
     if t is None:
-        t = rng.uniform(0.001, 1.0, n)
+        t = rng.uniform(T_MIN, 1.0, n)
     else:
         t = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,)).copy()
     xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
     return PathSample(x0=x0, x1=x1, t=t, xt=xt, v_target=x1 - x0)
 
 
-@dataclass(frozen=True)
-class TrScheduler:
-    """Sampler for (t, r) pairs with 0 <= r <= t.
+def sample_times(rng: np.random.Generator, n: int):
+    """n pairs (t, r) with 0 <= r <= t.
 
-    t ~ U(t_min, t_max); with probability p_equal the pair collapses to
-    r = t, otherwise r ~ U(0, t).  Draw order per call: t block, then the
-    collapse coin block, then the r block, so seeded runs replay exactly.
+    t ~ U(T_MIN, 1); with probability P_EQUAL the pair collapses to r = t,
+    otherwise r ~ U(0, t).  Draw order per call: t block, then the collapse
+    coin block, then the r block, so seeded runs replay exactly.
     """
-
-    t_min: float = 0.001
-    t_max: float = 1.0
-    p_equal: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 <= self.t_min <= self.t_max <= 1.0):
-            raise DomainError("need 0 <= t_min <= t_max <= 1")
-        if not (0.0 <= self.p_equal <= 1.0):
-            raise DomainError("p_equal must lie in [0, 1]")
-
-    def sample(self, rng: np.random.Generator, n: int):
-        t = rng.uniform(self.t_min, self.t_max, n)
-        equal = rng.random(n) < self.p_equal
-        r = np.where(equal, t, rng.random(n) * t)
-        return t, r
+    t = rng.uniform(T_MIN, 1.0, n)
+    equal = rng.random(n) < P_EQUAL
+    r = np.where(equal, t, rng.random(n) * t)
+    return t, r
 
 
 def apply_cond_dropout(cond, drop_prob: float, rng: np.random.Generator, null_id: int):
@@ -200,10 +189,7 @@ def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng):
         return net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids), cond_ids
     cond_ids = apply_cond_dropout(cond_ids, cfg.drop_prob, rng, teacher.config.null_cond)
     lo, hi = cfg.scale_range
-    w = rng.uniform(lo, hi, batch.xt.shape[0]) if hi > lo else np.full(
-        batch.xt.shape[0], lo
-    )
+    scale = rng.uniform(lo, hi, batch.xt.shape[0])[:, None] if hi > lo else lo
     v_c = net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids)
     v_u = net.forward(teacher, batch.xt, batch.t, batch.t, None)
-    scale = float(w[0]) if np.all(w == w[0]) else w[:, None]
     return cfg_combine(v_c, v_u, scale), cond_ids

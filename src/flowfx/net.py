@@ -5,9 +5,9 @@ parameters only.
 
 The model computes u(x, t, r, cond): the input is the concatenation of x, a
 learned linear map of sinusoidal (t, r) features, and a learned condition
-embedding (with a dedicated null row for unconditional passes); hidden layers
-use SiLU, a * _logistic(a), where _logistic is 1 / (1 + exp(-a)) on numpy's
-exp; the output layer is linear.
+embedding (with a dedicated null row for unconditional passes); one or more
+hidden layers use SiLU, a * _logistic(a), where _logistic is 1 / (1 + exp(-a))
+on numpy's exp; the output layer is linear.
 
 Every pass is one run of ``_core``, the shared primal pass, so all of them
 evaluate the same expressions in the same order.  Forward mode rides along
@@ -74,6 +74,8 @@ class ModelConfig:
         if self.n_freqs < 1 or self.freq_min <= 0 or self.freq_max < self.freq_min:
             raise DomainError("bad frequency ladder")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if not self.hidden:
+            raise DomainError("need at least one hidden layer")
         if any(h < 1 for h in self.hidden):
             raise DomainError("hidden layer widths must be >= 1")
 
@@ -266,16 +268,14 @@ def _silu(a, s, want_slope=True, slope_out=None):
 def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     """Shared primal pass.  Optionally records a tape for _tape_backward
     and/or propagates a (dx, dt, dr) tangent in lockstep with the primal ops.
-    With ``readout`` false the pass stops at the last hidden activations
-    (the network input z = [x, e, c] for a model without hidden layers),
+    With ``readout`` false the pass stops at the last hidden activations,
     which then stand in for u (and du).
 
-    The first affine map (w0/b0, or w_out/b_out without hidden layers) is
-    x @ Wx.T, plus (cond_table @ Wc.T)[ids], plus e @ We.T + b, where the
-    time embedding e has one row when the batch shares one (t, r) and n
-    rows otherwise.  z is built only for a tape (the w0 gradient) or for
-    the features of a model without hidden layers; a shared time row is
-    broadcast to the batch there and in the tape's e_in.
+    The first affine map w0/b0 is x @ Wx.T, plus (cond_table @ Wc.T)[ids],
+    plus e @ We.T + b0, where the time embedding e has one row when the
+    batch shares one (t, r) and n rows otherwise.  The network input
+    z = [x, e, c] is built only for a tape (the w0 gradient); a shared time
+    row is broadcast to the batch there and in the tape's e_in.
     Returns (u, du or None, tape or None)."""
     cfg = model.config
     p = model.params
@@ -297,13 +297,10 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     e = e_in @ p["embed_w"].T + p["embed_b"]
 
     dim, ed = cfg.dim, cfg.embed_dim
-    w, b = (p["w0"], p["b0"]) if cfg.hidden else (p["w_out"], p["b_out"])
+    w = p["w0"]
     a = x2 @ w[:, :dim].T
     a += (p["cond_table"] @ w[:, dim + ed :].T)[ids]
-    a += e @ w[:, dim : dim + ed].T + b
-    z = None
-    if want_tape or not (cfg.hidden or readout):
-        z = np.concatenate([x2, np.broadcast_to(e, (n, ed)), p["cond_table"][ids]], axis=1)
+    a += e @ w[:, dim : dim + ed].T + p["b0"]
 
     dh = None
     if tangent is not None:
@@ -325,27 +322,24 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     tape = None
     if want_tape:
         e_in = np.broadcast_to(e_in, (n, e_in.shape[1]))
-        tape = {"e_in": e_in, "ids": ids, "inputs": [], "slope": []}
+        z = np.concatenate([x2, np.broadcast_to(e, (n, ed)), p["cond_table"][ids]], axis=1)
+        tape = {"e_in": e_in, "ids": ids, "inputs": [z], "slope": []}
 
-    h = z
+    h = a
     for i in range(len(cfg.hidden)):
-        if want_tape:
-            tape["inputs"].append(h)
         if i:
-            a = h @ p[f"w{i}"].T
-            a += p[f"b{i}"]
-        h = a
+            h = h @ p[f"w{i}"].T
+            h += p[f"b{i}"]
         s = model._scratch.take("logistic", n, h.shape[1])
         slope = _silu(h, s, want_tape or tangent is not None)
         if want_tape:
+            tape["inputs"].append(h)
             tape["slope"].append(slope)
         if tangent is not None:
             dh = dh @ p[f"w{i}"].T
             dh *= slope
-    if want_tape:
-        tape["inputs"].append(h)
     if readout:
-        u = h @ p["w_out"].T + p["b_out"] if cfg.hidden else a
+        u = h @ p["w_out"].T + p["b_out"]
         du = dh @ p["w_out"].T if tangent is not None else None
     else:
         u, du = h, dh

@@ -185,6 +185,14 @@ def _hidden_as_string(obj):
     obj["config"]["hidden"] = "8"
 
 
+def _no_hidden_layers(obj):
+    """A model whose readout takes the network input [x, e, c] directly."""
+    width = len(obj["params"].pop("w0")[0])
+    del obj["params"]["b0"]
+    obj["config"]["hidden"] = []
+    obj["params"]["w_out"] = [[0.0] * width for _ in obj["params"]["w_out"]]
+
+
 def _huge_w_out(obj):
     obj["params"]["w_out"] = [[1e300 * v for v in row] for row in obj["params"]["w_out"]]
 
@@ -348,6 +356,10 @@ class TestMalformedInputs:
                          id="sample-checkpoint-nested-100k"),
             pytest.param(_ckpt_case("sample", _hidden_as_string), 2,
                          id="sample-hidden-not-a-list"),
+            pytest.param(_ckpt_case("sample", _no_hidden_layers), 2,
+                         id="sample-no-hidden-layers"),
+            pytest.param(_ckpt_case("sample", _unedited, "--cond", "-7"), 1,
+                         id="sample-cond-below-minus-one"),
             # numpy refuses these TiB-scale arrays at once, without touching memory
             pytest.param(_ckpt_case("sample", _unedited, "--n", "1000000000000"), 1,
                          id="sample-n-unallocatable"),
@@ -561,14 +573,12 @@ class TestDistillCommand:
         assert rc == 1
         assert "dim" in capsys.readouterr().err
 
-    def test_teacher_without_hidden_layers(self, tmp_path):
-        ckpt = tmp_path / "flat.json"
-        net.save_checkpoint(ckpt, net.init_model(ring_model_config(()), np.random.default_rng(0)))
-        rc = main(["distill", str(ckpt), "--steps", "3", "--warmup-steps", "1",
-                   "--batch-size", "16", "--out", str(tmp_path / "o")])
-        assert rc == 0
-        _, rows = read_log(tmp_path / "o" / "distill_log.csv")
-        assert [row[3] != "" for row in rows] == [False, True, True]
+    def test_teacher_without_hidden_layers(self, tmp_path, capsys):
+        assert main(_ckpt_case("distill", _no_hidden_layers)(tmp_path)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert "bad model config: need at least one hidden layer" in lines[0]
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_stops_at_first_non_finite_step(self, tmp_path, monkeypatch, capsys):
         calls = []

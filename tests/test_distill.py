@@ -48,6 +48,12 @@ def _assert_bitwise_equal(a, b):
         assert np.array_equal(a[k], b[k]), k
 
 
+def _equal_times(rng, n):
+    """flow.sample_times with every pair collapsed to r = t."""
+    t = rng.uniform(flow.T_MIN, 1.0, n)
+    return t, t.copy()
+
+
 def _two_mode_batch(rng, n):
     labels = rng.integers(0, 2, n)
     centers = np.where(labels[:, None] == 0, -0.8, 0.8)
@@ -230,12 +236,10 @@ class TestHeadScratch:
 
     def _iteration(self, state, teacher):
         disc, student, d_opt, g_opt, rng_d, rng_g = state
-        scheduler = flow.TrScheduler()
         x0, cond = _two_mode_batch(rng_d, 256)
-        d_loss = disc_step(disc, student, x0, scheduler, d_opt, rng_d, cond)
+        d_loss = disc_step(disc, student, x0, d_opt, rng_d, cond)
         x0, cond = _two_mode_batch(rng_g, 256)
-        return (d_loss, *gen_step(student, teacher, disc, x0, scheduler, g_opt, rng_g,
-                                  0.5, cond))
+        return (d_loss, *gen_step(student, teacher, disc, x0, g_opt, rng_g, 0.5, cond))
 
     def test_iterations_match_fresh_clones(self):
         teacher = _teacher(61)
@@ -280,7 +284,7 @@ class TestDiscStep:
         opt = net.init_optimizer(disc, lr=1e-3)
         rng = np.random.default_rng(13)
         x0 = 0.5 * np.random.default_rng(14).standard_normal((8, 2))
-        loss = disc_step(disc, student, x0, flow.TrScheduler(), opt, rng)
+        loss = disc_step(disc, student, x0, opt, rng)
         assert loss == 1.980535122821055
 
     def test_student_and_trunk_untouched(self):
@@ -293,7 +297,7 @@ class TestDiscStep:
         before_heads = _snapshot(disc.params)
         disc_step(
             disc, student, np.random.default_rng(14).standard_normal((8, 2)),
-            flow.TrScheduler(), opt, np.random.default_rng(13),
+            opt, np.random.default_rng(13),
         )
         _assert_bitwise_equal(student.params, before_student)
         _assert_bitwise_equal(disc.trunk.params, before_trunk)
@@ -301,15 +305,16 @@ class TestDiscStep:
         changed = [k for k in disc.params if not np.array_equal(disc.params[k], before_heads[k])]
         assert changed  # heads actually trained
 
-    def test_equal_times_make_both_branches_share_input(self):
+    def test_equal_times_make_both_branches_share_input(self, monkeypatch):
         # With r = t the fake x_t - 0*u and the true (1-t)x0 + t*x1 coincide,
         # so the hinge loss is at least 2 regardless of the discriminator.
+        monkeypatch.setattr(flow, "sample_times", _equal_times)
         teacher = _teacher(21)
         disc = init_discriminator(teacher, np.random.default_rng(22), 4, 16)
         opt = net.init_optimizer(disc, lr=1e-3)
         loss = disc_step(
             disc, teacher.clone(), np.random.default_rng(23).standard_normal((10, 2)),
-            flow.TrScheduler(p_equal=1.0), opt, np.random.default_rng(24),
+            opt, np.random.default_rng(24),
         )
         assert loss >= 2.0 - 1e-12
 
@@ -374,7 +379,7 @@ class TestGenStep:
         rng = np.random.default_rng(53)
         x0 = rng.standard_normal((6, 2))
         mf, adv, total = gen_step(
-            student, teacher, None, x0, flow.TrScheduler(), opt, rng, adv_weight=0.5,
+            student, teacher, None, x0, opt, rng, adv_weight=0.5,
         )
         assert adv is None
         assert total == mf
@@ -391,8 +396,7 @@ class TestGenStep:
         rng = np.random.default_rng(56)
         before_student = _snapshot(student.params)
         mf, adv, total = gen_step(
-            student, teacher, disc, rng.standard_normal((6, 2)),
-            flow.TrScheduler(), opt, rng, adv_weight=0.5,
+            student, teacher, disc, rng.standard_normal((6, 2)), opt, rng, adv_weight=0.5,
         )
         assert adv is not None
         assert total == mf + 0.5 * adv
@@ -409,22 +413,21 @@ class TestGenStep:
         student.params["w_out"] = student.params["w_out"] * 0.5  # imperfect student
         frozen = student.clone()
         opt = net.init_optimizer(student, lr=1e-3)
-        scheduler = flow.TrScheduler()
         x0 = np.random.default_rng(58).standard_normal((6, 2))
         mf, _, _ = gen_step(
-            student, teacher, None, x0, scheduler, opt,
-            np.random.default_rng(59), adv_weight=0.5,
+            student, teacher, None, x0, opt, np.random.default_rng(59), adv_weight=0.5,
         )
         # replay the same draws against the pre-step parameters
         rng = np.random.default_rng(59)
-        t, r = scheduler.sample(rng, 6)
+        t, r = flow.sample_times(rng, 6)
         batch = flow.sample_path(x0, rng, t=t)
         v_tgt = net.forward(teacher, batch.xt, t, t, None)
         u, dudt = jvp(frozen, batch.xt, t, r, None, (v_tgt, 1.0, 0.0))
         g = np.clip(u - (v_tgt - (t - r)[:, None] * dudt), -1.0, 1.0)
         assert mf == pytest.approx(float(np.mean(g * g)), abs=1e-10)
 
-    def test_constant_field_self_distillation_is_exact_zero(self):
+    def test_constant_field_self_distillation_is_exact_zero(self, monkeypatch):
+        monkeypatch.setattr(flow, "sample_times", _equal_times)
         teacher = _teacher(60)
         teacher.params["w_out"] = np.zeros_like(teacher.params["w_out"])
         teacher.params["b_out"] = np.array([0.3, -0.7])
@@ -432,7 +435,7 @@ class TestGenStep:
         opt = net.init_optimizer(student, lr=1e-3)
         mf, adv, total = gen_step(
             student, teacher, None, np.random.default_rng(61).standard_normal((5, 2)),
-            flow.TrScheduler(p_equal=1.0), opt, np.random.default_rng(62), adv_weight=0.5,
+            opt, np.random.default_rng(62), adv_weight=0.5,
         )
         assert mf == 0.0 and total == 0.0 and adv is None
 
@@ -448,7 +451,7 @@ def _captured_gen_step(monkeypatch, student, teacher, disc, x0, cond, cfg, seed,
 
     monkeypatch.setattr(net, "adam_step", record)
     result = gen_step(
-        student, teacher, disc, x0, flow.TrScheduler(), net.init_optimizer(student),
+        student, teacher, disc, x0, net.init_optimizer(student),
         np.random.default_rng(seed), adv_weight, cond=cond, cfg=cfg,
     )
     (tape,) = captured
@@ -482,7 +485,7 @@ class TestFusedGenStep:
         )
 
         rng = np.random.default_rng(104)
-        t, r = flow.TrScheduler().sample(rng, 16)
+        t, r = flow.sample_times(rng, 16)
         batch = flow.sample_path(x0, rng, t=t)
         mf_ref, mf_tape = meanflow_distill_loss(student, teacher, batch, r, cond)
         adv_ref, adv_tape = adversarial_grads(student, disc, batch.xt, t, r, cond)
@@ -498,7 +501,7 @@ class TestFusedGenStep:
         )
 
         rng = np.random.default_rng(114)
-        t, r = flow.TrScheduler().sample(rng, 16)
+        t, r = flow.sample_times(rng, 16)
         batch = flow.sample_path(x0, rng, t=t)
         # dropout is the first draw of the guided target: replay it on a copy
         dropped = flow.apply_cond_dropout(
@@ -528,12 +531,11 @@ class TestDistillLoop:
         assert disc is None
 
         rng = np.random.default_rng(42)
-        scheduler = flow.TrScheduler()
         opt = net.init_optimizer(student_b, lr=config.lr)
         manual = []
         for _ in range(12):
             x0, cond = _two_mode_batch(rng, 6)
-            t, r = scheduler.sample(rng, 6)
+            t, r = flow.sample_times(rng, 6)
             batch = flow.sample_path(x0, rng, t=t)
             loss, tape = meanflow_distill_loss(
                 student_b, teacher, batch, r, cond, None, rng

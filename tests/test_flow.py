@@ -5,11 +5,11 @@ from flowfx.errors import DomainError
 from flowfx.flow import (
     CfgSpec,
     PathSample,
-    TrScheduler,
     apply_cond_dropout,
     fm_loss,
     meanflow_loss,
     sample_path,
+    sample_times,
 )
 from flowfx.losses import cfg_combine
 from flowfx.net import ModelConfig, adam_step, forward, init_model, init_optimizer
@@ -24,7 +24,8 @@ def small_model(seed=0):
 
 
 def constant_field_model(c, dim=1):
-    cfg = ModelConfig(dim=dim, hidden=(), n_cond=0, cond_dim=2, embed_dim=2, n_freqs=1)
+    # every weight zero, so the one hidden layer reads 0 and u = b_out
+    cfg = ModelConfig(dim=dim, hidden=(1,), n_cond=0, cond_dim=2, embed_dim=2, n_freqs=1)
     model = init_model(cfg, np.random.default_rng(0))
     for k in model.params:
         model.params[k][:] = 0.0
@@ -61,24 +62,21 @@ def test_velocity_target_independent_of_t():
 
 def test_scheduler_bounds_and_collapse():
     rng = np.random.default_rng(5)
-    sched = TrScheduler()
-    t, r = sched.sample(rng, 10000)
+    t, r = sample_times(rng, 10000)
     assert np.all(t >= 0.001) and np.all(t <= 1.0)
     assert np.all(r >= 0.0) and np.all(r <= t)
     frac_equal = np.mean(r == t)
-    assert 0.47 <= frac_equal <= 0.53  # p_equal = 0.5 within 3 sigma
-
-    t, r = TrScheduler(p_equal=1.0).sample(np.random.default_rng(0), 100)
-    assert np.array_equal(t, r)
-    t, r = TrScheduler(p_equal=0.0).sample(np.random.default_rng(0), 100)
-    assert np.all(r < t)
+    assert 0.47 <= frac_equal <= 0.53  # P_EQUAL = 0.5 within 3 sigma
 
 
-def test_scheduler_validation():
-    with pytest.raises(DomainError):
-        TrScheduler(t_min=-0.1)
-    with pytest.raises(DomainError):
-        TrScheduler(p_equal=1.5)
+def test_sample_times_draw_order():
+    # the t block, then the collapse coins, then the r block
+    t, r = sample_times(np.random.default_rng(6), 64)
+    rng = np.random.default_rng(6)
+    want_t = rng.uniform(0.001, 1.0, 64)
+    equal = rng.random(64) < 0.5
+    want_r = np.where(equal, want_t, rng.random(64) * want_t)
+    assert np.array_equal(t, want_t) and np.array_equal(r, want_r)
 
 
 def test_cond_dropout_fraction():
@@ -201,7 +199,7 @@ def test_meanflow_value_is_clipped_residual_norm():
     model = small_model(41)
     # inflate the target so some residuals clip
     batch = sample_path(5.0 * rng.standard_normal((8, 2)), rng)
-    t, r = TrScheduler().sample(rng, 8)
+    t, r = sample_times(rng, 8)
     batch = PathSample(batch.x0, batch.x1, t, _mix(batch.x0, batch.x1, t), batch.x1 - batch.x0)
     loss, _ = meanflow_loss(model, batch, r)
     u, dudt = jvp(model, batch.xt, t, r, None, (batch.v_target, 1.0, 0.0))
@@ -264,7 +262,7 @@ def test_distill_cfg_neutral_matches_pure_conditional():
     student = small_model(54)
     rng = np.random.default_rng(55)
     batch = sample_path(rng.standard_normal((6, 2)), rng)
-    t, r = TrScheduler().sample(rng, 6)
+    t, r = sample_times(rng, 6)
     batch = PathSample(batch.x0, batch.x1, t, _mix(batch.x0, batch.x1, t), batch.x1 - batch.x0)
     cond = rng.integers(0, 4, 6)
     plain, plain_tape = meanflow_distill_loss(student, teacher, batch, r, cond)
@@ -316,10 +314,9 @@ def test_distill_constant_teacher_one_step_euler():
     student = init_model(cfg, np.random.default_rng(60))
     opt = init_optimizer(student, lr=5e-2, warmup=1)
     rng = np.random.default_rng(61)
-    sched = TrScheduler()
     for _ in range(200):
         x0 = rng.standard_normal((64, 1))
-        t, r = sched.sample(rng, 64)
+        t, r = sample_times(rng, 64)
         batch = PathSample(x0, rng.standard_normal((64, 1)), t, None, None)
         batch = _rebuild(batch)
         _, tape = meanflow_distill_loss(student, teacher, batch, r)

@@ -55,21 +55,6 @@ def test_forward_deterministic_and_seeded():
     assert not np.array_equal(a, c)
 
 
-def test_pure_linear_model_matches_matrix_multiply():
-    # no hidden layers, zeroed embeddings and condition rows: the output is
-    # exactly the x-block of the output weight times x
-    cfg = ModelConfig(dim=3, hidden=(), n_cond=0, cond_dim=2, embed_dim=4, n_freqs=2)
-    model = init_model(cfg, np.random.default_rng(1))
-    model.params["embed_w"][:] = 0.0
-    model.params["embed_b"][:] = 0.0
-    model.params["cond_table"][:] = 0.0
-    model.params["b_out"][:] = 0.0
-    x = np.array([0.3, -1.2, 2.5])
-    expected = model.params["w_out"][:, :3] @ x
-    # same sum, possibly different BLAS accumulation order: 1-ulp tolerance
-    assert np.allclose(forward(model, x, 0.7, 0.2), expected, rtol=1e-15, atol=1e-15)
-
-
 def test_forward_batch_matches_single():
     model = small_model(3)
     xs = np.random.default_rng(0).standard_normal((4, 3))
@@ -161,17 +146,14 @@ def test_backward_zero_upstream():
 
 
 def test_backward_linear_weight_gradient_closed_form():
-    # d<Wx, up>/dW = up x^T
-    cfg = ModelConfig(dim=2, hidden=(), n_cond=0, cond_dim=2, embed_dim=2, n_freqs=1)
-    model = init_model(cfg, np.random.default_rng(2))
-    model.params["embed_w"][:] = 0.0
-    model.params["embed_b"][:] = 0.0
-    model.params["cond_table"][:] = 0.0
-    x = np.array([1.5, -2.0])
-    up = np.array([0.5, 3.0])
-    tape = backward(model, x, 0.0, 0.0, None, up)
-    assert np.allclose(tape.grads["w_out"][:, :2], np.outer(up, x), atol=1e-15)
-    assert np.allclose(tape.grads["b_out"], up, atol=1e-15)
+    # the readout is linear in its features h: d<W h + b, up>/dW = up h^T
+    model = small_model(2)
+    x = np.array([1.5, -2.0, 0.5])
+    up = np.array([0.5, 3.0, -1.0])
+    h, _ = net.hidden_forward(model, x, 0.3, 0.1, 1, want_tape=False)
+    tape = backward(model, x, 0.3, 0.1, 1, up)
+    assert np.array_equal(tape.grads["w_out"], np.outer(up, h))
+    assert np.array_equal(tape.grads["b_out"], up)
 
 
 def test_jvp_value_bit_identical_to_forward():
@@ -300,24 +282,23 @@ def _core_reference(model, x, t, r, cond, tangent, one_row=False):
     dim, ed = cfg.dim, cfg.embed_dim
     e_in, dh = _reference_inputs(model, x, t, r, cond, tangent)
     e = (e_in[:1] if one_row else e_in) @ p["embed_w"].T + p["embed_b"]
-    w, b = (p["w0"], p["b0"]) if cfg.hidden else (p["w_out"], p["b_out"])
+    w = p["w0"]
     a = (x @ w[:, :dim].T + (p["cond_table"] @ w[:, dim + ed :].T)[cond]
-         + (e @ w[:, dim : dim + ed].T + b))
+         + (e @ w[:, dim : dim + ed].T + p["b0"]))
     return _reference_layers(model, a, dh)
 
 
 def _concatenated_reference(model, x, t, r, cond, tangent):
     """The same pass with the first affine map as one product with the
     concatenated input [x, e, c]: the same terms summed in another order."""
-    cfg, p = model.config, model.params
+    p = model.params
     e_in, dh = _reference_inputs(model, x, t, r, cond, tangent)
     z = np.concatenate([x, e_in @ p["embed_w"].T + p["embed_b"], p["cond_table"][cond]], axis=1)
-    w, b = (p["w0"], p["b0"]) if cfg.hidden else (p["w_out"], p["b_out"])
-    return _reference_layers(model, z @ w.T + b, dh)
+    return _reference_layers(model, z @ p["w0"].T + p["b0"], dh)
 
 
 @pytest.mark.parametrize("r_equals_t", [True, False])
-@pytest.mark.parametrize("hidden", [(8, 6), ()])
+@pytest.mark.parametrize("hidden", [(8, 6), (5,)])
 def test_core_matches_separate_r_features(r_equals_t, hidden):
     cfg = ModelConfig(dim=3, hidden=hidden, n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
     model = init_model(cfg, np.random.default_rng(21))
@@ -340,7 +321,7 @@ def test_core_matches_separate_r_features(r_equals_t, hidden):
 
 @pytest.mark.parametrize("cond_kind", ["none", "scalar", "vector"])
 @pytest.mark.parametrize("r_equals_t", [True, False])
-@pytest.mark.parametrize("hidden", [(8, 6), ()])
+@pytest.mark.parametrize("hidden", [(8, 6), (5,)])
 @pytest.mark.parametrize("n", [1, 7, 1024])
 def test_scalar_times_match_full_vectors(n, hidden, r_equals_t, cond_kind):
     # scalar t and r share one feature row across the batch; every array
@@ -406,33 +387,6 @@ def test_time_vector_mixing_signed_zeros_takes_the_per_sample_path():
     assert np.array_equal(np.signbit(tape["e_in"][:, 0]), np.signbit(t))
 
 
-@pytest.mark.parametrize("readout", [True, False])
-def test_features_without_hidden_layers_are_the_network_input(readout):
-    cfg = ModelConfig(dim=3, hidden=(), n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
-    model = init_model(cfg, np.random.default_rng(31))
-    p = model.params
-    rng = np.random.default_rng(32)
-    n = 7
-    x, cond = rng.standard_normal((n, 3)), rng.integers(0, 3, n)
-    t, r = 0.4, 0.1
-    freqs = cfg.frequencies()
-    # scalar times: one time row, embedded once and broadcast to the batch
-    ang_t, ang_r = np.full((1, 1), t) * freqs, np.full((1, 1), r) * freqs
-    e_in = np.concatenate([np.sin(ang_t), np.cos(ang_t), np.sin(ang_r), np.cos(ang_r)], axis=1)
-    e = np.repeat(e_in @ p["embed_w"].T + p["embed_b"], n, axis=0)
-    z = np.concatenate([x, e, p["cond_table"][cond]], axis=1)
-
-    u, _, tape = net._core(model, x, t, r, cond, want_tape=True, readout=readout)
-    assert np.array_equal(tape["inputs"][-1], z)
-    untaped, _, _ = net._core(model, x, t, r, cond, readout=readout)
-    if readout:
-        want, _, _ = _core_reference(model, x, np.full(n, t), np.full(n, r), cond,
-                                     (x, 0.0, 0.0), one_row=True)
-    else:
-        want = z
-    assert np.array_equal(u, want) and np.array_equal(untaped, want)
-
-
 def test_shared_row_forward_peaks_below_the_per_sample_pass():
     # the ring teacher's geometry: in_dim 50, hidden (64, 64)
     cfg = ModelConfig(dim=2, hidden=(64, 64), n_cond=8, cond_dim=16, embed_dim=32,
@@ -454,9 +408,14 @@ def test_shared_row_forward_peaks_below_the_per_sample_pass():
     assert peak(t) - peak(t[0]) >= n * cfg.in_dim * 8
 
 
+def test_model_needs_a_hidden_layer():
+    with pytest.raises(DomainError, match="at least one hidden layer"):
+        ModelConfig(hidden=())
+
+
 def test_frequencies_cached_and_read_only():
     freqs = SMALL.frequencies()
-    assert freqs is ModelConfig(dim=1, hidden=(), n_freqs=4).frequencies()
+    assert freqs is ModelConfig(dim=1, n_freqs=4).frequencies()
     with pytest.raises(ValueError):
         freqs[0] = 0.0
     ladder = 1.0 * (1000.0 / 1.0) ** (np.arange(4) / 3)
@@ -618,7 +577,7 @@ def test_adam_matches_scalar_oracle():
 
 
 def test_adam_linear_warmup():
-    cfg = ModelConfig(dim=1, hidden=(), n_cond=0, cond_dim=2, embed_dim=2, n_freqs=1)
+    cfg = ModelConfig(dim=1, hidden=(1,), n_cond=0, cond_dim=2, embed_dim=2, n_freqs=1)
     model = init_model(cfg, np.random.default_rng(0))
     model.params["b_out"][0] = 0.0
     state = init_optimizer(model, lr=1e-4, warmup=1000)
@@ -641,7 +600,7 @@ def test_adam_linear_warmup():
 
 
 def test_adam_global_norm_clip():
-    cfg = ModelConfig(dim=1, hidden=(), n_cond=0, cond_dim=2, embed_dim=2, n_freqs=1)
+    cfg = ModelConfig(dim=1, hidden=(1,), n_cond=0, cond_dim=2, embed_dim=2, n_freqs=1)
     model_a = init_model(cfg, np.random.default_rng(3))
     model_b = model_a.clone()
     sa = init_optimizer(model_a, lr=1e-3, warmup=1)
@@ -734,6 +693,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
     pytest.param("hidden", [8.0], "hidden must be a list of integers", id="hidden-float"),
     pytest.param("hidden", [8, True], "hidden must be a list of integers", id="hidden-bool"),
     pytest.param("hidden", [8, 0], "hidden layer widths must be >= 1", id="hidden-zero"),
+    pytest.param("hidden", [], "need at least one hidden layer", id="hidden-empty"),
     pytest.param("dim", 3.0, "dim must be an integer", id="dim-float"),
     pytest.param("n_freqs", "4", "n_freqs must be an integer", id="n-freqs-string"),
 ])
