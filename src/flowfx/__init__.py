@@ -16,8 +16,8 @@ Submodules group the math by pipeline stage:
 
 Names live in their submodules; nothing is re-exported here.  ``cli`` and
 ``transformer`` are not imported here: ``python -m flowfx.cli`` runs the
-command line once, as ``__main__``, and no command loads the transformer
-(or the ``scipy.special`` it needs).  ``from flowfx import cli`` still works.
+command line once, as ``__main__``, and no command loads the transformer.
+``from flowfx import cli`` still works.  scipy serves only WAV I/O.
 """
 
 from . import distill, dsp, flow, losses, metrics, net, solvers, toy

@@ -64,11 +64,19 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_int(text):
+    """int(text), refused outside the 64-bit range numpy sizes arrays in."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
+
+
 def _parse_hidden(text):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected comma-separated layer widths")
-    return tuple(int(p) for p in parts)
+    return tuple(_parse_int(p) for p in parts)
 
 
 def _parse_seed(text):
@@ -84,21 +92,21 @@ def _parse_seed(text):
 COMMON = {"seed": (_parse_seed, 0, "global seed")}
 SCHEMAS = {
     "codec": {
-        "n_fft": (int, 960, "STFT frame size"),
-        "hop": (int, 480, "STFT hop size"),
+        "n_fft": (_parse_int, 960, "STFT frame size"),
+        "hop": (_parse_int, 480, "STFT hop size"),
     },
     "train-fm": {
-        "steps": (int, 4000, "optimizer steps"),
-        "batch_size": (int, 256, "samples per step"),
+        "steps": (_parse_int, 4000, "optimizer steps"),
+        "batch_size": (_parse_int, 256, "samples per step"),
         "lr": (float, 2e-3, "Adam learning rate"),
-        "lr_warmup": (int, 100, "linear learning-rate warmup steps"),
+        "lr_warmup": (_parse_int, 100, "linear learning-rate warmup steps"),
         "hidden": (_parse_hidden, (64, 64), "hidden layer widths, comma-separated"),
     },
     "distill": {
-        "steps": (int, 800, "distillation steps"),
-        "batch_size": (int, 256, "samples per step"),
+        "steps": (_parse_int, 800, "distillation steps"),
+        "batch_size": (_parse_int, 256, "samples per step"),
         "lr": (float, 1e-3, "Adam learning rate for student and discriminator"),
-        "warmup_steps": (int, 500, "steps before the adversarial term activates"),
+        "warmup_steps": (_parse_int, 500, "steps before the adversarial term activates"),
         "adv_weight": (float, 0.5, "adversarial loss weight"),
         "guidance": (_parse_bool, False, "distill the guided field"),
         "cfg_lo": (float, 1.0, "low end of the guidance scale range"),
@@ -107,18 +115,18 @@ SCHEMAS = {
     },
     "sample": {
         "solver": (str, "euler", "euler or dopri5"),
-        "steps": (int, 4, "step count (euler only)"),
-        "n": (int, 256, "number of samples"),
+        "steps": (_parse_int, 4, "step count (euler only)"),
+        "n": (_parse_int, 256, "number of samples"),
         "rtol": (float, 1e-3, "relative tolerance (dopri5 only)"),
         "atol": (float, 1e-3, "absolute tolerance (dopri5 only)"),
         "cfg_scale": (float, 1.0, "guidance scale at sampling time (both solvers)"),
         "cfg_mode": (str, "standard", "guidance mode, standard or paper_literal (both solvers)"),
-        "max_nfe": (int, 10000, "model-evaluation budget (both solvers)"),
-        "cond": (int, -1, "condition id, or -1 to cycle over classes"),
+        "max_nfe": (_parse_int, 10000, "model-evaluation budget (both solvers)"),
+        "cond": (_parse_int, -1, "class id, or -1 to cycle over classes"),
     },
     "eval": {
-        "k": (int, 1, "retrieval depth for recall"),
-        "workers": (int, 4, "worker threads for file loading"),
+        "k": (_parse_int, 1, "retrieval depth for recall"),
+        "workers": (_parse_int, 4, "worker threads for file loading"),
     },
 }
 
@@ -297,14 +305,16 @@ def cmd_sample(cfg: RunConfig, ckpt_path) -> None:
     n = v["n"]
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if v["cond"] < -1:
-        raise ConfigError(f"cond must be a condition id or -1, got {v['cond']}")
+    n_cond = model.config.n_cond
+    if v["cond"] != -1 and not 0 <= v["cond"] < n_cond:
+        ids = f" or a class id in [0, {n_cond - 1}]" if n_cond else " (no classes in checkpoint)"
+        raise ConfigError(f"cond must be -1{ids}, got {v['cond']}")
     rng = np.random.default_rng(cfg.seed)
     x1 = rng.standard_normal((n, model.config.dim))
-    if model.config.n_cond == 0:
+    if n_cond == 0:
         cond = None
     elif v["cond"] < 0:
-        cond = np.arange(n) % model.config.n_cond
+        cond = np.arange(n) % n_cond
     else:
         cond = np.full(n, v["cond"])
     solver_cfg = solvers.SolverConfig(

@@ -131,11 +131,8 @@ def stft(audio: AudioBuffer, config: StftConfig = StftConfig()) -> ComplexSpectr
     if len(x) == 0:
         raise DomainError("cannot transform empty audio")
     n_fft, hop = config.n_fft, config.hop
-    pad = n_fft // 2
-    if len(x) == 1:
-        padded = np.full(2 * pad + 1, x[0])
-    else:
-        padded = np.pad(x, pad, mode="reflect")
+    # a one-sample signal reflects into the constant vector
+    padded = np.pad(x, n_fft // 2, mode="reflect")
     frames = -(-len(x) // hop)
     windows = np.lib.stride_tricks.sliding_window_view(padded, n_fft)
     segments = windows[::hop][:frames] * hann_window(n_fft)

@@ -541,7 +541,7 @@ def load_checkpoint(path):
         obj = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise FileFormatError(path, f"not UTF-8 text ({exc.reason})", offset=exc.start) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
         raise FileFormatError(path, f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(path, "invalid JSON: nested too deeply") from exc

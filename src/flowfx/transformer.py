@@ -1,11 +1,12 @@
 """Forward-pass math for multi-stream transformer blocks.
 
 A multi-stream block keeps one text/video/audio token sequence per
-modality, with per-modality QKV projections and FFNs around a (optionally
-joint) self-attention.  Rotary position embeddings encode wall-clock time
-so that tokens from streams with different frame rates line up when they
-co-occur.  Only the forward pass lives here; nothing in this module is
-trained, and no command imports it.
+modality, with per-modality QKV projections and FFNs around one
+self-attention over the tokens of every stream.  Rotary position
+embeddings encode wall-clock time in seconds, so that tokens from streams
+with different frame rates line up when they co-occur.  Only the forward
+pass lives here; nothing in this module is trained, and no command
+imports it.
 """
 
 from __future__ import annotations
@@ -13,17 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from . import net
 from .errors import DomainError
 
 MODALITIES = ("text", "video", "audio")
 ROPE_BASE = 10000.0
 LN_EPS = 1e-5
-
-
-def _silu(x: np.ndarray) -> np.ndarray:
-    return x * expit(x)
 
 
 @dataclass(frozen=True)
@@ -80,26 +77,21 @@ def positions_from_indices(n: int, rate_hz: float) -> np.ndarray:
     return np.arange(n, dtype=np.float64) / rate_hz
 
 
-def rope_frequencies(rope_dims: int, base: float = ROPE_BASE) -> np.ndarray:
+def rope_frequencies(rope_dims: int) -> np.ndarray:
     """Geometric angular frequencies, one per rotated coordinate pair."""
     if rope_dims <= 0 or rope_dims % 2 != 0:
         raise DomainError(f"rope_dims must be a positive even number, got {rope_dims}")
     j = np.arange(rope_dims // 2, dtype=np.float64)
-    return base ** (-2.0 * j / rope_dims)
+    return ROPE_BASE ** (-2.0 * j / rope_dims)
 
 
-def rope_apply(
-    x: np.ndarray,
-    positions: np.ndarray,
-    rate_hz: float = 1.0,
-    rope_dims: int | None = None,
-    base: float = ROPE_BASE,
-) -> np.ndarray:
+def rope_apply(x: np.ndarray, positions: np.ndarray, rope_dims: int | None = None) -> np.ndarray:
     """Rotate coordinate pairs of the last axis by angle frequency * seconds.
 
-    positions/rate_hz gives the wall-clock time of each token, so streams
-    with different frame rates share phases whenever they share a time.
-    When rope_dims < the head dimension, trailing coordinates pass through
+    positions hold the wall-clock time of each token in seconds
+    (positions_from_indices converts frame indices), so streams with
+    different frame rates share phases whenever they share a time.  When
+    rope_dims < the head dimension, trailing coordinates pass through
     unrotated.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -107,16 +99,11 @@ def rope_apply(
     d_h = x.shape[-1]
     if rope_dims is None:
         rope_dims = d_h
-    if rope_dims % 2 != 0:
-        raise DomainError(f"rotated dimension count must be even, got {rope_dims}")
     if rope_dims > d_h:
         raise DomainError(f"rope_dims {rope_dims} exceeds head dim {d_h}")
-    if rate_hz <= 0.0:
-        raise DomainError("rate_hz must be positive")
     if pos.ndim != 1 or pos.shape[0] != x.shape[-2]:
         raise DomainError("positions must be one value per token")
-    theta = rope_frequencies(rope_dims, base)
-    ang = (pos / rate_hz)[:, None] * theta
+    ang = pos[:, None] * rope_frequencies(rope_dims)
     cos, sin = np.cos(ang), np.sin(ang)
     out = x.copy()
     a = x[..., 0:rope_dims:2]
@@ -175,36 +162,29 @@ class MultiStreamParams:
     ffn_b2: dict
     n_heads: int
     rope_dims: int
-    rope_base: float = ROPE_BASE
 
     @property
     def dim(self) -> int:
         return self.wo.shape[0]
 
 
-def _check_head_geometry(d: int, n_heads: int, rope_dims: int):
-    if d % n_heads != 0:
-        raise DomainError(f"model dim {d} not divisible by {n_heads} heads")
-    d_h = d // n_heads
-    if rope_dims % 2 != 0 or rope_dims > d_h:
-        raise DomainError(f"rope_dims {rope_dims} must be even and fit head dim {d_h}")
-
-
 def init_multistream(
     rng: np.random.Generator,
     d: int,
     d_ffn: int,
-    modalities: tuple = MODALITIES,
     n_heads: int = 2,
     rope_dims: int | None = None,
-    rope_base: float = ROPE_BASE,
 ) -> MultiStreamParams:
+    if d % n_heads != 0:
+        raise DomainError(f"model dim {d} not divisible by {n_heads} heads")
+    d_h = d // n_heads
     if rope_dims is None:
-        rope_dims = d // n_heads
-    _check_head_geometry(d, n_heads, rope_dims)
+        rope_dims = d_h
+    if rope_dims % 2 != 0 or rope_dims > d_h:
+        raise DomainError(f"rope_dims {rope_dims} must be even and fit head dim {d_h}")
     wq, wk, wv = {}, {}, {}
     w1, b1, w2, b2 = {}, {}, {}, {}
-    for m in modalities:
+    for m in MODALITIES:
         wq[m] = rng.standard_normal((d, d)) / np.sqrt(d)
         wk[m] = rng.standard_normal((d, d)) / np.sqrt(d)
         wv[m] = rng.standard_normal((d, d)) / np.sqrt(d)
@@ -213,30 +193,23 @@ def init_multistream(
         w2[m] = rng.standard_normal((d_ffn, d)) / np.sqrt(d_ffn)
         b2[m] = np.zeros(d)
     wo = rng.standard_normal((d, d)) / np.sqrt(d)
-    return MultiStreamParams(
-        tuple(modalities), wq, wk, wv, wo, w1, b1, w2, b2, n_heads, rope_dims, rope_base
-    )
+    return MultiStreamParams(MODALITIES, wq, wk, wv, wo, w1, b1, w2, b2, n_heads, rope_dims)
 
 
 def _ffn(params: MultiStreamParams, modality: str, x: np.ndarray) -> np.ndarray:
-    h = _silu(x @ params.ffn_w1[modality] + params.ffn_b1[modality])
-    return h @ params.ffn_w2[modality] + params.ffn_b2[modality]
+    h = x @ params.ffn_w1[modality] + params.ffn_b1[modality]
+    return (h * net._logistic(h)) @ params.ffn_w2[modality] + params.ffn_b2[modality]
 
 
-def multistream_block(
-    seqs,
-    params: MultiStreamParams,
-    joint: bool | None = None,
-    return_weights: bool = False,
-):
-    """One multi-stream block: per-modality QKV, self-attention (joint across
-    modalities or independent per stream), shared output projection, then a
-    per-modality FFN with pre-normalization on the residual sum:
+def multistream_block(seqs, params: MultiStreamParams, return_weights: bool = False):
+    """One multi-stream block: per-modality QKV, one self-attention of every
+    query over the concatenated keys of all the streams given, a shared
+    output projection, then a per-modality FFN with pre-normalization on the
+    residual sum:
 
         Y_m = (X_m + Z_m) + FFN_m(LN(X_m + Z_m))
 
-    Two-modality stacks attend independently per stream by default; three or
-    more default to joint attention over the concatenated keys.
+    A stream that should attend only to itself runs in a block of its own.
     """
     names = tuple(s.modality for s in seqs)
     if names != params.modalities:
@@ -245,32 +218,22 @@ def multistream_block(
     for s in seqs:
         if s.dim != d:
             raise DomainError(f"sequence dim {s.dim} does not match params dim {d}")
-    if joint is None:
-        joint = len(seqs) >= 3
     heads = params.n_heads
 
     qs, ks, vs = [], [], []
     for s in seqs:
         q = _split_heads(s.tokens @ params.wq[s.modality], heads)
         k = _split_heads(s.tokens @ params.wk[s.modality], heads)
-        v = _split_heads(s.tokens @ params.wv[s.modality], heads)
-        q = rope_apply(q, s.positions, 1.0, params.rope_dims, params.rope_base)
-        k = rope_apply(k, s.positions, 1.0, params.rope_dims, params.rope_base)
-        qs.append(q)
-        ks.append(k)
-        vs.append(v)
-
-    if joint:
-        k_all = np.concatenate(ks, axis=1)
-        v_all = np.concatenate(vs, axis=1)
-        valid_all = np.concatenate([s.validity for s in seqs])
+        qs.append(rope_apply(q, s.positions, params.rope_dims))
+        ks.append(rope_apply(k, s.positions, params.rope_dims))
+        vs.append(_split_heads(s.tokens @ params.wv[s.modality], heads))
+    k_all = np.concatenate(ks, axis=1)
+    v_all = np.concatenate(vs, axis=1)
+    valid_all = np.concatenate([s.validity for s in seqs])
 
     outs, weights = [], []
-    for i, s in enumerate(seqs):
-        if joint:
-            z, w = masked_attention(qs[i], k_all, v_all, valid_all)
-        else:
-            z, w = masked_attention(qs[i], ks[i], vs[i], s.validity)
+    for q, s in zip(qs, seqs):
+        z, w = masked_attention(q, k_all, v_all, valid_all)
         h = s.tokens + _merge_heads(z) @ params.wo
         y = h + _ffn(params, s.modality, layer_norm(h))
         outs.append(ModalitySequence(y, s.modality, s.positions, s.validity))

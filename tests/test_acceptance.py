@@ -324,8 +324,8 @@ def _attention_oracle(seqs, p):
         for hh in range(n_heads):
             sl = slice(hh * d_h, (hh + 1) * d_h)
             heads.append((
-                rope_apply(q[:, sl], s.positions, 1.0, p.rope_dims, p.rope_base),
-                rope_apply(k[:, sl], s.positions, 1.0, p.rope_dims, p.rope_base),
+                rope_apply(q[:, sl], s.positions, p.rope_dims),
+                rope_apply(k[:, sl], s.positions, p.rope_dims),
                 v[:, sl],
             ))
         proj.append(heads)
@@ -372,7 +372,7 @@ def test_ac12_joint_attention_equivalence():
                              positions_from_indices(4, 100.0)),
         ]
         params = init_multistream(rng, d, 16, n_heads=2, rope_dims=4)
-        got = multistream_block(seqs, params, joint=True)
+        got = multistream_block(seqs, params)
         want = _attention_oracle(seqs, params)
         for g, w in zip(got, want):
             assert np.max(np.abs(g.tokens - w)) <= 1e-10, trial
@@ -387,7 +387,7 @@ def test_ac12_joint_attention_equivalence():
                          positions_from_indices(4, 100.0)),
     ]
     params = init_multistream(rng, d, 16, n_heads=2, rope_dims=4)
-    _, weights = multistream_block(seqs, params, joint=True, return_weights=True)
+    _, weights = multistream_block(seqs, params, return_weights=True)
     valid_all = np.concatenate([s.validity for s in seqs])
     for w in weights:
         assert np.all(w[..., ~valid_all] == 0.0)

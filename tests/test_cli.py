@@ -360,6 +360,10 @@ class TestMalformedInputs:
                          id="sample-no-hidden-layers"),
             pytest.param(_ckpt_case("sample", _unedited, "--cond", "-7"), 1,
                          id="sample-cond-below-minus-one"),
+            pytest.param(_ckpt_case("sample", _unedited, "--cond", "8"), 1,
+                         id="sample-cond-null-id"),
+            pytest.param(_ckpt_case("sample", _unconditional, "--cond", "0"), 1,
+                         id="sample-unconditional-cond-given"),
             # numpy refuses these TiB-scale arrays at once, without touching memory
             pytest.param(_ckpt_case("sample", _unedited, "--n", "1000000000000"), 1,
                          id="sample-n-unallocatable"),

@@ -7,10 +7,15 @@ property on a position grid.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowfx
 from flowfx.errors import DomainError
 from flowfx.transformer import (
     MODALITIES,
@@ -81,12 +86,12 @@ class TestRope:
         # audio frame 50 at 100 Hz and video frame 12 at 24 Hz are both 0.5 s.
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 8))
-        a = rope_apply(x, np.array([50.0]), rate_hz=100.0)
-        v = rope_apply(x, np.array([12.0]), rate_hz=24.0)
+        a = rope_apply(x, positions_from_indices(51, 100.0)[50:])
+        v = rope_apply(x, positions_from_indices(13, 24.0)[12:])
         assert np.array_equal(a, v)
 
     def test_frequencies_are_geometric_from_one(self):
-        th = rope_frequencies(8, base=10000.0)
+        th = rope_frequencies(8)
         assert th[0] == 1.0
         ratios = th[1:] / th[:-1]
         assert np.allclose(ratios, 10000.0 ** (-2.0 / 8.0), atol=1e-15)
@@ -99,8 +104,6 @@ class TestRope:
             rope_apply(x, np.zeros(2), rope_dims=10)
         with pytest.raises(DomainError):
             rope_apply(x, np.zeros(3))
-        with pytest.raises(DomainError):
-            rope_apply(x, np.zeros(2), rate_hz=0.0)
 
 
 class TestModalitySequence:
@@ -152,8 +155,8 @@ def _oracle_block(seqs, p):
             sl = slice(h * d_h, (h + 1) * d_h)
             heads.append(
                 (
-                    rope_apply(q[:, sl], s.positions, 1.0, p.rope_dims, p.rope_base),
-                    rope_apply(k[:, sl], s.positions, 1.0, p.rope_dims, p.rope_base),
+                    rope_apply(q[:, sl], s.positions, p.rope_dims),
+                    rope_apply(k[:, sl], s.positions, p.rope_dims),
                     v[:, sl],
                 )
             )
@@ -207,7 +210,7 @@ class TestJointAttentionOracle:
                     validity[0] = True
             seqs = _three_seqs(rng, d, n=4, video_validity=validity)
             params = init_multistream(rng, d, 16, n_heads=2, rope_dims=4)
-            got = multistream_block(seqs, params, joint=True)
+            got = multistream_block(seqs, params)
             want = _oracle_block(seqs, params)
             for g, w in zip(got, want):
                 assert np.allclose(g.tokens, w, atol=1e-10), trial
@@ -217,7 +220,7 @@ class TestJointAttentionOracle:
         validity = np.array([True, False, True, False])
         seqs = _three_seqs(rng, 8, video_validity=validity)
         params = init_multistream(rng, 8, 16, n_heads=2, rope_dims=4)
-        _, weights = multistream_block(seqs, params, joint=True, return_weights=True)
+        _, weights = multistream_block(seqs, params, return_weights=True)
         for w in weights:
             assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -226,7 +229,7 @@ class TestJointAttentionOracle:
         validity = np.array([False, True, False, True])
         seqs = _three_seqs(rng, 8, video_validity=validity)
         params = init_multistream(rng, 8, 16, n_heads=2, rope_dims=4)
-        _, weights = multistream_block(seqs, params, joint=True, return_weights=True)
+        _, weights = multistream_block(seqs, params, return_weights=True)
         valid_all = np.concatenate([s.validity for s in seqs])
         for w in weights:
             assert np.all(w[:, :, ~valid_all] == 0.0)
@@ -260,7 +263,7 @@ class TestMultiStream:
         for m in params.modalities:
             params.ffn_w2[m] = np.zeros((16, 8))
             params.ffn_b2[m] = np.zeros(8)
-        out = multistream_block(seqs, params, joint=True)
+        out = multistream_block(seqs, params)
         for o, s in zip(out, seqs):
             assert np.array_equal(o.tokens, s.tokens)
 
@@ -280,55 +283,12 @@ class TestMultiStream:
             {m: p3.ffn_b2[m] for m in ("text", "audio")},
             p3.n_heads,
             p3.rope_dims,
-            p3.rope_base,
         )
-        out3 = multistream_block(seqs3, p3, joint=True)
-        out2 = multistream_block([seqs3[0], seqs3[2]], p2, joint=True)
+        out3 = multistream_block(seqs3, p3)
+        out2 = multistream_block([seqs3[0], seqs3[2]], p2)
         assert np.allclose(out3[0].tokens, out2[0].tokens, atol=1e-12)
         assert np.allclose(out3[2].tokens, out2[1].tokens, atol=1e-12)
         assert np.array_equal(out3[1].tokens, np.zeros((4, 8)))
-
-    def test_independent_mode_equals_single_sequence_blocks(self):
-        rng = np.random.default_rng(302)
-        seqs = _three_seqs(rng, 8)
-        params = init_multistream(rng, 8, 16, n_heads=2, rope_dims=4)
-        indep = multistream_block(seqs, params, joint=False)
-        for i, s in enumerate(seqs):
-            sub = MultiStreamParams(
-                (s.modality,),
-                {s.modality: params.wq[s.modality]},
-                {s.modality: params.wk[s.modality]},
-                {s.modality: params.wv[s.modality]},
-                params.wo,
-                {s.modality: params.ffn_w1[s.modality]},
-                {s.modality: params.ffn_b1[s.modality]},
-                {s.modality: params.ffn_w2[s.modality]},
-                {s.modality: params.ffn_b2[s.modality]},
-                params.n_heads,
-                params.rope_dims,
-                params.rope_base,
-            )
-            solo = multistream_block([s], sub, joint=True)[0]
-            assert np.array_equal(indep[i].tokens, solo.tokens)
-
-    def test_default_attention_mode_depends_on_modality_count(self):
-        rng = np.random.default_rng(303)
-        seqs = _three_seqs(rng, 8)
-        p3 = init_multistream(rng, 8, 16, n_heads=2, rope_dims=4)
-        got = multistream_block(seqs, p3)
-        want = multistream_block(seqs, p3, joint=True)
-        for g, w in zip(got, want):
-            assert np.array_equal(g.tokens, w.tokens)
-
-        rng = np.random.default_rng(304)
-        two = [_seq(rng, "text", 4, 8), _seq(rng, "audio", 4, 8, rate_hz=100.0)]
-        p2 = init_multistream(rng, 8, 16, modalities=("text", "audio"), n_heads=2, rope_dims=4)
-        got = multistream_block(two, p2)
-        want = multistream_block(two, p2, joint=False)
-        differs = multistream_block(two, p2, joint=True)
-        for g, w in zip(got, want):
-            assert np.array_equal(g.tokens, w.tokens)
-        assert not np.allclose(got[0].tokens, differs[0].tokens)
 
     def test_equivariance_under_swap_of_equal_position_tokens(self):
         # Tokens 1 and 2 share a timestamp, so swapping them (positions travel
@@ -343,8 +303,8 @@ class TestMultiStream:
         text = _seq(rng, "text", 3, d)
         video = _seq(rng, "video", 3, d, rate_hz=24.0)
         params = init_multistream(rng, d, 16, n_heads=2, rope_dims=4)
-        out_a = multistream_block([text, video, base_audio], params, joint=True)
-        out_b = multistream_block([text, video, swapped_audio], params, joint=True)
+        out_a = multistream_block([text, video, base_audio], params)
+        out_b = multistream_block([text, video, swapped_audio], params)
         assert np.allclose(out_b[2].tokens, out_a[2].tokens[perm], atol=1e-12)
         assert np.allclose(out_b[0].tokens, out_a[0].tokens, atol=1e-12)
         assert np.allclose(out_b[1].tokens, out_a[1].tokens, atol=1e-12)
@@ -373,7 +333,20 @@ class TestStack:
         ]
         multi = [init_multistream(rng, d, d_ffn, n_heads=2, rope_dims=14) for _ in range(6)]
         for p in multi:
-            seqs = multistream_block(seqs, p, joint=True)
+            seqs = multistream_block(seqs, p)
             assert np.array_equal(seqs[1].tokens[~seqs[1].validity], np.zeros((2, d)))
         assert [s.tokens.shape for s in seqs] == [(3, d), (5, d), (8, d)]
         assert all(np.all(np.isfinite(s.tokens)) for s in seqs)
+
+
+def test_import_loads_no_scipy_special():
+    # the FFN's SiLU is net's logistic, so the module needs numpy only
+    src = str(Path(flowfx.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, flowfx.transformer; "
+         "print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -49,6 +49,8 @@ RUNS = {
     "distill-guided": ["distill", TEACHER, "--guidance", "true", "--steps", "600"],
     "sample-dopri5-guided": ["sample", TEACHER, "--solver", "dopri5", "--cfg-scale", "2",
                              "--n", "2048"],
+    "sample-dopri5": ["sample", TEACHER, "--solver", "dopri5", "--n", "2048"],
+    "sample-euler-teacher": ["sample", TEACHER, "--solver", "euler", "--n", "2048"],
     "sample-euler": ["sample", "{work}/distill/student.json", "--solver", "euler",
                      "--n", "256"],
     "codec": ["codec", "{work}/real/clip.wav"],
