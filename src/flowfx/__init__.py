@@ -17,7 +17,8 @@ Submodules group the math by pipeline stage:
 Names live in their submodules; nothing is re-exported here.  ``cli`` and
 ``transformer`` are not imported here: ``python -m flowfx.cli`` runs the
 command line once, as ``__main__``, and no command loads the transformer.
-``from flowfx import cli`` still works.  scipy serves only WAV I/O.
+``from flowfx import cli`` still works.  Nothing here imports scipy: WAV
+I/O is a small RIFF reader and writer in ``dsp``.
 """
 
 from . import distill, dsp, flow, losses, metrics, net, solvers, toy

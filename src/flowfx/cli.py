@@ -405,7 +405,10 @@ def cmd_eval(cfg: RunConfig, real_dir, fake_dir) -> None:
         def audio_pair(name):
             a = dsp.read_wav(real_dir / name)
             b = dsp.read_wav(fake_dir / name)
-            return metrics.si_sdr(a, b), metrics.mel_dist(a, b), metrics.stft_dist(a, b)
+            try:
+                return metrics.si_sdr(a, b), metrics.mel_dist(a, b), metrics.stft_dist(a, b)
+            except DomainError as exc:
+                raise DomainError(f"WAV pair {name}: {exc}") from exc
 
         pair_stats = list(pool.map(audio_pair, names))
     if pair_stats:

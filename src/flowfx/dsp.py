@@ -1,5 +1,6 @@
 """STFT analysis/synthesis, mel filterbanks, the log-spectral L1 distance, the
-complex-coefficient head, and a synthetic multi-partial test-signal generator.
+complex-coefficient head, a synthetic multi-partial test-signal generator, and
+WAV file I/O (a RIFF reader and writer on ``struct`` and numpy).
 
 All operations are pure functions over float64 arrays.  The STFT uses a
 periodic Hann window with reflect padding of ``n_fft // 2`` on each side and
@@ -18,12 +19,13 @@ already handed out stays valid for as long as its holder keeps it.
 
 from __future__ import annotations
 
+import os
+import struct
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import DomainError, FileFormatError
 from .fileio import atomic_write
@@ -307,7 +309,7 @@ def spectral_l1(
     if a.sample_rate != b.sample_rate:
         raise DomainError("sample rates differ")
     if len(a.samples) != len(b.samples):
-        raise DomainError("lengths differ")
+        raise DomainError(f"lengths differ: {len(a.samples)} vs {len(b.samples)} samples")
     if n_mels is None:
         la, lb = (np.log(np.maximum(np.abs(stft(x, config).data), MEL_LOG_FLOOR)) for x in (a, b))
     else:
@@ -356,35 +358,103 @@ def synth_signal(seed: int, duration: float, sample_rate: int = 48000) -> AudioB
     return AudioBuffer(mix, sample_rate)
 
 
-def read_wav(path) -> AudioBuffer:
-    """Read a PCM 16-bit or 32-bit float WAV file as mono float64.
+# WAV sample formats read_wav accepts: (format tag, bits per sample) -> dtype
+WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT, WAVE_FORMAT_EXTENSIBLE = 1, 3, 0xFFFE
+_WAV_DTYPES = {(WAVE_FORMAT_PCM, 16): np.dtype("<i2"),
+               (WAVE_FORMAT_IEEE_FLOAT, 32): np.dtype("<f4"),
+               (WAVE_FORMAT_IEEE_FLOAT, 64): np.dtype("<f8")}
+# bytes 2-15 of every WAVE_FORMAT_EXTENSIBLE subformat GUID; 0-1 hold the tag
+_KSDATAFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# what write_wav puts before the samples: RIFF header, fmt, fact, data header
+_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHHH4sII4sI")
 
-    Stereo input is downmixed by channel averaging (with a warning).  The
-    sample rate is taken as-is; no resampling happens anywhere in the
+
+def _parse_fmt(path, fmt: bytes, offset: int) -> tuple[np.dtype, int, int]:
+    """(sample dtype, channels, sample rate) of a ``fmt `` chunk body."""
+    if len(fmt) < 16:
+        raise FileFormatError(path, f"fmt chunk of {len(fmt)} bytes is too short", offset)
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == WAVE_FORMAT_EXTENSIBLE:
+        if len(fmt) < 40 or fmt[26:40] != _KSDATAFORMAT_TAIL:
+            raise FileFormatError(path, "WAVE_FORMAT_EXTENSIBLE without a known subformat",
+                                  offset)
+        tag = struct.unpack_from("<H", fmt, 24)[0]
+    dtype = _WAV_DTYPES.get((tag, bits))
+    if dtype is None:
+        raise FileFormatError(
+            path, f"unsupported WAV sample format (tag {tag}, {bits} bits; "
+            "expected 16-bit PCM or 32/64-bit float)", offset)
+    if channels == 0 or block_align != channels * dtype.itemsize:
+        raise FileFormatError(
+            path, f"block align {block_align} does not fit {channels} channels of "
+            f"{bits} bits", offset)
+    return dtype, channels, rate
+
+
+def read_wav(path) -> AudioBuffer:
+    """Read a 16-bit PCM or 32/64-bit float WAV file (plain or
+    WAVE_FORMAT_EXTENSIBLE) as mono float64.
+
+    Chunks other than ``fmt `` and ``data`` are skipped.  A chunk whose size
+    runs past the end of the file is refused before anything is allocated.
+    Multichannel input is downmixed by channel averaging (with a warning).
+    The sample rate is taken as-is; no resampling happens anywhere in the
     toolkit.
     """
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:  # wavfile raises bare ValueError on bad RIFF
-        raise FileFormatError(path, f"not a readable WAV file ({exc})") from exc
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise FileFormatError(
-            path, f"unsupported WAV sample format {data.dtype} "
-            "(expected 16-bit PCM or 32-bit float)"
-        )
-    if samples.ndim == 2:
-        warnings.warn(f"{path}: downmixing {samples.shape[1]} channels to mono")
-        samples = samples.mean(axis=1)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        riff = fh.read(12)
+        if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+            raise FileFormatError(path, "not a RIFF/WAVE file (little-endian RIFF expected)")
+        fmt = None
+        while True:
+            offset = fh.tell()
+            head = fh.read(8)
+            if len(head) < 8:
+                raise FileFormatError(path, "no data chunk", offset)
+            tag, n = struct.unpack("<4sI", head)
+            if n > size - offset - 8:
+                raise FileFormatError(
+                    path, f"{tag!r} chunk of {n} bytes runs past the end of the file", offset)
+            if tag == b"data":
+                break
+            if tag == b"fmt ":
+                fmt = _parse_fmt(path, fh.read(n), offset)
+                fh.seek(n & 1, os.SEEK_CUR)
+            else:
+                fh.seek(n + (n & 1), os.SEEK_CUR)
+        if fmt is None:
+            raise FileFormatError(path, "data chunk before fmt chunk", offset)
+        dtype, channels, rate = fmt
+        frames = n // (channels * dtype.itemsize)
+        data = np.fromfile(fh, dtype=dtype, count=frames * channels)
+    samples = data.astype(np.float64)
+    if dtype.kind == "i":
+        samples /= 32768.0
+    if channels > 1:
+        warnings.warn(f"{path}: downmixing {channels} channels to mono")
+        samples = samples.reshape(frames, channels).mean(axis=1)
     return AudioBuffer(samples, rate)
 
 
+def _write_wave(fh, audio: AudioBuffer) -> None:
+    """Write ``audio`` to ``fh`` as a 32-bit float WAV: an 18-byte ``fmt ``
+    chunk (format 3, cbSize 0), a ``fact`` chunk holding the sample count,
+    then ``data``."""
+    data = audio.samples.astype("<f4")
+    rate = audio.sample_rate
+    fh.write(_WAV_HEADER.pack(b"RIFF", _WAV_HEADER.size - 8 + data.nbytes, b"WAVE",
+                              b"fmt ", 18, WAVE_FORMAT_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,
+                              b"fact", 4, len(data), b"data", data.nbytes))
+    fh.write(data.tobytes())
+
+
 def write_wav(path, audio: AudioBuffer) -> None:
-    """Write mono audio as a 32-bit float WAV, atomically."""
+    """Write mono audio as a 32-bit float WAV, atomically.  Audio whose size
+    or byte rate overflows a 32-bit header field is refused before anything
+    is written."""
+    n, rate = len(audio.samples), audio.sample_rate
+    if _WAV_HEADER.size - 8 + 4 * n > 0xFFFFFFFF or 4 * rate > 0xFFFFFFFF:
+        raise DomainError(f"{n} samples at {rate} Hz do not fit a WAV file")
     with atomic_write(path, "wb") as fh:
-        wavfile.write(fh, audio.sample_rate, audio.samples.astype(np.float32))
+        _write_wave(fh, audio)

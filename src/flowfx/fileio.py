@@ -1,7 +1,6 @@
 """Atomic artifact writes: a reader sees the old file or the whole new one."""
 
 import os
-import secrets
 from contextlib import contextmanager
 
 
@@ -11,7 +10,7 @@ def atomic_write(path, mode="w", **kwargs):
     opened as ``open(.., mode, **kwargs)`` would open it but created fresh ("x"
     for "w").  A clean exit moves it onto ``path`` with os.replace; an error
     deletes it and leaves ``path`` intact."""
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     os.makedirs(os.path.dirname(tmp) or os.curdir, exist_ok=True)
     fh = open(tmp, mode.replace("w", "x"), **kwargs)
     try:

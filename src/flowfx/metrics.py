@@ -47,7 +47,7 @@ def si_sdr(reference: AudioBuffer, estimate: AudioBuffer) -> float:
     s = reference.samples
     s_hat = estimate.samples
     if len(s) != len(s_hat):
-        raise DomainError("lengths differ")
+        raise DomainError(f"lengths differ: {len(s)} vs {len(s_hat)} samples")
     # numpy's own reductions, not BLAS dots, whose sums depend on the thread count
     denom = float(np.sum(s * s))
     if denom == 0.0:

@@ -40,6 +40,7 @@ calls, and threads calling into one model each get their own buffers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
@@ -532,9 +533,9 @@ def save_checkpoint(path, model: VelocityModel, meta=None) -> None:
 def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (model, None, meta).
 
-    Every parameter must have the shape the stored config gives it and be
-    finite.  A checkpoint carrying optimizer state is rejected: the
-    format keeps the slot only as null."""
+    Every parameter must have the shape the stored config gives it and hold
+    finite JSON numbers.  A checkpoint carrying optimizer state is rejected:
+    the format keeps the slot only as null."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -561,6 +562,15 @@ def load_checkpoint(path):
                 raise FileFormatError(
                     path, f"parameter {k!r} has shape {params[k].shape}, expected {shape}"
                 )
+            # float64 conversion also takes numeric strings and booleans
+            leaves = obj["params"][k]
+            for _ in range(len(shape) - 1):
+                leaves = itertools.chain.from_iterable(leaves)
+            wrong = set(map(type, leaves)) - {float, int}
+            if wrong:
+                names = ", ".join(sorted(t.__name__ for t in wrong))
+                raise FileFormatError(path, f"parameter {k!r} holds {names} entries, "
+                                      "expected JSON numbers")
             if not np.all(np.isfinite(params[k])):
                 raise FileFormatError(path, f"parameter {k!r} is not finite")
         return VelocityModel(config, params), None, obj.get("meta", {})

@@ -6,6 +6,8 @@ two-point dataset is the smallest case where distillation quality can be
 measured against exact endpoints.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 from .errors import DomainError

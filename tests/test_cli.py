@@ -251,6 +251,16 @@ def _write_empty_wav(path):
     dsp.write_wav(path, dsp.AudioBuffer(np.zeros(0), 48000))
 
 
+def _write_rate_2_30(path):
+    """A float32 WAV at 2**30 Hz, whose byte rate the reconstruction's
+    32-bit header field cannot hold."""
+    rate, data = 2**30, np.zeros(64, dtype=np.float32).tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, rate, (4 * rate) % 2**32, 4, 32)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
 def _codec_case(write):
     def argv(tmp_path):
         wav = tmp_path / "in.wav"
@@ -348,6 +358,7 @@ class TestMalformedInputs:
                          id="codec-non-riff"),
             pytest.param(_codec_case(_write_pcm24), 2, id="codec-pcm24"),
             pytest.param(_codec_case(_write_empty_wav), 1, id="codec-empty-wav"),
+            pytest.param(_codec_case(_write_rate_2_30), 1, id="codec-rate-past-wav-header"),
             pytest.param(_raw_ckpt_case("sample", lambda b: b[: len(b) // 2]), 2,
                          id="sample-truncated-checkpoint"),
             pytest.param(_raw_ckpt_case("sample", lambda b: b.replace(b"{", b"{\xff", 1)), 2,
@@ -385,6 +396,28 @@ class TestMalformedInputs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not (tmp_path / "o").exists()  # a refused run writes nothing
+
+    @pytest.mark.parametrize("command", ["sample", "distill"])
+    @pytest.mark.parametrize(
+        "key, index, entry",
+        [("embed_b", (0,), "8"), ("embed_b", (0,), True), ("cond_table", (8, 0), "8"),
+         ("cond_table", (8, 0), False)],
+    )
+    def test_non_numeric_parameter_exits_2_naming_checkpoint(
+        self, command, key, index, entry, tmp_path, capsys
+    ):
+        def edit(obj):
+            row = obj["params"][key]
+            for i in index[:-1]:
+                row = row[i]
+            row[index[-1]] = entry
+
+        assert main(_ckpt_case(command, edit)(tmp_path)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {tmp_path / 'ckpt.json'}: parameter {key!r} holds "
+                                   f"{type(entry).__name__} entries"), lines
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_out_on_a_file_exits_2_before_training(self, below, tmp_path, monkeypatch, capsys):
@@ -424,9 +457,12 @@ class TestMalformedInputs:
         assert proc.stderr == ""
 
     def test_cli_import_loads_neither_transformer_nor_scipy_special(self):
-        # no command needs them, so importing the command line must not pay for them
+        # no command needs them, so importing the command line must not pay for
+        # them; flowfx reads and writes WAV files without scipy, and secrets
+        # would pull in hmac and hashlib
         proc = _run_python("-c", "import sys, flowfx.cli; print(sorted(m for m in sys.modules "
-                           "if m in ('flowfx.transformer', 'scipy.special')))")
+                           "if m in ('flowfx.transformer', 'secrets') "
+                           "or m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -789,6 +825,19 @@ class TestEvalCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "nothing to evaluate" in capsys.readouterr().err
+
+    def test_pair_of_different_lengths_names_file_and_lengths(self, tmp_path, capsys):
+        real, fake = tmp_path / "real", tmp_path / "fake"
+        real.mkdir(), fake.mkdir()
+        clip = dsp.synth_signal(1, 1.0)
+        dsp.write_wav(real / "a.wav", clip)
+        dsp.write_wav(fake / "a.wav", dsp.AudioBuffer(clip.samples[:47990], clip.sample_rate))
+        rc = main(["eval", "--real", str(real), "--fake", str(fake),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: WAV pair a.wav: lengths differ: 48000 vs 47990 samples"]
+        assert not (tmp_path / "o").exists()
 
     def test_missing_directory_exits_2(self, tmp_path):
         rc = main(["eval", "--real", str(tmp_path / "ghost"), "--fake", str(tmp_path),

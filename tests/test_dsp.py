@@ -1,3 +1,4 @@
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -414,6 +415,127 @@ def test_wav_rejects_garbage(tmp_path):
 def test_wav_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_wav(tmp_path / "nope.wav")
+
+
+# scipy.io.wavfile is the oracle for the hand-written RIFF reader and writer
+@pytest.mark.parametrize("n", [1, 3, 48000])
+def test_write_wav_bytes_equal_scipy(n, tmp_path):
+    from scipy.io import wavfile
+
+    buf = AudioBuffer(np.random.default_rng(n).uniform(-1.0, 1.0, n), SR)
+    write_wav(tmp_path / "ours.wav", buf)
+    wavfile.write(tmp_path / "scipy.wav", SR, buf.samples.astype(np.float32))
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+def test_write_wav_refuses_a_rate_past_the_header_field(tmp_path):
+    # the byte rate, 4 * sample_rate, is a 32-bit field
+    with pytest.raises(DomainError, match="do not fit a WAV file"):
+        write_wav(tmp_path / "a.wav", AudioBuffer(np.zeros(4), 2**30))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _chunk(tag, body, size=None):
+    """A RIFF chunk: tag, size (the body's unless given), body, pad byte."""
+    size = len(body) if size is None else size
+    return tag + struct.pack("<I", size) + body + b"\0" * (len(body) & 1)
+
+
+def _wave(*chunks, magic=b"RIFF"):
+    body = b"WAVE" + b"".join(chunks)
+    return magic + struct.pack("<I", len(body)) + body
+
+
+def _fmt(tag=3, channels=1, bits=32, block_align=None, size=None):
+    align = channels * bits // 8 if block_align is None else block_align
+    return _chunk(b"fmt ", struct.pack("<HHIIHH", tag, channels, SR, SR * align, align, bits),
+                  size)
+
+
+_FLOAT_GUID = struct.pack("<H", 3) + dsp._KSDATAFORMAT_TAIL
+_SAMPLES = np.linspace(-0.5, 0.5, 11).astype(np.float32)
+
+
+def _scipy_mono(path):
+    from scipy.io import wavfile
+
+    rate, data = wavfile.read(path)
+    data = data / 32768.0 if data.dtype == np.int16 else data.astype(np.float64)
+    return rate, data.mean(axis=1) if data.ndim == 2 else data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(np.round(_SAMPLES * 32767).astype(np.int16), id="pcm16"),
+        pytest.param(_SAMPLES, id="float32"),
+        pytest.param(_SAMPLES.astype(np.float64) / 3, id="float64"),
+    ],
+)
+def test_read_wav_matches_scipy_on_mono(data, tmp_path):
+    from scipy.io import wavfile
+
+    p = tmp_path / "a.wav"
+    wavfile.write(p, SR, data)
+    buf = read_wav(p)
+    rate, expected = _scipy_mono(p)
+    assert buf.sample_rate == rate == SR
+    assert np.array_equal(buf.samples, expected)
+
+
+def test_read_wav_matches_scipy_on_float32_stereo(tmp_path):
+    from scipy.io import wavfile
+
+    p = tmp_path / "st.wav"
+    wavfile.write(p, SR, np.stack([_SAMPLES, _SAMPLES[::-1] / 4], axis=1))
+    with pytest.warns(UserWarning, match="downmixing 2 channels to mono"):
+        buf = read_wav(p)
+    assert np.array_equal(buf.samples, _scipy_mono(p)[1])
+
+
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        pytest.param(
+            [_chunk(b"fmt ", struct.pack("<HHIIHHHHI", 0xFFFE, 1, SR, 4 * SR, 4, 32, 22, 32, 4)
+                    + _FLOAT_GUID)],
+            id="extensible-float32",
+        ),
+        pytest.param([_fmt(), _chunk(b"LIST", b"INFOodd")], id="odd-list-before-data"),
+    ],
+)
+def test_read_wav_matches_scipy_on_hand_built_files(chunks, tmp_path):
+    p = tmp_path / "a.wav"
+    p.write_bytes(_wave(*chunks, _chunk(b"data", _SAMPLES.tobytes())))
+    buf = read_wav(p)
+    assert np.array_equal(buf.samples, _scipy_mono(p)[1])
+    assert np.array_equal(buf.samples, _SAMPLES.astype(np.float64))
+
+
+_DATA = _chunk(b"data", _SAMPLES.tobytes())
+
+
+@pytest.mark.parametrize(
+    "raw, why",
+    [
+        pytest.param(_wave(_fmt(), _chunk(b"data", _SAMPLES.tobytes(), 0xFFFFFFFF)),
+                     "runs past the end", id="data-size-4GiB"),
+        pytest.param(_wave(_fmt(size=0xFFFFFFFF), _DATA), "runs past the end",
+                     id="fmt-size-4GiB"),
+        pytest.param(_wave(_DATA, _fmt()), "data chunk before fmt chunk", id="data-before-fmt"),
+        pytest.param(_wave(_fmt(channels=0), _DATA), "0 channels", id="zero-channels"),
+        pytest.param(_wave(_fmt(block_align=8), _DATA), "block align 8", id="block-align"),
+        pytest.param(_wave(_fmt(), _DATA, magic=b"RIFX"), "not a RIFF/WAVE file", id="rifx"),
+        pytest.param(_wave(_fmt(bits=24), _DATA), "unsupported WAV sample format",
+                     id="float24"),
+        pytest.param(_wave(_fmt()), "no data chunk", id="no-data"),
+    ],
+)
+def test_read_wav_refuses_malformed_files(raw, why, tmp_path):
+    p = tmp_path / "bad.wav"
+    p.write_bytes(raw)
+    with pytest.raises(FileFormatError, match=why):
+        read_wav(p)
 
 
 def test_audio_buffer_validation():

@@ -34,7 +34,7 @@ def _write_csv(path, monkeypatch):
 
 
 def _write_wav(path, monkeypatch):
-    monkeypatch.setattr(dsp.wavfile, "write", _half_then_raise)
+    monkeypatch.setattr(dsp, "_write_wave", _half_then_raise)
     dsp.write_wav(path, dsp.AudioBuffer(np.zeros(16), 48000))
 
 

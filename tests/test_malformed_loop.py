@@ -11,9 +11,8 @@ The flags pin ``--steps``, ``--batch-size``, ``--n`` and ``--workers`` small
 and are never mutated; a flag overrides the config file, so a mutation that
 still parses cannot run long or start many threads.  The huge integers are
 TiB-scale or larger, which numpy refuses at once, or values that a guard
-rejects before it allocates.  The one exception is a WAV header's 32-bit
-chunk sizes: scipy reserves up to 4 GiB of address space for them but
-touches only the bytes the file holds, so resident memory stays flat.
+rejects before it allocates, such as a WAV chunk size past the end of its
+file.
 """
 
 import json

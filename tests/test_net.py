@@ -665,6 +665,22 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert meta == {"note": "x"}
 
 
+def test_checkpoint_takes_integers_and_refuses_other_entries(tmp_path):
+    p = tmp_path / "ckpt.json"
+    save_checkpoint(p, small_model(25))
+    obj = json.loads(p.read_text())
+    ints = list(range(len(obj["params"]["b_out"])))
+    obj["params"]["b_out"] = ints
+    p.write_text(json.dumps(obj))
+    loaded, _, _ = load_checkpoint(p)
+    assert np.array_equal(loaded.params["b_out"], np.array(ints, dtype=np.float64))
+    for entry, name in [("8", "str"), (True, "bool")]:
+        obj["params"]["w0"][1][0] = entry
+        p.write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError, match=f"parameter 'w0' holds {name} entries"):
+            load_checkpoint(p)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     model = small_model(22)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
