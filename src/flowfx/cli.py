@@ -240,10 +240,11 @@ def cmd_train_fm(cfg: RunConfig) -> None:
     model = net.init_model(ring_model_config(v["hidden"]), rng)
     opt = net.init_optimizer(model, lr=v["lr"], warmup=v["lr_warmup"])
     rows = []
+    ws = net.Workspace()
     for step in range(1, v["steps"] + 1):
         x0, labels = toy.sample_ring(rng, v["batch_size"])
         batch = flow.sample_path(x0, rng)
-        loss, tape = flow.fm_loss(model, batch, labels)
+        loss, tape = flow.fm_loss(model, batch, labels, ws)
         if not math.isfinite(loss):
             raise DivergenceError(step)
         net.adam_step(opt, model, tape)

@@ -14,7 +14,9 @@ buffers (activations, their logistic, the SiLU slopes, and the
 pre-activation gradient in the dead logistic buffer) in a per-thread
 scratch, grown to the largest row count seen: the 512-row discriminator
 step and the 256-row generator step share one set.  A head cache from disc_scores therefore lasts only until
-the next scoring call on the same discriminator in the same thread.  The
+the next scoring call on the same discriminator in the same thread.
+distill_loop owns one net.Workspace for all its steps; the trunk pass and
+its chain rule write into the workspace's "disc" part.  The
 generator objective is the mean-velocity distillation loss plus a weighted
 -D(x_r) term whose gradient enters the student through x_r = x_t - (t-r)*u.
 """
@@ -93,10 +95,11 @@ def _head_activations(disc: Discriminator, act: np.ndarray):
     return act.reshape(len(act), *disc.params["w2"].shape).transpose(1, 0, 2)
 
 
-def _head_scores(disc: Discriminator, feats: np.ndarray, handle):
+def _head_scores(disc: Discriminator, feats: np.ndarray, handle, ws=None):
     """Head scores (n, n_heads) of trunk features, and the cache the
-    backward helpers read: the features, the trunk's replay handle, and the
-    stacked SiLU activations and slopes.
+    backward helpers read: the features, the trunk's replay handle and
+    net.Workspace ``ws`` (None without one), and the stacked SiLU
+    activations and slopes.
 
     The activations, their logistic and the slopes are written into the
     discriminator's scratch, so the cache is valid only until the next
@@ -110,19 +113,23 @@ def _head_scores(disc: Discriminator, feats: np.ndarray, handle):
     # C-ordered scores keep later sums over them in the same order
     scores = np.matmul(_head_activations(disc, act), p["w2"][:, :, None])[:, :, 0].T
     scores = np.ascontiguousarray(scores) + p["b2"]
-    cache = {"feats": feats, "handle": handle, "act": act, "slope": slope}
+    cache = {"feats": feats, "handle": handle, "act": act, "slope": slope, "ws": ws}
     return scores, cache
 
 
-def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray, want_tape=True):
+def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray, want_tape=True, ws=None):
     """Head scores (n, n_heads) for states x at time r.
 
     The trunk sees (x, t=r, r=r) unconditionally; returns (scores, cache)
     where cache replays the forward pass for the backward helpers; without
     ``want_tape`` its trunk handle is None, so only the head gradients work.
+    With a net.Workspace ``ws`` the trunk pass writes into its "disc" part,
+    apart from the generator's tape.
     """
-    feats, handle = net.hidden_forward(disc.trunk, x, r, r, None, want_tape)
-    return _head_scores(disc, feats, handle)
+    if ws is not None:
+        ws = ws.part("disc")
+    feats, handle = net.hidden_forward(disc.trunk, x, r, r, None, want_tape, ws)
+    return _head_scores(disc, feats, handle, ws)
 
 
 def _pre_activation_grad(disc: Discriminator, cache: dict, up_scores: np.ndarray):
@@ -153,7 +160,7 @@ def _head_param_grads(disc: Discriminator, cache: dict, up_scores: np.ndarray) -
 def disc_input_gradient(disc: Discriminator, cache: dict, up_scores: np.ndarray):
     """Gradient of <scores, up_scores> with respect to the disc input x."""
     g_feats = _pre_activation_grad(disc, cache, up_scores) @ disc.params["w1"]
-    return net.hidden_input_gradient(disc.trunk, cache["handle"], g_feats)
+    return net.hidden_input_gradient(disc.trunk, cache["handle"], g_feats, cache["ws"])
 
 
 def disc_step(
@@ -163,6 +170,7 @@ def disc_step(
     opt: net.OptimizerState,
     rng: np.random.Generator,
     cond=None,
+    ws=None,
 ) -> float:
     """One hinge-loss discriminator update on fresh (t, r) draws from
     flow.sample_times.
@@ -171,16 +179,17 @@ def disc_step(
     student's one-jump estimates x_t - (t-r) u, treated as constants so no
     gradient reaches the student.  Both halves are scored in one
     disc_scores call; only the heads train, so the trunk records no tape.
+    The passes use the loop's net.Workspace ``ws`` when given.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     n = x0.shape[0]
     t, r = flow.sample_times(rng, n)
     batch = flow.sample_path(x0, rng, t=t)
-    u = net.forward(student, batch.xt, t, r, cond)
+    u = net.forward(student, batch.xt, t, r, cond, ws)
     x_fake = batch.xt - (t - r)[:, None] * u
     x_true = (1.0 - r)[:, None] * batch.x0 + r[:, None] * batch.x1
     scores, cache = disc_scores(
-        disc, np.concatenate([x_true, x_fake]), np.concatenate([r, r]), want_tape=False
+        disc, np.concatenate([x_true, x_fake]), np.concatenate([r, r]), want_tape=False, ws=ws
     )
     s_true, s_fake = scores[:n], scores[n:]
     loss = losses.hinge_disc_loss(s_true, s_fake)
@@ -193,12 +202,12 @@ def disc_step(
     return loss
 
 
-def _adversarial_upstream(disc: Discriminator, xt, t, r, u):
+def _adversarial_upstream(disc: Discriminator, xt, t, r, u, ws=None):
     """The generator's hinge term -mean D(x_r) at x_r = x_t - (t-r) u, and
     its upstream on u, -(t-r) dD/dx_r, with the whole discriminator frozen.
     Returns (adv_loss, upstream)."""
     x_fake = xt - (t - r)[:, None] * u
-    scores, cache = disc_scores(disc, x_fake, r)
+    scores, cache = disc_scores(disc, x_fake, r, ws=ws)
     adv_loss = losses.hinge_gen_loss(scores)
     up_scores = np.full(scores.shape, -1.0 / scores.size)
     d_dx = disc_input_gradient(disc, cache, up_scores)
@@ -215,6 +224,7 @@ def gen_step(
     adv_weight: float,
     cond=None,
     cfg: flow.CfgSpec | None = None,
+    ws=None,
 ):
     """One generator update on fresh (t, r) draws from flow.sample_times:
     mean-velocity distillation loss plus, when ``disc`` is given, adv_weight
@@ -225,7 +235,8 @@ def gen_step(
     upstreams on u are summed and backpropagated in one reverse pass.  Both
     terms see the condition ids after guidance dropout: the discriminator
     trunk is unconditional, and it judges the x_r made by that same student
-    call.
+    call.  The teacher, student and discriminator passes use the loop's
+    net.Workspace ``ws`` when given.
 
     The adversarial branch draws nothing from rng, so runs with no
     discriminator consume exactly the same random stream as a loop of plain
@@ -236,17 +247,17 @@ def gen_step(
     n = x0.shape[0]
     t, r = flow.sample_times(rng, n)
     batch = flow.sample_path(x0, rng, t=t)
-    v_tgt, cond_ids = flow._distill_target(teacher, batch, cond, cfg, rng)
+    v_tgt, cond_ids = flow._distill_target(teacher, batch, cond, cfg, rng, ws)
     mf_loss, u, upstream, tape = flow._interval_loss(
-        student, batch.xt, t, r, cond_ids, v_tgt, flow.CLIP_BOUNDS
+        student, batch.xt, t, r, cond_ids, v_tgt, flow.CLIP_BOUNDS, ws
     )
     adv_loss = None
     total = mf_loss
     if disc is not None:
-        adv_loss, adv_upstream = _adversarial_upstream(disc, batch.xt, t, r, u)
+        adv_loss, adv_upstream = _adversarial_upstream(disc, batch.xt, t, r, u, ws)
         upstream = upstream + adv_weight * adv_upstream
         total = mf_loss + adv_weight * adv_loss
-    net.adam_step(opt, student, net._tape_backward(student, tape, upstream))
+    net.adam_step(opt, student, net._tape_backward(student, tape, upstream, ws))
     return mf_loss, adv_loss, total
 
 
@@ -273,7 +284,8 @@ def distill_loop(
     step with a non-finite loss raises DivergenceError instead, and so does
     the net.MAX_SKIPS-th step in a row whose mf_loss is the square of the
     flow.CLIP_BOUNDS bound: every residual of the batch is clipped, so the
-    loss no longer measures how far the student is from its target.
+    loss no longer measures how far the student is from its target.  Every
+    step's passes share one net.Workspace that the loop owns.
     """
     if n_steps < 0 or batch_size < 1:
         raise DomainError("need n_steps >= 0 and batch_size >= 1")
@@ -287,16 +299,17 @@ def distill_loop(
     saturated = max(b * b for b in flow.CLIP_BOUNDS)
     pinned = 0
     rows = []
+    ws = net.Workspace()
     for step in range(1, n_steps + 1):
         active = adversarial and step > config.warmup_steps
         disc_loss = None
         if active:
             x0_d, cond_d = sample_batch(rng_disc, batch_size)
-            disc_loss = disc_step(disc, student, x0_d, disc_opt, rng_disc, cond_d)
+            disc_loss = disc_step(disc, student, x0_d, disc_opt, rng_disc, cond_d, ws)
         x0, cond = sample_batch(rng_gen, batch_size)
         mf_loss, adv_loss, _ = gen_step(
             student, teacher, disc if active else None, x0, gen_opt, rng_gen,
-            config.adv_weight, cond, cfg,
+            config.adv_weight, cond, cfg, ws,
         )
         if not all(np.isfinite(x) for x in (mf_loss, adv_loss, disc_loss) if x is not None):
             raise DivergenceError(step)

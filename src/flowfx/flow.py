@@ -97,7 +97,7 @@ def _check_batch(batch: PathSample, r=None):
     return None
 
 
-def _interval_loss(model, xt, t, r, cond, v_tgt, clip):
+def _interval_loss(model, xt, t, r, cond, v_tgt, clip, ws=None):
     """The one training objective behind fm_loss and both mean-velocity
     losses, on a single primal pass.
 
@@ -109,10 +109,11 @@ def _interval_loss(model, xt, t, r, cond, v_tgt, clip):
 
     Returns (loss, u, upstream, tape): the pass's tape goes straight to
     net._tape_backward, so a caller can add its own upstream on u and still
-    run one reverse pass.
+    run one reverse pass.  With a net.Workspace ``ws`` the tape lives in its
+    buffers (see net._core).
     """
     tangent = (v_tgt, 1.0, 0.0) if np.any(r != t) else None
-    u, dudt, tape = net._core(model, xt, t, r, cond, want_tape=True, tangent=tangent)
+    u, dudt, tape = net._core(model, xt, t, r, cond, want_tape=True, tangent=tangent, ws=ws)
     target = v_tgt if dudt is None else v_tgt - (t - r)[:, None] * dudt
     g = u - target
     if clip is not None:
@@ -122,14 +123,16 @@ def _interval_loss(model, xt, t, r, cond, v_tgt, clip):
     return loss, u, upstream, tape
 
 
-def fm_loss(model, batch: PathSample, cond=None):
+def fm_loss(model, batch: PathSample, cond=None, ws=None):
     """Flow-matching objective: mean squared error between u(xt, t, t) and
-    the path velocity.  Returns (loss, GradTape)."""
+    the path velocity.  Returns (loss, GradTape); a training loop passes
+    its net.Workspace as ``ws`` for the pass's arrays, and the GradTape is
+    new either way."""
     _check_batch(batch)
     loss, _, upstream, tape = _interval_loss(
-        model, batch.xt, batch.t, batch.t, cond, batch.v_target, None
+        model, batch.xt, batch.t, batch.t, cond, batch.v_target, None, ws
     )
-    return loss, net._tape_backward(model, tape, upstream)
+    return loss, net._tape_backward(model, tape, upstream, ws)
 
 
 def meanflow_loss(model, batch: PathSample, r, cond=None):
@@ -167,7 +170,7 @@ class CfgSpec:
             raise DomainError("drop_prob must lie in [0, 1]")
 
 
-def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng):
+def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng, ws=None):
     """The frozen teacher's target velocity for the mean-velocity
     distillation loss: its instantaneous prediction u_teacher(xt, t, t),
     or, under guidance, a combination of conditional and unconditional
@@ -176,7 +179,8 @@ def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng):
 
     Returns (v_tgt, cond_ids): cond_ids are the condition ids after any
     dropout, the ids the student is evaluated at.  Under guidance, rng
-    supplies the dropout coins, then the per-sample scales.
+    supplies the dropout coins, then the per-sample scales.  The teacher
+    passes use the net.Workspace ``ws`` when given; v_tgt is new.
     """
     if cfg is not None and rng is None:
         raise DomainError("guided distillation needs an rng for scale/dropout draws")
@@ -186,10 +190,10 @@ def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng):
         cond_ids = np.asarray(cond, dtype=np.intp)
 
     if cfg is None:
-        return net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids), cond_ids
+        return net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids, ws), cond_ids
     cond_ids = apply_cond_dropout(cond_ids, cfg.drop_prob, rng, teacher.config.null_cond)
     lo, hi = cfg.scale_range
     scale = rng.uniform(lo, hi, batch.xt.shape[0])[:, None] if hi > lo else lo
-    v_c = net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids)
-    v_u = net.forward(teacher, batch.xt, batch.t, batch.t, None)
+    v_c = net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids, ws)
+    v_u = net.forward(teacher, batch.xt, batch.t, batch.t, None, ws)
     return cfg_combine(v_c, v_u, scale), cond_ids

@@ -36,6 +36,14 @@ largest row count seen, so a training or sampling loop stops allocating
 (and faulting in) that memory on every call.  Nothing ``_core`` returns or
 records on a tape lives in the scratch, so results stay valid across later
 calls, and threads calling into one model each get their own buffers.
+
+A training loop goes further: it owns one ``Workspace`` and hands it to
+every pass of its steps (``_core``, ``_tape_backward``, the losses and the
+distillation steps), which then write their row-sized arrays (activations,
+slopes, tangent, chain-rule gradients, the first layer's terms) into its
+buffers instead of new ones.  What a step writes there is valid for one
+step; nothing returned outside the loop lives there.  Without a workspace
+every pass allocates its arrays afresh.
 """
 
 from __future__ import annotations
@@ -110,14 +118,42 @@ def _frequencies(n_freqs, freq_min, freq_max):
     return freqs
 
 
-class _Scratch:
-    """Work buffers that one object reuses across calls, one set per thread.
+class Workspace:
+    """Work buffers that one training loop owns and reuses on every step.
 
     ``take(name, rows, width)`` returns the leading ``rows`` rows of a
     float64 (rows, width) buffer kept under (name, width); the buffer grows
     to the largest row count asked for and is never shrunk.  The view is
-    valid until the next ``take`` of the same key on the same thread, so a
-    caller may only keep what it writes there for the length of one call.
+    valid until the next ``take`` of the same key, so what a step writes
+    there lives for one step.  ``part(name)`` is a child workspace with
+    buffers of its own, for passes whose arrays are alive at the same time
+    (a student's tape and a discriminator trunk's)."""
+
+    def __init__(self):
+        self.bufs = {}
+        self.parts = {}
+
+    def take(self, name, rows, width):
+        buf = self.bufs.get((name, width))
+        if buf is None or buf.shape[0] < rows:
+            buf = self.bufs[name, width] = np.empty((rows, width))
+        return buf[:rows]
+
+    def part(self, name) -> Workspace:
+        ws = self.parts.get(name)
+        if ws is None:
+            ws = self.parts[name] = Workspace()
+        return ws
+
+
+def _new_buffer(name, rows, width):
+    """The ``take`` of no workspace: numpy allocates the result (out=None)."""
+    return None
+
+
+class _Scratch:
+    """A Workspace per thread, for an object that many threads may call.
+
     Copies (``copy.deepcopy``, pickling) start with no buffers.
     """
 
@@ -125,11 +161,10 @@ class _Scratch:
         self._local = threading.local()
 
     def take(self, name, rows, width):
-        bufs = self._local.__dict__.setdefault("bufs", {})
-        buf = bufs.get((name, width))
-        if buf is None or buf.shape[0] < rows:
-            buf = bufs[name, width] = np.empty((rows, width))
-        return buf[:rows]
+        ws = self._local.__dict__.get("ws")
+        if ws is None:
+            ws = self._local.ws = Workspace()
+        return ws.take(name, rows, width)
 
     def __reduce__(self):
         return _Scratch, ()
@@ -226,7 +261,7 @@ def _resolve_cond(cond, n, config):
     if ids.shape != (n,):
         raise DomainError(f"cond shape {ids.shape} does not match batch {n}")
     ids = ids.astype(np.intp)
-    if np.any(ids < 0) or np.any(ids > config.null_cond):
+    if (ids < 0).any() or (ids > config.null_cond).any():
         raise DomainError(
             f"condition ids must lie in [0, {config.null_cond}] "
             f"(the last id is the null condition)"
@@ -266,7 +301,7 @@ def _silu(a, s, want_slope=True, slope_out=None):
     return slope
 
 
-def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
+def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True, ws=None):
     """Shared primal pass.  Optionally records a tape for _tape_backward
     and/or propagates a (dx, dt, dr) tangent in lockstep with the primal ops.
     With ``readout`` false the pass stops at the last hidden activations,
@@ -277,6 +312,15 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     batch shares one (t, r) and n rows otherwise.  The network input
     z = [x, e, c] is built only for a tape (the w0 gradient); a shared time
     row is broadcast to the batch there and in the tape's e_in.
+
+    With a Workspace ``ws`` the pass writes its row-sized arrays (e_in, e,
+    the first layer's terms, each layer's activations and SiLU slopes, the
+    tangent and the tape's z) into ws's buffers.  They are valid for one
+    step: the next pass on ws overwrites them, so the tape and, without
+    ``readout``, the returned activations must be used up within the step;
+    nothing returned outside the loop lives there.  The readout u and du are
+    always new arrays.  Without ``ws`` every array is new.  Either way the
+    SiLU's logistic stays in the model's scratch.
     Returns (u, du or None, tape or None)."""
     cfg = model.config
     p = model.params
@@ -285,6 +329,8 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     t_arr, r_arr = np.broadcast_arrays(_as_time_rows(t, n, "t"), _as_time_rows(r, n, "r"))
     ids = _resolve_cond(cond, n, cfg)
     freqs = cfg.frequencies()
+    out = _new_buffer if ws is None else ws.take
+    time_rows = len(t_arr)
 
     ang_t = t_arr[:, None] * freqs[None, :]
     sin_t, cos_t = np.sin(ang_t), np.cos(ang_t)
@@ -294,14 +340,19 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     else:
         ang_r = r_arr[:, None] * freqs[None, :]
         sin_r, cos_r = np.sin(ang_r), np.cos(ang_r)
-    e_in = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1)
-    e = e_in @ p["embed_w"].T + p["embed_b"]
-
+    e_in = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1,
+                          out=out("e_in", time_rows, 4 * cfg.n_freqs))
     dim, ed = cfg.dim, cfg.embed_dim
-    w = p["w0"]
-    a = x2 @ w[:, :dim].T
-    a += (p["cond_table"] @ w[:, dim + ed :].T)[ids]
-    a += e @ w[:, dim : dim + ed].T + p["b0"]
+    e = np.matmul(e_in, p["embed_w"].T, out=out("e", time_rows, ed))
+    e = np.add(e, p["embed_b"], out=out("e", time_rows, ed))
+
+    w, w0_rows = p["w0"], cfg.hidden[0]
+    a = np.matmul(x2, w[:, :dim].T, out=out(("h", 0), n, w0_rows))
+    # ids are checked, so clipping them changes nothing
+    a += np.take(p["cond_table"] @ w[:, dim + ed :].T, ids, axis=0, mode="clip",
+                 out=out("first", n, w0_rows))
+    first = np.matmul(e, w[:, dim : dim + ed].T, out=out("first", time_rows, w0_rows))
+    a += np.add(first, p["b0"], out=out("first", time_rows, w0_rows))
 
     dh = None
     if tangent is not None:
@@ -315,29 +366,31 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
         d_ang_r = dr_arr[:, None] * freqs[None, :]
         de_in = np.concatenate(
             [cos_t * d_ang_t, -sin_t * d_ang_t, cos_r * d_ang_r, -sin_r * d_ang_r],
-            axis=1,
+            axis=1, out=out("de_in", n, 4 * cfg.n_freqs),
         )
-        de = de_in @ p["embed_w"].T
-        dh = np.concatenate([dx2, de, np.zeros((n, cfg.cond_dim))], axis=1)
+        de = np.matmul(de_in, p["embed_w"].T, out=out("de", n, ed))
+        dh = np.concatenate([dx2, de, np.zeros((n, cfg.cond_dim))], axis=1,
+                            out=out("dh_in", n, cfg.in_dim))
 
     tape = None
     if want_tape:
         e_in = np.broadcast_to(e_in, (n, e_in.shape[1]))
-        z = np.concatenate([x2, np.broadcast_to(e, (n, ed)), p["cond_table"][ids]], axis=1)
+        z = np.concatenate([x2, np.broadcast_to(e, (n, ed)), p["cond_table"][ids]], axis=1,
+                           out=out("z", n, cfg.in_dim))
         tape = {"e_in": e_in, "ids": ids, "inputs": [z], "slope": []}
 
     h = a
-    for i in range(len(cfg.hidden)):
+    for i, width in enumerate(cfg.hidden):
         if i:
-            h = h @ p[f"w{i}"].T
+            h = np.matmul(h, p[f"w{i}"].T, out=out(("h", i), n, width))
             h += p[f"b{i}"]
-        s = model._scratch.take("logistic", n, h.shape[1])
-        slope = _silu(h, s, want_tape or tangent is not None)
+        s = model._scratch.take("logistic", n, width)
+        slope = _silu(h, s, want_tape or tangent is not None, slope_out=out(("slope", i), n, width))
         if want_tape:
             tape["inputs"].append(h)
             tape["slope"].append(slope)
         if tangent is not None:
-            dh = dh @ p[f"w{i}"].T
+            dh = np.matmul(dh, p[f"w{i}"].T, out=out(("dh", i), n, width))
             dh *= slope
     if readout:
         u = h @ p["w_out"].T + p["b_out"]
@@ -351,37 +404,57 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True):
     return u, du, tape
 
 
-def forward(model: VelocityModel, x, t, r, cond=None) -> np.ndarray:
+def forward(model: VelocityModel, x, t, r, cond=None, ws=None) -> np.ndarray:
     """Evaluate u(x, t, r, cond).  x is (dim,) or (batch, dim); t and r are
     scalars or per-sample vectors; cond is None (unconditional), a scalar id,
-    or a per-sample id vector."""
-    u, _, _ = _core(model, x, t, r, cond)
+    or a per-sample id vector.  A training loop passes its Workspace as
+    ``ws`` for the pass's arrays; u is new either way."""
+    u, _, _ = _core(model, x, t, r, cond, ws=ws)
     return u
 
 
-def _hidden_chain(model, tape, g, grads=None):
+def _hidden_chain(model, tape, g, grads=None, ws=None):
     """Chain rule from the last hidden activations back to the network input
     [x, e, c], replaying a tape from _core.  When ``grads`` is a dict, the
-    hidden layers' parameter gradients are written into it."""
+    hidden layers' parameter gradients are written into it.  With a
+    Workspace ``ws`` the row-sized gradients go into its buffers, and so
+    does the returned one."""
     p = model.params
+    out = _new_buffer if ws is None else ws.take
+    n = len(g)
     for i in reversed(range(len(model.config.hidden))):
-        ga = g * tape["slope"][i]
+        w = p[f"w{i}"]
+        ga = np.multiply(g, tape["slope"][i], out=out(("ga", i), n, w.shape[0]))
         if grads is not None:
             grads[f"w{i}"] = ga.T @ tape["inputs"][i]
             grads[f"b{i}"] = ga.sum(axis=0)
-        g = ga @ p[f"w{i}"]
+        g = np.matmul(ga, w, out=out(("g", i), n, w.shape[1]))
     return g
 
 
-def _tape_backward(model, tape, upstream) -> GradTape:
+def _sum_rows_by_id(ids, rows, n_ids):
+    """(n_ids, width) sums of ``rows`` grouped by ``ids``: one bincount over
+    the flat (id, column) cells.  Each cell adds its rows in batch order
+    from 0.0, so the bits equal np.add.at's on a zero table."""
+    width = rows.shape[1]
+    cells = (ids[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=rows.ravel(), minlength=n_ids * width)
+    return sums.reshape(n_ids, width)
+
+
+def _tape_backward(model, tape, upstream, ws=None) -> GradTape:
     """Gradients of <u, upstream> for the pass that recorded ``tape``;
-    ``upstream`` is (batch, dim) and the input gradient comes back batched."""
+    ``upstream`` is (batch, dim) and the input gradient comes back batched.
+    The gradients are new arrays; with a Workspace ``ws`` the row-sized
+    chain-rule arrays in between live in its buffers."""
     cfg = model.config
     p = model.params
     grads = {}
     grads["w_out"] = upstream.T @ tape["inputs"][-1]
     grads["b_out"] = upstream.sum(axis=0)
-    g = _hidden_chain(model, tape, upstream @ p["w_out"], grads)
+    out = _new_buffer if ws is None else ws.take
+    g = np.matmul(upstream, p["w_out"], out=out("g_out", len(upstream), cfg.hidden[-1]))
+    g = _hidden_chain(model, tape, g, grads, ws)
 
     dim, ed = cfg.dim, cfg.embed_dim
     gx = g[:, :dim]
@@ -389,29 +462,43 @@ def _tape_backward(model, tape, upstream) -> GradTape:
     gc = g[:, dim + ed :]
     grads["embed_w"] = ge.T @ tape["e_in"]
     grads["embed_b"] = ge.sum(axis=0)
-    gtab = np.zeros_like(p["cond_table"])
-    np.add.at(gtab, tape["ids"], gc)
-    grads["cond_table"] = gtab
-    return GradTape(grads, gx)
+    grads["cond_table"] = _sum_rows_by_id(tape["ids"], gc, len(p["cond_table"]))
+    # without a workspace grad_x stays a view of g, which keeps g alive
+    return GradTape(grads, gx if ws is None else gx.copy())
 
 
-def hidden_forward(model: VelocityModel, x, t, r, cond=None, want_tape=True):
+def hidden_forward(model: VelocityModel, x, t, r, cond=None, want_tape=True, ws=None):
     """Penultimate hidden activations (the features feeding the output
     layer) plus a replay handle for hidden_input_gradient (None unless
-    ``want_tape``)."""
-    h, _, tape = _core(model, x, t, r, cond, want_tape=want_tape, readout=False)
+    ``want_tape``).  With a Workspace ``ws`` both live in its buffers."""
+    h, _, tape = _core(model, x, t, r, cond, want_tape=want_tape, readout=False, ws=ws)
     return h, tape
 
 
-def hidden_input_gradient(model: VelocityModel, tape, upstream) -> np.ndarray:
+def hidden_input_gradient(model: VelocityModel, tape, upstream, ws=None) -> np.ndarray:
     """Gradient of <hidden_forward features, upstream> with respect to x,
     holding every parameter fixed (the net acts as a frozen feature map)."""
     g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    return _hidden_chain(model, tape, g)[:, : model.config.dim]
+    return _hidden_chain(model, tape, g, ws=ws)[:, : model.config.dim]
+
+
+def _spans(arrays: dict) -> dict:
+    """Each array's slice of the flat vector of all of them, in dict order."""
+    spans, start = {}, 0
+    for k, a in arrays.items():
+        spans[k] = slice(start, start + a.size)
+        start += a.size
+    return spans
+
+
+def _norm_of_squares(squares, spans, keys) -> float:
+    """sqrt of the sums of ``squares[spans[k]]``, added in ``keys`` order."""
+    return float(np.sqrt(sum(np.sum(squares[spans[k]]) for k in keys)))
 
 
 def global_grad_norm(tape: GradTape) -> float:
-    return float(np.sqrt(sum(np.sum(g * g) for g in tape.grads.values())))
+    flat = np.concatenate([g.ravel() for g in tape.grads.values()])
+    return _norm_of_squares(flat * flat, _spans(tape.grads), tape.grads)
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's published defaults (arXiv:1412.6980)
@@ -427,6 +514,10 @@ class OptimizerState:
     skipped: int = field(default=0, init=False)
     m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
     v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    # adam_step's flat gradient and its second work vector, m's size each
+    _work: np.ndarray = field(
+        default_factory=lambda: np.zeros((2, 0)), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0.0):
@@ -448,42 +539,54 @@ def init_optimizer(model: VelocityModel, **kwargs) -> OptimizerState:
     state = OptimizerState(**kwargs)
     state.m = np.zeros(sum(p.size for p in model.params.values()))
     state.v = np.zeros_like(state.m)
+    state._work = np.empty((2, state.m.size))
     return state
 
 
 def adam_step(state: OptimizerState, model: VelocityModel, tape: GradTape) -> bool:
     """One optimizer step, in place.  Order: global-norm clip at CLIP_NORM,
     linear learning-rate warmup, then bias-corrected Adam, run once over
-    the gradients flattened in ``model.params`` order.
+    the gradients flattened in ``model.params`` order into the state's work
+    vectors, so a step allocates no parameter-sized array.
 
     Non-finite gradients skip the step entirely (only ``skipped``, the count
-    of consecutive skips, advances) with a warning, and the MAX_SKIPS-th
-    skip in a row raises DivergenceError; returns whether the step was
-    applied.
+    of consecutive skips, advances) with a warning naming the first such key
+    in ``tape.grads`` order, and the MAX_SKIPS-th skip in a row raises
+    DivergenceError; returns whether the step was applied.
     """
-    for k, g in tape.grads.items():
-        if not np.all(np.isfinite(g)):
-            state.skipped += 1
-            if state.skipped >= MAX_SKIPS:
-                msg = f"non-finite gradients {state.skipped} times in a row"
-                raise DivergenceError(state.step + 1, msg)
-            warnings.warn(f"skipping optimizer step: non-finite gradient in {k!r}")
-            return False
+    g, work = state._work
+    np.concatenate([tape.grads[k].ravel() for k in model.params], out=g)
+    if not np.isfinite(g).all():
+        state.skipped += 1
+        if state.skipped >= MAX_SKIPS:
+            msg = f"non-finite gradients {state.skipped} times in a row"
+            raise DivergenceError(state.step + 1, msg)
+        bad = next(k for k, v in tape.grads.items() if not np.isfinite(v).all())
+        warnings.warn(f"skipping optimizer step: non-finite gradient in {bad!r}")
+        return False
     state.skipped = 0
-    norm = global_grad_norm(tape)
+    spans = _spans(model.params)
+    norm = _norm_of_squares(np.multiply(g, g, out=work), spans, tape.grads)
     scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
     state.step += 1
     lr_t = state.effective_lr()
     b1c = 1.0 - BETA1**state.step
     b2c = 1.0 - BETA2**state.step
-    g = np.concatenate([tape.grads[k].ravel() for k in model.params]) * scale
-    state.m = BETA1 * state.m + (1.0 - BETA1) * g
-    state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
-    d = lr_t * (state.m / b1c) / (np.sqrt(state.v / b2c) + EPS)
-    start = 0
-    for p in model.params.values():
-        p -= d[start : start + p.size].reshape(p.shape)
-        start += p.size
+    g *= scale
+    state.m *= BETA1  # m = BETA1 m + (1 - BETA1) g
+    state.m += np.multiply(g, 1.0 - BETA1, out=work)
+    state.v *= BETA2  # v = BETA2 v + ((1 - BETA2) g) g
+    work = np.multiply(g, 1.0 - BETA2, out=work)
+    work *= g
+    state.v += work
+    # d = lr_t (m / b1c) / (sqrt(v / b2c) + EPS), into g
+    work = np.sqrt(np.divide(state.v, b2c, out=work), out=work)
+    work += EPS
+    d = np.divide(state.m, b1c, out=g)
+    d *= lr_t
+    d /= work
+    for k, p in model.params.items():
+        p -= d[spans[k]].reshape(p.shape)
     return True
 
 

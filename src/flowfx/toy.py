@@ -17,11 +17,15 @@ MODE_SIGMA = 0.1
 RING_RADIUS = 1.0
 
 
+_ANGLES = 2.0 * np.pi * np.arange(N_MODES) / N_MODES
+_CENTERS = np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=1) * RING_RADIUS
+_CENTERS.flags.writeable = False
+
+
 def ring_centers() -> np.ndarray:
     """The N_MODES mode centers, equally spaced on the circle of radius
-    RING_RADIUS, shape (N_MODES, 2)."""
-    ang = 2.0 * np.pi * np.arange(N_MODES) / N_MODES
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1) * RING_RADIUS
+    RING_RADIUS, shape (N_MODES, 2); one read-only array, made once."""
+    return _CENTERS
 
 
 def sample_ring(rng: np.random.Generator, n: int):
@@ -35,7 +39,7 @@ def sample_ring(rng: np.random.Generator, n: int):
     if n < 1:
         raise DomainError("n must be >= 1")
     labels = rng.integers(0, N_MODES, n)
-    x0 = ring_centers()[labels] + MODE_SIGMA * rng.standard_normal((n, 2))
+    x0 = _CENTERS[labels] + MODE_SIGMA * rng.standard_normal((n, 2))
     return x0, labels
 
 

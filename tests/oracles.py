@@ -6,6 +6,9 @@ training loops run (``net._core``, ``net._tape_backward``,
 ``distill._adversarial_upstream``) into one standalone call, so a test can
 check those pieces against finite differences, against each other, or
 against a fused step, through a small public-looking signature.
+``adam_step`` is the allocating formula that ``net.adam_step`` computes in
+place, kept as its bitwise reference, and ``workspace_buffers`` lists what a
+``net.Workspace`` holds.
 """
 
 import numpy as np
@@ -89,3 +92,33 @@ def adversarial_grads(
     u, _, tape = net._core(student, xt, t, r, cond, want_tape=True)
     adv_loss, upstream = _adversarial_upstream(disc, xt, t, r, u)
     return adv_loss, net._tape_backward(student, tape, upstream)
+
+
+def adam_step(state: net.OptimizerState, model: VelocityModel, tape: GradTape) -> bool:
+    """Clipped, warmed-up Adam over the flattened gradients, written as
+    expressions that allocate their results: the global norm sums each
+    key's squares in ``tape.grads`` order, the rest runs in
+    ``model.params`` order.  Non-finite gradients are not handled here."""
+    norm = float(np.sqrt(sum(np.sum(g * g) for g in tape.grads.values())))
+    scale = net.CLIP_NORM / norm if norm > net.CLIP_NORM else 1.0
+    state.step += 1
+    lr_t = state.effective_lr()
+    b1c = 1.0 - net.BETA1**state.step
+    b2c = 1.0 - net.BETA2**state.step
+    g = np.concatenate([tape.grads[k].ravel() for k in model.params]) * scale
+    state.m = net.BETA1 * state.m + (1.0 - net.BETA1) * g
+    state.v = net.BETA2 * state.v + (1.0 - net.BETA2) * g * g
+    d = lr_t * (state.m / b1c) / (np.sqrt(state.v / b2c) + net.EPS)
+    start = 0
+    for p in model.params.values():
+        p -= d[start : start + p.size].reshape(p.shape)
+        start += p.size
+    return True
+
+
+def workspace_buffers(ws: net.Workspace, path=()) -> dict:
+    """{(part names..., buffer name, width): buffer} over ws and its parts."""
+    found = {(*path, *key): buf for key, buf in ws.bufs.items()}
+    for name, part in ws.parts.items():
+        found.update(workspace_buffers(part, (*path, name)))
+    return found

@@ -26,7 +26,7 @@ from flowfx.distill import (
 )
 from flowfx.errors import DivergenceError, DomainError
 
-from oracles import adversarial_grads, jvp, meanflow_distill_loss
+from oracles import adversarial_grads, jvp, meanflow_distill_loss, workspace_buffers
 
 TEACHER_CONFIG = net.ModelConfig(
     dim=2, hidden=(16, 16), n_cond=2, cond_dim=4, embed_dim=8,
@@ -274,6 +274,49 @@ class TestHeadScratch:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 256 * 8
+
+
+class TestWorkspace:
+    """The workspace distill_loop owns changes no result, and a warm loop
+    adds no buffer to it."""
+
+    def _state(self, seed):
+        teacher = _teacher(seed)
+        disc = init_discriminator(teacher, np.random.default_rng(seed + 1), 4, 64)
+        student = teacher.clone()
+        return teacher, (disc, student, net.init_optimizer(disc, lr=1e-3),
+                         net.init_optimizer(student, lr=1e-3),
+                         np.random.default_rng(seed + 2), np.random.default_rng(seed + 3))
+
+    def _iteration(self, state, teacher, ws, cfg=None):
+        disc, student, d_opt, g_opt, rng_d, rng_g = state
+        x0, cond = _two_mode_batch(rng_d, 256)
+        d_loss = disc_step(disc, student, x0, d_opt, rng_d, cond, ws)
+        x0, cond = _two_mode_batch(rng_g, 256)
+        return (d_loss, *gen_step(student, teacher, disc, x0, g_opt, rng_g, 0.5, cond, cfg, ws))
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_iterations_match_iterations_without_workspace(self, guided):
+        teacher, state = self._state(81)
+        fresh = copy.deepcopy(state)
+        cfg = flow.CfgSpec() if guided else None
+        ws = net.Workspace()
+        for _ in range(3):
+            got = self._iteration(state, teacher, ws, cfg)
+            assert got == self._iteration(fresh, teacher, None, cfg)
+            _assert_bitwise_equal(state[0].params, fresh[0].params)
+            _assert_bitwise_equal(state[1].params, fresh[1].params)
+        assert set(ws.parts) == {"disc"}
+
+    def test_warm_loop_adds_no_buffer(self):
+        teacher, state = self._state(85)
+        ws = net.Workspace()
+        for _ in range(2):
+            self._iteration(state, teacher, ws)
+        warm = {key: id(buf) for key, buf in workspace_buffers(ws).items()}
+        for _ in range(3):
+            self._iteration(state, teacher, ws)
+            assert {key: id(buf) for key, buf in workspace_buffers(ws).items()} == warm
 
 
 class TestDiscStep:

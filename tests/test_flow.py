@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowfx import net, toy
 from flowfx.errors import DomainError
 from flowfx.flow import (
     CfgSpec,
@@ -14,7 +15,7 @@ from flowfx.flow import (
 from flowfx.losses import cfg_combine
 from flowfx.net import ModelConfig, adam_step, forward, init_model, init_optimizer
 
-from oracles import backward, jvp, meanflow_distill_loss
+from oracles import backward, jvp, meanflow_distill_loss, workspace_buffers
 
 SMALL = ModelConfig(dim=2, hidden=(16, 16), n_cond=3, cond_dim=4, embed_dim=8, n_freqs=4)
 
@@ -330,3 +331,60 @@ def test_distill_constant_teacher_one_step_euler():
 def _rebuild(batch):
     xt = _mix(batch.x0, batch.x1, batch.t)
     return PathSample(batch.x0, batch.x1, batch.t, xt, batch.x1 - batch.x0)
+
+
+# the ring teacher's geometry, as train-fm builds it
+RING = ModelConfig(dim=2, hidden=(64, 64), n_cond=8, cond_dim=16, embed_dim=32,
+                   n_freqs=8, freq_max=100.0)
+
+
+def _fm_step(model, opt, rng, ws):
+    x0, labels = toy.sample_ring(rng, 256)
+    loss, tape = fm_loss(model, sample_path(x0, rng), labels, ws)
+    assert adam_step(opt, model, tape)
+    return loss, tape
+
+
+def _copied(loss, tape):
+    return loss, {k: g.copy() for k, g in tape.grads.items()}, tape.grad_x.copy()
+
+
+def _assert_same(got, want):
+    assert got[0] == want[0]
+    assert got[1].keys() == want[1].keys()
+    for k in want[1]:
+        assert np.array_equal(got[1][k], want[1][k]), k
+    assert np.array_equal(got[2], want[2])
+
+
+def test_workspace_fm_steps_match_fresh_arrays_and_outlive_later_steps():
+    model = init_model(RING, np.random.default_rng(70))
+    fresh = model.clone()
+    opt = init_optimizer(model, lr=1e-3, warmup=2)
+    fresh_opt = init_optimizer(fresh, lr=1e-3, warmup=2)
+    rng, fresh_rng = np.random.default_rng(71), np.random.default_rng(71)
+    ws = net.Workspace()
+    kept = []
+    for _ in range(4):
+        loss, tape = _fm_step(model, opt, rng, ws)
+        _assert_same(_copied(loss, tape), _copied(*_fm_step(fresh, fresh_opt, fresh_rng, None)))
+        kept.append(((loss, tape.grads, tape.grad_x), _copied(loss, tape)))
+    # what each step returned is unchanged by the later steps on ws
+    for returned, snapshot in kept:
+        _assert_same(returned, snapshot)
+    for k in model.params:
+        assert np.array_equal(model.params[k], fresh.params[k]), k
+
+
+def test_warm_fm_loop_adds_no_workspace_buffer():
+    model = init_model(RING, np.random.default_rng(72))
+    opt = init_optimizer(model, lr=1e-3, warmup=2)
+    rng = np.random.default_rng(73)
+    ws = net.Workspace()
+    for _ in range(2):
+        _fm_step(model, opt, rng, ws)
+    warm = {key: id(buf) for key, buf in workspace_buffers(ws).items()}
+    assert warm
+    for _ in range(3):
+        _fm_step(model, opt, rng, ws)
+        assert {key: id(buf) for key, buf in workspace_buffers(ws).items()} == warm

@@ -30,6 +30,7 @@ from flowfx.net import (
     save_checkpoint,
 )
 
+import oracles
 from oracles import backward, jvp, zero_grads
 
 SMALL = ModelConfig(dim=3, hidden=(8, 6), n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
@@ -645,6 +646,65 @@ def test_adam_caps_consecutive_skips():
     with pytest.raises(DivergenceError, match="in a row at step 2"):
         adam_step(state, model, _nan_grads(model))
     assert state.step == 1 and state.skipped == MAX_SKIPS
+
+
+# the ring teacher's geometry: parameter arrays of up to 4096 entries
+RING = ModelConfig(dim=2, hidden=(64, 64), n_cond=8, cond_dim=16, embed_dim=32,
+                   n_freqs=8, freq_max=100.0)
+
+
+@pytest.mark.parametrize("gain", [0.002, 0.5])  # global norms below and above CLIP_NORM
+def test_in_place_adam_matches_the_allocating_formula(gain):
+    model = init_model(RING, np.random.default_rng(25))
+    reference = model.clone()
+    state = init_optimizer(model, lr=1e-2, warmup=3)
+    ref_state = init_optimizer(reference, lr=1e-2, warmup=3)
+    rng = np.random.default_rng(26)
+    for _ in range(5):
+        # keys in reverse parameter order, as _tape_backward writes them
+        grads = {k: gain * rng.standard_normal(p.shape) for k, p in reversed(model.params.items())}
+        tape = GradTape(grads, np.zeros(2))
+        assert (global_grad_norm(tape) > CLIP_NORM) == (gain > 0.1)
+        assert adam_step(state, model, tape)
+        oracles.adam_step(ref_state, reference, tape)
+        for k in model.params:
+            assert np.array_equal(model.params[k], reference.params[k]), k
+        assert np.array_equal(state.m, ref_state.m) and np.array_equal(state.v, ref_state.v)
+    assert state.step == ref_state.step == 5
+
+
+def test_grad_norm_sums_keys_in_tape_order():
+    rng = np.random.default_rng(27)
+    tape = GradTape({k: rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape)
+                     for k, shape in reversed(net._param_shapes(RING).items())}, np.zeros(2))
+    want = float(np.sqrt(sum(np.sum(g * g) for g in tape.grads.values())))
+    assert global_grad_norm(tape) == want
+
+
+def test_adam_skip_warning_names_the_first_non_finite_key_in_tape_order():
+    model = small_model(6)
+    state = init_optimizer(model)
+    grads = {k: g for k, g in reversed(zero_grads(model).grads.items())}
+    grads["w0"][0, 0] = np.nan
+    grads["w1"][1, 0] = np.inf  # w1 comes first in this tape, w0 in model.params
+    with pytest.warns(UserWarning, match="non-finite gradient in 'w1'"):
+        assert not adam_step(state, model, GradTape(grads, np.zeros(3)))
+
+
+def test_row_sums_by_id_match_add_at_bitwise():
+    rng = np.random.default_rng(28)
+    n, n_ids, width = 256, 9, 16
+    ids = rng.integers(0, n_ids - 1, n)  # the last id never occurs
+    ids[:40] = 3
+    wide = rng.standard_normal((n, 50)) * 10.0 ** rng.integers(-12, 12, (n, 50))
+    rows = wide[:, 34:]  # a column block, as the condition gradient is
+    rows[rng.random(rows.shape) < 0.2] = -0.0
+    rows[ids == 5] = -0.0  # a table row made of -0.0 entries alone
+    want = np.zeros((n_ids, width))
+    np.add.at(want, ids, rows)
+    got = net._sum_rows_by_id(ids, rows, n_ids)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
