@@ -1,7 +1,8 @@
 """Evaluation metrics: SI-SDR, mel/STFT spectral distances (both
 ``dsp.spectral_l1`` at a fixed geometry), Gaussian Fréchet distance, softmax
 KL divergence, paired cosine score, retrieval recall@k, and the CSV formats
-that carry embeddings and metric reports, all written by ``write_csv``.
+that carry embeddings and metric reports, written by ``write_csv`` (or,
+for embeddings, in the same bytes by ``write_embedding_csv``).
 """
 
 from __future__ import annotations
@@ -218,9 +219,15 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_embedding_csv(path, emb: EmbeddingSet) -> None:
-    """Write rows as `id,dim0..dimN`; the id column holds the row index."""
-    header = ["id"] + [f"dim{j}" for j in range(emb.rows.shape[1])]
-    write_csv(path, header, ([str(i)] + row.tolist() for i, row in enumerate(emb.rows)))
+    """Write rows as `id,dim0..dimN`; the id column holds the row index.
+    The bytes are write_csv's: no cell needs quoting, so each line is its
+    cells, repr for the floats, joined by commas and ended by CRLF, and the
+    file is written in one piece."""
+    lines = ["id," + ",".join(f"dim{j}" for j in range(emb.rows.shape[1]))]
+    lines += [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(emb.rows.tolist())]
+    lines.append("")
+    with atomic_write(path, newline="") as fh:
+        fh.write("\r\n".join(lines))
 
 
 def _csv_float(text) -> float:

@@ -9,16 +9,22 @@ embedding (with a dedicated null row for unconditional passes); one or more
 hidden layers use SiLU, a * _logistic(a), where _logistic is 1 / (1 + exp(-a))
 on numpy's exp; the output layer is linear.
 
-Every pass is one run of ``_core``, the shared primal pass, so all of them
-evaluate the same expressions in the same order.  Forward mode rides along
-in that pass: given a (dx, dt, dr) tangent, ``_core`` propagates it in
-lockstep with the primal ops, and the value it returns is bit-identical to
-forward.  Reverse mode replays a tape: a training loss asks ``_core`` to
-record one during its single primal pass and hands it to ``_tape_backward``
-(or, for a frozen feature map, ``hidden_input_gradient``), instead of
-running the pass again.  The tape keeps each layer's input and its SiLU
-slope, taken once in the primal pass and read by the tangent and by the
-chain rule alike.
+Every pass is one run of ``_pass``, the one copy of the layer math, so all
+of them evaluate the same expressions in the same order.  Its inputs are
+resolved before it runs, in one of two places.  ``_core`` resolves them on
+every call (it checks x, t, r and the condition ids, gathers the ids'
+first-layer rows and compares r with t): training, the tape and the
+tangent go through it, and so does ``forward``.  A ``Field`` binds a model
+to one sample request (its condition and row count): it resolves the
+condition once, and each solver step then checks x's shape and runs
+``_pass``.  Forward mode rides along in the pass: given a (dx, dt, dr)
+tangent, ``_pass`` propagates it in lockstep with the primal ops, and the
+value it returns is bit-identical to forward.  Reverse mode replays a
+tape: a training loss asks ``_core`` to record one during its single primal
+pass and hands it to ``_tape_backward`` (or, for a frozen feature map,
+``hidden_input_gradient``), instead of running the pass again.  The tape
+keeps each layer's input and its SiLU slope, taken once in the primal pass
+and read by the tangent and by the chain rule alike.
 
 The time features and their embedding e have one row per distinct time
 row: a single row when the batch shares one (t, r), that is t and r are
@@ -33,7 +39,7 @@ Each model owns a scratch (``_Scratch``) for the one temporary of the pass
 that never leaves it: the (rows x width) logistic inside the SiLU.  The
 scratch keeps one buffer per layer width and per thread, grown to the
 largest row count seen, so a training or sampling loop stops allocating
-(and faulting in) that memory on every call.  Nothing ``_core`` returns or
+(and faulting in) that memory on every call.  Nothing a pass returns or
 records on a tape lives in the scratch, so results stay valid across later
 calls, and threads calling into one model each get their own buffers.
 
@@ -42,8 +48,9 @@ every pass of its steps (``_core``, ``_tape_backward``, the losses and the
 distillation steps), which then write their row-sized arrays (activations,
 slopes, tangent, chain-rule gradients, the first layer's terms) into its
 buffers instead of new ones.  What a step writes there is valid for one
-step; nothing returned outside the loop lives there.  Without a workspace
-every pass allocates its arrays afresh.
+step; nothing returned outside the loop lives there.  A sample request's
+fields share one workspace the same way, for one solver step at a time.
+Without a workspace every pass allocates its arrays afresh.
 """
 
 from __future__ import annotations
@@ -301,17 +308,22 @@ def _silu(a, s, want_slope=True, slope_out=None):
     return slope
 
 
-def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True, ws=None):
-    """Shared primal pass.  Optionally records a tape for _tape_backward
-    and/or propagates a (dx, dt, dr) tangent in lockstep with the primal ops.
-    With ``readout`` false the pass stops at the last hidden activations,
-    which then stand in for u (and du).
+def _cond_term(model):
+    """cond_table @ Wc.T: the first affine map's term for each condition id."""
+    cfg = model.config
+    return model.params["cond_table"] @ model.params["w0"][:, cfg.dim + cfg.embed_dim :].T
 
-    The first affine map w0/b0 is x @ Wx.T, plus (cond_table @ Wc.T)[ids],
-    plus e @ We.T + b0, where the time embedding e has one row when the
-    batch shares one (t, r) and n rows otherwise.  The network input
-    z = [x, e, c] is built only for a tape (the w0 gradient); a shared time
-    row is broadcast to the batch there and in the tape's e_in.
+
+def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True, ws=None):
+    """Shared primal pass on unchecked inputs: resolves x, t, r, cond and
+    the tangent, then runs ``_pass``.  Optionally records a tape for
+    _tape_backward and/or propagates a (dx, dt, dr) tangent in lockstep with
+    the primal ops.  With ``readout`` false the pass stops at the last
+    hidden activations, which then stand in for u (and du).
+
+    The time rows are one row when the batch shares one (t, r) and n rows
+    otherwise; r that has the bits of t reuses t's features.  The condition
+    term is (cond_table @ Wc.T)[ids], one row per sample.
 
     With a Workspace ``ws`` the pass writes its row-sized arrays (e_in, e,
     the first layer's terms, each layer's activations and SiLU slopes, the
@@ -323,22 +335,59 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True, ws=
     SiLU's logistic stays in the model's scratch.
     Returns (u, du or None, tape or None)."""
     cfg = model.config
-    p = model.params
     x2, squeeze = _as_batch(x, cfg.dim)
     n = x2.shape[0]
-    t_arr, r_arr = np.broadcast_arrays(_as_time_rows(t, n, "t"), _as_time_rows(r, n, "r"))
+    t_rows, r_rows = np.broadcast_arrays(_as_time_rows(t, n, "t"), _as_time_rows(r, n, "r"))
+    if np.array_equal(r_rows.view(np.uint64), t_rows.view(np.uint64)):
+        r_rows = None
     ids = _resolve_cond(cond, n, cfg)
-    freqs = cfg.frequencies()
     out = _new_buffer if ws is None else ws.take
-    time_rows = len(t_arr)
+    # ids are checked, so clipping them changes nothing
+    cond_rows = np.take(_cond_term(model), ids, axis=0, mode="clip",
+                        out=out("first", n, cfg.hidden[0]))
+    if tangent is not None:
+        dx, dt, dr = tangent
+        dx2, _ = _as_batch(dx, cfg.dim)
+        if dx2.shape != x2.shape:
+            raise DomainError("tangent dx shape does not match x")
+        tangent = (dx2, _as_scalar_batch(dt, n, "dt"), _as_scalar_batch(dr, n, "dr"))
+    u, du, tape = _pass(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape, tangent,
+                        readout)
+    if squeeze:
+        u = u[0]
+        du = du[0] if du is not None else None
+    return u, du, tape
 
-    ang_t = t_arr[:, None] * freqs[None, :]
+
+def _pass(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape=False, tangent=None,
+          readout=True):
+    """The layer math of every pass, on resolved inputs.
+
+    x2 is (n, dim); t_rows holds one time row or n; r_rows holds r's rows,
+    or is None when r has the bits of t (r then reuses t's features); ids
+    are the n checked condition ids and cond_rows their cond_table @ Wc.T
+    rows, n of them or one shared by the batch; ``out(name, rows, width)``
+    gives the buffer an array is written into (None: a new array); the
+    tangent is (dx2, dt, dr) with n-row dt and dr.
+
+    The first affine map w0/b0 is x @ Wx.T, plus the condition rows, plus
+    e @ We.T + b0, where the time embedding e has the time rows.  The
+    network input z = [x, e, c] is built only for a tape (the w0 gradient);
+    a shared time row is broadcast to the batch there and in the tape's
+    e_in.  A SiLU slope is taken only for a tape or a tangent.
+    Returns (u, du or None, tape or None), batched."""
+    cfg = model.config
+    p = model.params
+    n = len(x2)
+    freqs = cfg.frequencies()
+    time_rows = len(t_rows)
+
+    ang_t = t_rows[:, None] * freqs[None, :]
     sin_t, cos_t = np.sin(ang_t), np.cos(ang_t)
-    # r with the bits of t has the features of t
-    if np.array_equal(r_arr.view(np.uint64), t_arr.view(np.uint64)):
+    if r_rows is None:
         sin_r, cos_r = sin_t, cos_t
     else:
-        ang_r = r_arr[:, None] * freqs[None, :]
+        ang_r = r_rows[:, None] * freqs[None, :]
         sin_r, cos_r = np.sin(ang_r), np.cos(ang_r)
     e_in = np.concatenate([sin_t, cos_t, sin_r, cos_r], axis=1,
                           out=out("e_in", time_rows, 4 * cfg.n_freqs))
@@ -348,22 +397,15 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True, ws=
 
     w, w0_rows = p["w0"], cfg.hidden[0]
     a = np.matmul(x2, w[:, :dim].T, out=out(("h", 0), n, w0_rows))
-    # ids are checked, so clipping them changes nothing
-    a += np.take(p["cond_table"] @ w[:, dim + ed :].T, ids, axis=0, mode="clip",
-                 out=out("first", n, w0_rows))
+    a += cond_rows
     first = np.matmul(e, w[:, dim : dim + ed].T, out=out("first", time_rows, w0_rows))
     a += np.add(first, p["b0"], out=out("first", time_rows, w0_rows))
 
     dh = None
     if tangent is not None:
-        dx, dt, dr = tangent
-        dx2, _ = _as_batch(dx, cfg.dim)
-        if dx2.shape != x2.shape:
-            raise DomainError("tangent dx shape does not match x")
-        dt_arr = _as_scalar_batch(dt, n, "dt")
-        dr_arr = _as_scalar_batch(dr, n, "dr")
-        d_ang_t = dt_arr[:, None] * freqs[None, :]
-        d_ang_r = dr_arr[:, None] * freqs[None, :]
+        dx2, dt, dr = tangent
+        d_ang_t = dt[:, None] * freqs[None, :]
+        d_ang_r = dr[:, None] * freqs[None, :]
         de_in = np.concatenate(
             [cos_t * d_ang_t, -sin_t * d_ang_t, cos_r * d_ang_r, -sin_r * d_ang_r],
             axis=1, out=out("de_in", n, 4 * cfg.n_freqs),
@@ -379,29 +421,63 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True, ws=
                            out=out("z", n, cfg.in_dim))
         tape = {"e_in": e_in, "ids": ids, "inputs": [z], "slope": []}
 
+    want_slope = want_tape or tangent is not None
     h = a
     for i, width in enumerate(cfg.hidden):
         if i:
             h = np.matmul(h, p[f"w{i}"].T, out=out(("h", i), n, width))
             h += p[f"b{i}"]
         s = model._scratch.take("logistic", n, width)
-        slope = _silu(h, s, want_tape or tangent is not None, slope_out=out(("slope", i), n, width))
+        slope_out = out(("slope", i), n, width) if want_slope else None
+        slope = _silu(h, s, want_slope, slope_out)
         if want_tape:
             tape["inputs"].append(h)
             tape["slope"].append(slope)
         if tangent is not None:
             dh = np.matmul(dh, p[f"w{i}"].T, out=out(("dh", i), n, width))
             dh *= slope
-    if readout:
-        u = h @ p["w_out"].T + p["b_out"]
-        du = dh @ p["w_out"].T if tangent is not None else None
-    else:
-        u, du = h, dh
-
-    if squeeze:
-        u = u[0]
-        du = du[0] if du is not None else None
+    if not readout:
+        return h, dh, tape
+    u = h @ p["w_out"].T + p["b_out"]
+    du = dh @ p["w_out"].T if tangent is not None else None
     return u, du, tape
+
+
+class Field:
+    """u(x, t, r) of one model for one sample request, bound once.
+
+    The condition and the row count n are fixed for the request, so the
+    condition ids are checked once and their cond_table @ Wc.T rows taken
+    once: a single row when all n ids are equal, which adds the same bits
+    as n equal rows.  Each call checks only x's shape and runs ``_pass``,
+    so it gives the bits of ``forward(model, x, t, r, cond)``.  x is
+    (n, dim), or (dim,) when n is 1, and u comes back in x's shape; t and
+    r are scalars.
+
+    The pass writes its row-sized arrays into the Workspace ``ws``, valid
+    until the next pass on ws: fields whose calls never interleave, such as
+    a guided pair, may share one.  u is a new array."""
+
+    def __init__(self, model: VelocityModel, cond, n: int, ws: Workspace):
+        self.model = model
+        self.shape = (n, model.config.dim)
+        self.ids = _resolve_cond(cond, n, model.config)
+        term = _cond_term(model)
+        shared = n and (self.ids == self.ids[0]).all()
+        self.cond_rows = term[self.ids[:1]] if shared else term[self.ids]
+        self.take = ws.take
+
+    def __call__(self, x, t, r) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        x2 = x[None] if x.ndim == 1 else x
+        if x2.shape != self.shape:
+            raise DomainError(f"input shape {x.shape} does not match the field's {self.shape}")
+        t, r = float(t), float(r)
+        # r with the bits of t has the features of t
+        same = t == r and math.copysign(1.0, t) == math.copysign(1.0, r)
+        u, _, _ = _pass(self.model, x2, np.array([t]), None if same else np.array([r]),
+                        self.ids, self.cond_rows, self.take)
+        return u[0] if x.ndim == 1 else u
 
 
 def forward(model: VelocityModel, x, t, r, cond=None, ws=None) -> np.ndarray:

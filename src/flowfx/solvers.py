@@ -5,7 +5,10 @@ Both solvers integrate from t = 1 (noise) down to t = 0 (data).  The vector
 field may be a VelocityModel or any callable f(x, t, r, cond) -> velocity,
 which keeps analytic test problems cheap.  Both read the field through one
 wrapper that applies classifier-free guidance and charges every model call
-against the NFE budget.
+against the NFE budget.  The wrapper binds a model once per request, as a
+``net.Field`` per guidance branch: the condition is resolved then, so each
+solver step runs only the layer math (``net._pass``) and gives the bits of
+``net.forward``.
 """
 
 from __future__ import annotations
@@ -78,28 +81,42 @@ class SampleTrace:
     rejected: int
 
 
-def _field(model, cond, config: SolverConfig):
+def _field(model, cond, config: SolverConfig, x1):
     """The sampled field f(x, t, r) and its model-call counter (a 1-list).
 
-    With ``cond`` set and a non-neutral scale, each evaluation makes a
-    conditional call, then an unconditional one, and combines them with
-    cfg_combine.  Every model call counts against config.max_nfe.
+    A model is bound once per request and branch, to the rows of the start
+    state ``x1``: one ``net.Field`` for the condition and, under guidance,
+    one for the unconditional pass, sharing one Workspace since their calls
+    alternate.  A callable field is called
+    as f(x, t, r, cond).  With ``cond`` set and a non-neutral scale, each
+    evaluation makes a conditional call, then an unconditional one, and
+    combines them with cfg_combine.  Every model call counts against
+    config.max_nfe.
     """
-    f = model if callable(model) else lambda x, t, r, c: net.forward(model, x, t, r, c)
     guided = cond is not None and config.cfg_scale != cfg_neutral_scale(config.cfg_mode)
+    if callable(model):
+        def bind(c):
+            return lambda x, t, r: model(x, t, r, c)
+    else:
+        n, ws = 1 if x1.ndim == 1 else len(x1), net.Workspace()
+
+        def bind(c):
+            return net.Field(model, c, n, ws)
+    f_c = bind(cond)
+    f_u = bind(None) if guided else None
     nfe = [0]
 
-    def call(x, t, r, c):
+    def call(f, x, t, r):
         nfe[0] += 1
         if nfe[0] > config.max_nfe:
             raise SolverError(f"nfe budget {config.max_nfe} exhausted", nfe=nfe[0])
-        return f(x, t, r, c)
+        return f(x, t, r)
 
     def field(x, t, r):
         if not guided:
-            return call(x, t, r, cond)
-        v_c = call(x, t, r, cond)
-        return cfg_combine(v_c, call(x, t, r, None), config.cfg_scale, mode=config.cfg_mode)
+            return call(f_c, x, t, r)
+        v_c = call(f_c, x, t, r)
+        return cfg_combine(v_c, call(f_u, x, t, r), config.cfg_scale, mode=config.cfg_mode)
 
     return field, nfe
 
@@ -119,8 +136,8 @@ def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig()) ->
     if config.steps > config.max_nfe:
         msg = f"nfe budget {config.max_nfe} exhausted"
         raise SolverError(msg, nfe=config.max_nfe + 1)
-    f, nfe = _field(model, cond, config)
     x = np.array(x1, dtype=np.float64)
+    f, nfe = _field(model, cond, config, x)
     grid = 1.0 - np.arange(config.steps + 1) / config.steps
     grid[-1] = 0.0
     for k in range(config.steps):
@@ -143,8 +160,8 @@ def dopri5_sample(model, x1, cond=None,
     """
     if config.kind != "dopri5":
         raise DomainError("dopri5_sample needs config.kind == 'dopri5'")
-    f, nfe = _field(model, cond, config)
     x = np.array(x1, dtype=np.float64)
+    f, nfe = _field(model, cond, config, x)
 
     def eval_field(x_at, s):
         # integrate forward in s = 1 - t: dx/ds = -u(x, t, r = t)

@@ -5,6 +5,8 @@ of (0, ln 3) against uniform, diagonal-covariance Fréchet distances); the
 retrieval metric is cross-checked against a brute-force sort oracle.
 """
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -358,6 +360,18 @@ class TestCsv:
         write_embedding_csv(path, emb)
         lines = path.read_text().splitlines()
         assert lines == ["id,dim0,dim1", "0,1.0,1.0", "1,1.0,1.0", "2,1.0,1.0"]
+
+    def test_embedding_bytes_equal_csv_writer(self, tmp_path):
+        rows = np.array([[-0.0, 5e-324], [1e300, -1e-300], [-2.5, 0.1], [-1.0, 3.0]])
+        path = tmp_path / "emb.csv"
+        write_embedding_csv(path, EmbeddingSet(rows))
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["id", "dim0", "dim1"])
+        for i, row in enumerate(rows.tolist()):
+            writer.writerow([str(i)] + [repr(v) for v in row])
+        assert path.read_bytes() == want.getvalue().encode()
+        assert path.read_bytes().startswith(b"id,dim0,dim1\r\n0,-0.0,5e-324\r\n")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

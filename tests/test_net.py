@@ -434,6 +434,34 @@ def test_untaped_features_match_hidden_forward():
     assert np.array_equal(untaped, feats) and feats is tape["inputs"][-1]
 
 
+@pytest.mark.parametrize("cond", [None, 1, "per-sample"])
+@pytest.mark.parametrize("t, r", [(0.75, 0.75), (0.75, 0.5), (0.0, -0.0), (-0.0, 0.0)])
+def test_field_matches_forward_bitwise(t, r, cond):
+    # the field's single condition row and its scalar r-equals-t check give
+    # the bits of forward's gathered rows and bitwise time comparison
+    model = small_model(27)
+    x = np.random.default_rng(28).standard_normal((5, 3))
+    ids = np.array([0, 2, 1, 1, 2]) if cond == "per-sample" else cond
+    field = net.Field(model, ids, 5, net.Workspace())
+    for _ in range(2):  # the second call reuses the field's buffers
+        u = field(x, t, r)
+        assert np.array_equal(u, forward(model, x, t, r, ids))
+        assert u.tobytes() == forward(model, x, t, r, ids).tobytes()
+
+
+def test_forward_only_pass_takes_no_slope_buffer():
+    model = small_model(29)
+    x, t = np.random.default_rng(30).standard_normal((6, 3)), np.linspace(0.1, 0.9, 6)
+    ws = net.Workspace()
+    forward(model, x, t, 0.5 * t, None, ws)
+    net.hidden_forward(model, x, t, t, 1, want_tape=False, ws=ws)
+    net.Field(model, None, 6, ws)(x, 0.5, 0.25)
+    names = {name for name, _ in ws.bufs}
+    assert ("h", 0) in names and not [name for name in names if name[0] == "slope"]
+    net.hidden_forward(model, x, t, t, 1, ws=ws)  # a tape keeps its slopes
+    assert ("slope", 0) in {name for name, _ in ws.bufs}
+
+
 # hidden widths 8, 8 and 6: two layers share the width-8 logistic scratch
 SCRATCH = ModelConfig(dim=3, hidden=(8, 8, 6), n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
 

@@ -213,3 +213,39 @@ def test_kind_cross_checks():
         euler_sample(model, np.ones(2), config=SolverConfig(kind="dopri5"))
     with pytest.raises(DomainError):
         dopri5_sample(model, np.ones(2), config=SolverConfig(kind="euler"))
+
+
+def _forward_oracle(model):
+    return lambda x, t, r, c: net.forward(model, x, t, r, c)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64, "1-D"])
+@pytest.mark.parametrize("cond", [None, "scalar", "cycling"])
+@pytest.mark.parametrize("cfg_scale", [1.0, 3.0])
+@pytest.mark.parametrize("kind", ["euler", "dopri5"])
+def test_bound_model_matches_forward_callable(kind, cfg_scale, cond, rows):
+    # a model is bound once per request (net.Field); every step must give
+    # the bits of the same request through net.forward
+    model = small_model(80)
+    shape = (2,) if rows == "1-D" else (rows, 2)
+    x1 = np.random.default_rng(81).standard_normal(shape)
+    n = 1 if rows == "1-D" else rows
+    ids = {None: None, "scalar": 1, "cycling": np.arange(n) % model.config.n_cond}[cond]
+    sample = euler_sample if kind == "euler" else dopri5_sample
+    config = SolverConfig(kind=kind, steps=4, cfg_scale=cfg_scale)
+    bound = sample(model, x1, cond=ids, config=config)
+    oracle = sample(_forward_oracle(model), x1, cond=ids, config=config)
+    assert bound.final.shape == x1.shape
+    assert np.array_equal(bound.final, oracle.final)
+    assert (bound.nfe, bound.t_grid, bound.accepted, bound.rejected) == (
+        oracle.nfe, oracle.t_grid, oracle.accepted, oracle.rejected)
+
+
+def test_field_refuses_x_with_another_row_count():
+    model = small_model()
+    field = net.Field(model, 1, 3, net.Workspace())
+    assert field(np.ones((3, 2)), 0.5, 0.25).shape == (3, 2)
+    for x in (np.ones((4, 2)), np.ones((1, 2)), np.ones(2), np.ones((3, 3))):
+        with pytest.raises(DomainError, match="does not match"):
+            field(x, 0.5, 0.25)
+    assert net.Field(model, None, 1, net.Workspace())(np.ones(2), 0.5, 0.5).shape == (2,)
