@@ -9,14 +9,14 @@ activations as features, and small trainable heads map them to one scalar
 each under a hinge loss.  Both steps draw their own (t, r) pairs with
 flow.sample_times and score through disc_scores.  The heads are one
 stacked dense SiLU layer with a per-head linear readout, so every head runs
-in the same matrix products.  Each discriminator keeps the stacked-head
+in the same matrix products.  distill_loop owns one net.Workspace for all
+its steps.  The discriminator's work buffers live in that workspace's
+"disc" part: the trunk pass and its chain rule, and the stacked-head
 buffers (activations, their logistic, the SiLU slopes, and the
-pre-activation gradient in the dead logistic buffer) in a per-thread
-scratch, grown to the largest row count seen: the 512-row discriminator
-step and the 256-row generator step share one set.  A head cache from disc_scores therefore lasts only until
-the next scoring call on the same discriminator in the same thread.
-distill_loop owns one net.Workspace for all its steps; the trunk pass and
-its chain rule write into the workspace's "disc" part.  The
+pre-activation gradient in the dead logistic buffer), grown to the largest
+row count seen, so the 512-row discriminator step and the 256-row
+generator step share one set.  A head cache from disc_scores therefore
+lasts only until the next scoring call on the same workspace.  The
 generator objective is the mean-velocity distillation loss plus a weighted
 -D(x_r) term whose gradient enters the student through x_r = x_t - (t-r)*u.
 """
@@ -24,7 +24,7 @@ generator objective is the mean-velocity distillation loss plus a weighted
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,16 +59,11 @@ class Discriminator:
     ``params`` stacks the heads: ``w1`` (n_heads*head_hidden, F) and ``b1``
     form one SiLU layer whose rows come in per-head blocks, and ``w2``
     (n_heads, head_hidden) and ``b2`` (n_heads,) are the per-head readouts.
-    Only ``params`` train; the trunk never updates.  The stacked-head
-    work buffers live in a per-thread scratch of the discriminator (see
-    _head_scores).
+    Only ``params`` train; the trunk never updates.
     """
 
     trunk: net.VelocityModel
     params: dict
-    _scratch: net._Scratch = field(
-        default_factory=net._Scratch, init=False, repr=False, compare=False
-    )
 
 
 def init_discriminator(
@@ -97,19 +92,20 @@ def _head_activations(disc: Discriminator, act: np.ndarray):
 
 def _head_scores(disc: Discriminator, feats: np.ndarray, handle, ws=None):
     """Head scores (n, n_heads) of trunk features, and the cache the
-    backward helpers read: the features, the trunk's replay handle and
-    net.Workspace ``ws`` (None without one), and the stacked SiLU
+    backward helpers read: the features, the trunk's replay handle, the
+    net.Workspace ``ws`` (a fresh one when None), and the stacked SiLU
     activations and slopes.
 
-    The activations, their logistic and the slopes are written into the
-    discriminator's scratch, so the cache is valid only until the next
-    scoring call on the same discriminator (and thread)."""
+    The activations, their logistic and the slopes are written into ws,
+    under names apart from the trunk's, so the cache is valid only until
+    the next scoring call on the same workspace."""
     p = disc.params
     n, width = len(feats), len(p["b1"])
-    take = disc._scratch.take
-    act = np.matmul(feats, p["w1"].T, out=take("act", n, width))
+    ws = net.Workspace() if ws is None else ws
+    act = np.matmul(feats, p["w1"].T, out=ws.take("head_act", n, width))
     act += p["b1"]
-    slope = net._silu(act, take("logistic", n, width), slope_out=take("slope", n, width))
+    slope = net._silu(act, ws.take("head_logistic", n, width),
+                      slope_out=ws.take("head_slope", n, width))
     # C-ordered scores keep later sums over them in the same order
     scores = np.matmul(_head_activations(disc, act), p["w2"][:, :, None])[:, :, 0].T
     scores = np.ascontiguousarray(scores) + p["b2"]
@@ -123,22 +119,22 @@ def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray, want_tape=Tru
     The trunk sees (x, t=r, r=r) unconditionally; returns (scores, cache)
     where cache replays the forward pass for the backward helpers; without
     ``want_tape`` its trunk handle is None, so only the head gradients work.
-    With a net.Workspace ``ws`` the trunk pass writes into its "disc" part,
-    apart from the generator's tape.
+    The trunk pass and the heads write into the "disc" part of the
+    net.Workspace ``ws``, apart from the generator's tape; without ``ws``
+    they write into a fresh workspace.
     """
-    if ws is not None:
-        ws = ws.part("disc")
+    ws = net.Workspace() if ws is None else ws.part("disc")
     feats, handle = net.hidden_forward(disc.trunk, x, r, r, None, want_tape, ws)
     return _head_scores(disc, feats, handle, ws)
 
 
 def _pre_activation_grad(disc: Discriminator, cache: dict, up_scores: np.ndarray):
     """Gradient of <scores, up_scores> on the stacked pre-activations, in
-    the scratch buffer of the logistic, which is dead once the scores are
+    the workspace buffer of the logistic, which is dead once the scores are
     out."""
     slope = cache["slope"]
     w2 = disc.params["w2"]
-    ga = disc._scratch.take("logistic", *slope.shape)
+    ga = cache["ws"].take("head_logistic", *slope.shape)
     np.multiply(up_scores[:, :, None], w2, out=ga.reshape(len(ga), *w2.shape))
     ga *= slope
     return ga

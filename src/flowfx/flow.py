@@ -109,8 +109,8 @@ def _interval_loss(model, xt, t, r, cond, v_tgt, clip, ws=None):
 
     Returns (loss, u, upstream, tape): the pass's tape goes straight to
     net._tape_backward, so a caller can add its own upstream on u and still
-    run one reverse pass.  With a net.Workspace ``ws`` the tape lives in its
-    buffers (see net._core).
+    run one reverse pass.  The tape lives in the net.Workspace ``ws`` (see
+    net._core).
     """
     tangent = (v_tgt, 1.0, 0.0) if np.any(r != t) else None
     u, dudt, tape = net._core(model, xt, t, r, cond, want_tape=True, tangent=tangent, ws=ws)

@@ -35,22 +35,18 @@ the first affine map the same way, block by block over the network input
 rows.  So a batch gives the same bits whether its times come as scalars or
 as vectors, and with or without a tape or tangent.
 
-Each model owns a scratch (``_Scratch``) for the one temporary of the pass
-that never leaves it: the (rows x width) logistic inside the SiLU.  The
-scratch keeps one buffer per layer width and per thread, grown to the
-largest row count seen, so a training or sampling loop stops allocating
-(and faulting in) that memory on every call.  Nothing a pass returns or
-records on a tape lives in the scratch, so results stay valid across later
-calls, and threads calling into one model each get their own buffers.
-
-A training loop goes further: it owns one ``Workspace`` and hands it to
-every pass of its steps (``_core``, ``_tape_backward``, the losses and the
-distillation steps), which then write their row-sized arrays (activations,
-slopes, tangent, chain-rule gradients, the first layer's terms) into its
-buffers instead of new ones.  What a step writes there is valid for one
-step; nothing returned outside the loop lives there.  A sample request's
-fields share one workspace the same way, for one solver step at a time.
-Without a workspace every pass allocates its arrays afresh.
+Every work buffer of a pass lives in a ``Workspace`` that the caller
+owns: a training loop keeps one for all its steps, and a sample request
+one for its fields.  A pass writes its row-sized arrays (the time rows, the
+first layer's terms, each layer's activations, SiLU logistic and slope, the
+tangent, the tape's z, the chain-rule gradients) into the workspace's
+buffers, which grow to the largest row count asked for, so a warm loop
+stops allocating and faulting in that memory.  What a pass writes there is
+valid until the next pass on the same workspace; nothing returned outside
+the loop lives there.  A call that passes no workspace gets a fresh one
+for itself, so its results stay valid across later calls.  A model holds
+only its config and parameters, so threads calling into one model share no
+buffers.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -126,7 +121,7 @@ def _frequencies(n_freqs, freq_min, freq_max):
 
 
 class Workspace:
-    """Work buffers that one training loop owns and reuses on every step.
+    """Work buffers that one caller owns and reuses on every pass.
 
     ``take(name, rows, width)`` returns the leading ``rows`` rows of a
     float64 (rows, width) buffer kept under (name, width); the buffer grows
@@ -153,37 +148,10 @@ class Workspace:
         return ws
 
 
-def _new_buffer(name, rows, width):
-    """The ``take`` of no workspace: numpy allocates the result (out=None)."""
-    return None
-
-
-class _Scratch:
-    """A Workspace per thread, for an object that many threads may call.
-
-    Copies (``copy.deepcopy``, pickling) start with no buffers.
-    """
-
-    def __init__(self):
-        self._local = threading.local()
-
-    def take(self, name, rows, width):
-        ws = self._local.__dict__.get("ws")
-        if ws is None:
-            ws = self._local.ws = Workspace()
-        return ws.take(name, rows, width)
-
-    def __reduce__(self):
-        return _Scratch, ()
-
-
 @dataclass
 class VelocityModel:
     config: ModelConfig
     params: dict
-    _scratch: _Scratch = field(
-        default_factory=_Scratch, init=False, repr=False, compare=False
-    )
 
     def clone(self) -> "VelocityModel":
         return VelocityModel(self.config, {k: v.copy() for k, v in self.params.items()})
@@ -325,14 +293,12 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True, ws=
     otherwise; r that has the bits of t reuses t's features.  The condition
     term is (cond_table @ Wc.T)[ids], one row per sample.
 
-    With a Workspace ``ws`` the pass writes its row-sized arrays (e_in, e,
-    the first layer's terms, each layer's activations and SiLU slopes, the
-    tangent and the tape's z) into ws's buffers.  They are valid for one
-    step: the next pass on ws overwrites them, so the tape and, without
-    ``readout``, the returned activations must be used up within the step;
-    nothing returned outside the loop lives there.  The readout u and du are
-    always new arrays.  Without ``ws`` every array is new.  Either way the
-    SiLU's logistic stays in the model's scratch.
+    The pass writes its row-sized arrays (e_in, e, the first layer's
+    terms, each layer's activations, SiLU logistic and slope, the tangent
+    and the tape's z) into the Workspace ``ws``, a fresh one when None.
+    The next pass on ws overwrites them, so the tape and, without
+    ``readout``, the returned activations must be used up before then.
+    The readout u and du are always new arrays.
     Returns (u, du or None, tape or None)."""
     cfg = model.config
     x2, squeeze = _as_batch(x, cfg.dim)
@@ -341,7 +307,7 @@ def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True, ws=
     if np.array_equal(r_rows.view(np.uint64), t_rows.view(np.uint64)):
         r_rows = None
     ids = _resolve_cond(cond, n, cfg)
-    out = _new_buffer if ws is None else ws.take
+    out = (Workspace() if ws is None else ws).take
     # ids are checked, so clipping them changes nothing
     cond_rows = np.take(_cond_term(model), ids, axis=0, mode="clip",
                         out=out("first", n, cfg.hidden[0]))
@@ -367,8 +333,8 @@ def _pass(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape=False, tange
     or is None when r has the bits of t (r then reuses t's features); ids
     are the n checked condition ids and cond_rows their cond_table @ Wc.T
     rows, n of them or one shared by the batch; ``out(name, rows, width)``
-    gives the buffer an array is written into (None: a new array); the
-    tangent is (dx2, dt, dr) with n-row dt and dr.
+    gives the buffer an array is written into; the tangent is (dx2, dt, dr)
+    with n-row dt and dr.
 
     The first affine map w0/b0 is x @ Wx.T, plus the condition rows, plus
     e @ We.T + b0, where the time embedding e has the time rows.  The
@@ -427,9 +393,8 @@ def _pass(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape=False, tange
         if i:
             h = np.matmul(h, p[f"w{i}"].T, out=out(("h", i), n, width))
             h += p[f"b{i}"]
-        s = model._scratch.take("logistic", n, width)
         slope_out = out(("slope", i), n, width) if want_slope else None
-        slope = _silu(h, s, want_slope, slope_out)
+        slope = _silu(h, out("logistic", n, width), want_slope, slope_out)
         if want_tape:
             tape["inputs"].append(h)
             tape["slope"].append(slope)
@@ -483,28 +448,26 @@ class Field:
 def forward(model: VelocityModel, x, t, r, cond=None, ws=None) -> np.ndarray:
     """Evaluate u(x, t, r, cond).  x is (dim,) or (batch, dim); t and r are
     scalars or per-sample vectors; cond is None (unconditional), a scalar id,
-    or a per-sample id vector.  A training loop passes its Workspace as
-    ``ws`` for the pass's arrays; u is new either way."""
+    or a per-sample id vector.  The pass's arrays go into the Workspace
+    ``ws``, a fresh one when None; u is new either way."""
     u, _, _ = _core(model, x, t, r, cond, ws=ws)
     return u
 
 
-def _hidden_chain(model, tape, g, grads=None, ws=None):
+def _hidden_chain(model, tape, g, grads, ws):
     """Chain rule from the last hidden activations back to the network input
     [x, e, c], replaying a tape from _core.  When ``grads`` is a dict, the
-    hidden layers' parameter gradients are written into it.  With a
-    Workspace ``ws`` the row-sized gradients go into its buffers, and so
-    does the returned one."""
+    hidden layers' parameter gradients are written into it.  The row-sized
+    gradients go into the Workspace ``ws``, and so does the returned one."""
     p = model.params
-    out = _new_buffer if ws is None else ws.take
     n = len(g)
     for i in reversed(range(len(model.config.hidden))):
         w = p[f"w{i}"]
-        ga = np.multiply(g, tape["slope"][i], out=out(("ga", i), n, w.shape[0]))
+        ga = np.multiply(g, tape["slope"][i], out=ws.take(("ga", i), n, w.shape[0]))
         if grads is not None:
             grads[f"w{i}"] = ga.T @ tape["inputs"][i]
             grads[f"b{i}"] = ga.sum(axis=0)
-        g = np.matmul(ga, w, out=out(("g", i), n, w.shape[1]))
+        g = np.matmul(ga, w, out=ws.take(("g", i), n, w.shape[1]))
     return g
 
 
@@ -521,15 +484,15 @@ def _sum_rows_by_id(ids, rows, n_ids):
 def _tape_backward(model, tape, upstream, ws=None) -> GradTape:
     """Gradients of <u, upstream> for the pass that recorded ``tape``;
     ``upstream`` is (batch, dim) and the input gradient comes back batched.
-    The gradients are new arrays; with a Workspace ``ws`` the row-sized
-    chain-rule arrays in between live in its buffers."""
+    The gradients are new arrays; the row-sized chain-rule arrays in
+    between live in the Workspace ``ws``, a fresh one when None."""
     cfg = model.config
     p = model.params
+    ws = Workspace() if ws is None else ws
     grads = {}
     grads["w_out"] = upstream.T @ tape["inputs"][-1]
     grads["b_out"] = upstream.sum(axis=0)
-    out = _new_buffer if ws is None else ws.take
-    g = np.matmul(upstream, p["w_out"], out=out("g_out", len(upstream), cfg.hidden[-1]))
+    g = np.matmul(upstream, p["w_out"], out=ws.take("g_out", len(upstream), cfg.hidden[-1]))
     g = _hidden_chain(model, tape, g, grads, ws)
 
     dim, ed = cfg.dim, cfg.embed_dim
@@ -539,23 +502,25 @@ def _tape_backward(model, tape, upstream, ws=None) -> GradTape:
     grads["embed_w"] = ge.T @ tape["e_in"]
     grads["embed_b"] = ge.sum(axis=0)
     grads["cond_table"] = _sum_rows_by_id(tape["ids"], gc, len(p["cond_table"]))
-    # without a workspace grad_x stays a view of g, which keeps g alive
-    return GradTape(grads, gx if ws is None else gx.copy())
+    return GradTape(grads, gx.copy())
 
 
 def hidden_forward(model: VelocityModel, x, t, r, cond=None, want_tape=True, ws=None):
     """Penultimate hidden activations (the features feeding the output
     layer) plus a replay handle for hidden_input_gradient (None unless
-    ``want_tape``).  With a Workspace ``ws`` both live in its buffers."""
+    ``want_tape``).  Both live in the Workspace ``ws`` (see _core)."""
     h, _, tape = _core(model, x, t, r, cond, want_tape=want_tape, readout=False, ws=ws)
     return h, tape
 
 
 def hidden_input_gradient(model: VelocityModel, tape, upstream, ws=None) -> np.ndarray:
     """Gradient of <hidden_forward features, upstream> with respect to x,
-    holding every parameter fixed (the net acts as a frozen feature map)."""
+    holding every parameter fixed (the net acts as a frozen feature map).
+    The chain rule's row-sized arrays, the result among them, live in the
+    Workspace ``ws``, a fresh one when None."""
     g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    return _hidden_chain(model, tape, g, ws=ws)[:, : model.config.dim]
+    ws = Workspace() if ws is None else ws
+    return _hidden_chain(model, tape, g, None, ws)[:, : model.config.dim]
 
 
 def _spans(arrays: dict) -> dict:

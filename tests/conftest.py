@@ -50,13 +50,14 @@ def two_point_models():
     )
     teacher = net.init_model(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(0)
+    ws = net.Workspace()
     for lr, steps in ((2e-3, 4000), (4e-4, 2000)):
         opt = net.init_optimizer(teacher, lr=lr, warmup=100)
         ema = {k: p.copy() for k, p in teacher.params.items()}
         for _ in range(steps):
             x0, labels = toy.sample_two_point(rng, 256)
             batch = flow.sample_path(x0, rng)
-            _, tape = flow.fm_loss(teacher, batch, labels)
+            _, tape = flow.fm_loss(teacher, batch, labels, ws)
             if net.adam_step(opt, teacher, tape):
                 for k, p in teacher.params.items():
                     ema[k] = 0.999 * ema[k] + (1 - 0.999) * p

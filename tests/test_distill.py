@@ -230,9 +230,10 @@ class TestStackedHeads:
         assert np.linalg.norm(gx - want_gx) <= 1e-12 * np.linalg.norm(want_gx)
 
 
-class TestHeadScratch:
-    """The stacked-head buffers a discriminator reuses across calls change
-    no result: warm objects give what fresh copies give, bit for bit."""
+class TestHeadBuffers:
+    """The stacked-head buffers change no result: warm objects give what
+    fresh copies give, bit for bit, and a warm workspace reuses its head
+    block."""
 
     def _iteration(self, state, teacher):
         disc, student, d_opt, g_opt, rng_d, rng_g = state
@@ -249,11 +250,11 @@ class TestHeadScratch:
                  net.init_optimizer(student, lr=1e-3),
                  np.random.default_rng(63), np.random.default_rng(64))
         rng = np.random.default_rng(65)
-        # leave buffers of other row counts behind, larger and smaller
+        # score batches of other row counts first, larger and smaller
         disc_scores(disc, rng.standard_normal((700, 2)), rng.uniform(0.0, 1.0, 700))
         disc_scores(disc, rng.standard_normal((3, 2)), rng.uniform(0.0, 1.0, 3))
         for _ in range(2):  # adversarial iterations: a 512-row disc_step, a 256-row gen_step
-            fresh = copy.deepcopy(state)  # copies start with empty scratch
+            fresh = copy.deepcopy(state)  # copies of the models, optimizers and generators
             got = self._iteration(state, teacher)
             want = self._iteration(fresh, teacher)
             assert got == want and got[2] is not None
@@ -265,11 +266,12 @@ class TestHeadScratch:
         rng = np.random.default_rng(68)
         x, r = rng.standard_normal((512, 2)), rng.uniform(0.0, 1.0, 512)
         feats, handle = net.hidden_forward(disc.trunk, x, r, r, None)
-        distill._head_scores(disc, feats, handle)
+        ws = net.Workspace()
+        distill._head_scores(disc, feats, handle, ws)
         feats = feats[:256].copy()
         tracemalloc.start()
         try:
-            distill._head_scores(disc, feats, None)
+            distill._head_scores(disc, feats, None, ws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 import struct
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -510,6 +511,89 @@ def test_read_wav_matches_scipy_on_hand_built_files(chunks, tmp_path):
     buf = read_wav(p)
     assert np.array_equal(buf.samples, _scipy_mono(p)[1])
     assert np.array_equal(buf.samples, _SAMPLES.astype(np.float64))
+
+
+# (format tag, sample dtype) of every sample format read_wav accepts
+_WAV_FORMATS = [(dsp.WAVE_FORMAT_PCM, np.dtype("<i2")),
+                (dsp.WAVE_FORMAT_IEEE_FLOAT, np.dtype("<f4")),
+                (dsp.WAVE_FORMAT_IEEE_FLOAT, np.dtype("<f8"))]
+_EXTRA_TAGS = [b"LIST", b"JUNK", b"fact", b"cue ", b"bext"]
+
+
+def _random_samples(rng, dtype, frames, channels):
+    """Frames x channels samples over the format's range, with -0.0,
+    subnormals and large values among the floats.  Floats stay below
+    max / 4, so the channel mean of up to 4 channels is finite."""
+    if dtype.kind == "i":
+        return rng.integers(-32768, 32768, (frames, channels)).astype(dtype)
+    data = rng.standard_normal((frames, channels)) * 10.0 ** rng.integers(-3, 4)
+    info = np.finfo(dtype)
+    special = [-0.0, info.smallest_subnormal, -info.smallest_subnormal, info.max / 4, -1.0]
+    cells = rng.random((frames, channels)) < 0.2
+    data[cells] = rng.choice(special, int(cells.sum()))
+    return data.astype(dtype)
+
+
+def _random_fmt(rng, tag, dtype, channels, rate):
+    """A fmt chunk: plain with 16 bytes, plain with cbSize 0, or
+    WAVE_FORMAT_EXTENSIBLE with the format's subformat GUID."""
+    bits, align = 8 * dtype.itemsize, channels * dtype.itemsize
+    form = rng.integers(3)
+    outer = dsp.WAVE_FORMAT_EXTENSIBLE if form == 2 else tag
+    body = struct.pack("<HHIIHH", outer, channels, rate, rate * align, align, bits)
+    if form == 1:
+        body += struct.pack("<H", 0)
+    elif form == 2:
+        body += struct.pack("<HHIH", 22, bits, (1 << channels) - 1, tag) + dsp._KSDATAFORMAT_TAIL
+    return _chunk(b"fmt ", body)
+
+
+def _extra_chunks(rng):
+    """0-2 chunks of 0-9 random bytes (odd sizes get their pad byte)."""
+    return [_chunk(_EXTRA_TAGS[rng.integers(len(_EXTRA_TAGS))],
+                   rng.integers(0, 256, rng.integers(0, 10)).astype(np.uint8).tobytes())
+            for _ in range(rng.integers(3))]
+
+
+def test_read_wav_matches_scipy_on_seeded_valid_files(tmp_path):
+    """Seeded valid files against scipy.io.wavfile.read plus the same
+    channel mean, bit for bit: every sample format, plain and
+    WAVE_FORMAT_EXTENSIBLE, 1-4 channels, 0-40 frames, and extra chunks
+    before fmt, between fmt and data, and after data.
+
+    Intended differences, not generated here: read_wav warns when it
+    downmixes (scipy returns the channels), and it refuses non-finite float
+    samples, which scipy returns, because an AudioBuffer holds finite
+    samples only (checked at the end)."""
+    rng = np.random.default_rng(91)
+    kinds, shapes = set(), set()
+    for i in range(120):
+        tag, dtype = _WAV_FORMATS[rng.integers(3)]
+        channels = int(rng.integers(1, 5))
+        frames = 0 if i % 8 == 0 else int(rng.integers(1, 41))
+        rate = int(rng.choice([8000, 22050, 44100, 48000, 96000]))
+        data = _random_samples(rng, dtype, frames, channels)
+        fmt = _random_fmt(rng, tag, dtype, channels, rate)
+        chunks = [*_extra_chunks(rng), fmt, *_extra_chunks(rng),
+                  _chunk(b"data", data.tobytes()), *_extra_chunks(rng)]
+        p = tmp_path / f"{i}.wav"
+        p.write_bytes(_wave(*chunks))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # downmix and unknown-chunk warnings
+            buf = read_wav(p)
+            rate_want, want = _scipy_mono(p)
+        assert buf.sample_rate == rate_want == rate
+        assert buf.samples.dtype == want.dtype and buf.samples.tobytes() == want.tobytes(), i
+        kinds.add((dtype.str, fmt[8:10] == b"\xfe\xff"))
+        shapes.add((channels, frames % 2, frames == 0))
+    # every (format, extensible) pair; every channel count at odd, even and 0 frames
+    assert len(kinds) == 6 and len(shapes) == 12
+    bad = np.array([0.5, np.nan, np.inf, 0.0], dtype="<f4")
+    p = tmp_path / "nonfinite.wav"
+    p.write_bytes(_wave(_fmt(), _chunk(b"data", bad.tobytes())))
+    assert np.isnan(_scipy_mono(p)[1][1])
+    with pytest.raises(DomainError, match="finite"):
+        read_wav(p)
 
 
 _DATA = _chunk(b"data", _SAMPLES.tobytes())

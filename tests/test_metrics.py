@@ -373,6 +373,48 @@ class TestCsv:
         assert path.read_bytes() == want.getvalue().encode()
         assert path.read_bytes().startswith(b"id,dim0,dim1\r\n0,-0.0,5e-324\r\n")
 
+    @staticmethod
+    def _random_cell(rng, value):
+        """value as text in one of the forms a CSV writer may use."""
+        forms = [repr, "%.17g".__mod__, "%.16e".__mod__, "%.20E".__mod__, "%+.17g".__mod__,
+                 "%e".__mod__]
+        return forms[rng.integers(len(forms))](value)
+
+    def test_reader_matches_loadtxt_on_seeded_files(self, tmp_path):
+        """Seeded files against np.loadtxt, bit for bit: cells written as
+        repr, %.17g, exponent forms (some with more digits than a double
+        holds, some with fewer), signed zeros and subnormals, with LF or CRLF
+        line ends and with or without a final line end.
+
+        Intended differences, not generated here: the reader refuses
+        non-finite cells (inf, nan, and overflows such as 1e999), which
+        loadtxt returns, because an EmbeddingSet holds finite rows only
+        (checked at the end); it refuses digit-group underscores (see
+        test_underscore_in_number_reports_offset)."""
+        rng = np.random.default_rng(92)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                   1.7976931348623157e308, -1e300]
+        for i in range(60):
+            n, dim = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            rows = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-320, 300, (n, dim))
+            cells = rng.random((n, dim)) < 0.25
+            rows[cells] = rng.choice(special, int(cells.sum()))
+            eol = "\r\n" if rng.random() < 0.5 else "\n"
+            lines = ["id," + ",".join(f"dim{j}" for j in range(dim))]
+            lines += [f"row{k}," + ",".join(self._random_cell(rng, v) for v in row)
+                      for k, row in enumerate(rows.tolist())]
+            path = tmp_path / f"{i}.csv"
+            path.write_bytes((eol.join(lines) + eol * int(rng.integers(2))).encode())
+            got = read_embedding_csv(path).rows
+            want = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(1, dim + 1),
+                              ndmin=2)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("id,dim0\nrow0,inf\n")
+        assert np.loadtxt(path, delimiter=",", skiprows=1, usecols=[1]) == np.inf
+        with pytest.raises(DomainError, match="finite"):
+            read_embedding_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,x,y\n1,2,3\n")

@@ -398,7 +398,7 @@ def test_shared_row_forward_peaks_below_the_per_sample_pass():
     x, t = rng.standard_normal((n, 2)), rng.uniform(0.0, 1.0, n)
 
     def peak(times):
-        forward(model, x, times, times)  # the scratch is warm before tracing
+        forward(model, x, times, times)  # caches are warm before tracing
         tracemalloc.start()
         try:
             forward(model, x, times, times)
@@ -462,7 +462,7 @@ def test_forward_only_pass_takes_no_slope_buffer():
     assert ("slope", 0) in {name for name, _ in ws.bufs}
 
 
-# hidden widths 8, 8 and 6: two layers share the width-8 logistic scratch
+# hidden widths 8, 8 and 6: two layers share the width-8 logistic buffer
 SCRATCH = ModelConfig(dim=3, hidden=(8, 8, 6), n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
 
 

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -249,3 +252,40 @@ def test_field_refuses_x_with_another_row_count():
         with pytest.raises(DomainError, match="does not match"):
             field(x, 0.5, 0.25)
     assert net.Field(model, None, 1, net.Workspace())(np.ones(2), 0.5, 0.5).shape == (2,)
+
+
+def _thread_requests():
+    """dopri5 and guided euler requests of several sizes: (sample, x1,
+    cond, config)."""
+    rng = np.random.default_rng(82)
+    dopri = SolverConfig(kind="dopri5", rtol=1e-4, atol=1e-4)
+    guided = SolverConfig(kind="euler", steps=6, cfg_scale=3.0)
+    requests = []
+    for n in (1, 96, 5, 257):
+        requests.append((dopri5_sample, rng.standard_normal((n, 2)), np.arange(n) % 2, dopri))
+        requests.append((euler_sample, rng.standard_normal((n, 2)), 1, guided))
+    return requests
+
+
+def _run(model, request):
+    sample, x1, cond, config = request
+    trace = sample(model, x1, cond=cond, config=config)
+    return trace.final, (trace.nfe, trace.t_grid, trace.accepted, trace.rejected)
+
+
+def test_threads_sampling_one_model_match_serial_runs():
+    # the buffers of a request belong to it, not to the model: two threads
+    # sampling from one shared model give the bits of one thread
+    model = small_model(83)
+    requests = _thread_requests() * 2
+    serial = [_run(model, req) for req in requests]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda req: _run(model, req), requests, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (got, got_stats), (want, want_stats) in zip(threaded, serial):
+        assert got.tobytes() == want.tobytes()
+        assert got_stats == want_stats
