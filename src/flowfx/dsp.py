@@ -398,6 +398,7 @@ def read_wav(path) -> AudioBuffer:
     Chunks other than ``fmt `` and ``data`` are skipped.  A chunk whose size
     runs past the end of the file is refused before anything is allocated.
     Multichannel input is downmixed by channel averaging (with a warning).
+    Non-finite samples and a zero sample rate are refused as malformed.
     The sample rate is taken as-is; no resampling happens anywhere in the
     toolkit.
     """
@@ -434,7 +435,10 @@ def read_wav(path) -> AudioBuffer:
     if channels > 1:
         warnings.warn(f"{path}: downmixing {channels} channels to mono")
         samples = samples.reshape(frames, channels).mean(axis=1)
-    return AudioBuffer(samples, rate)
+    try:
+        return AudioBuffer(samples, rate)
+    except DomainError as exc:  # non-finite samples or a zero rate
+        raise FileFormatError(path, str(exc)) from exc
 
 
 def _write_wave(fh, audio: AudioBuffer) -> None:

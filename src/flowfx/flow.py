@@ -109,11 +109,12 @@ def _interval_loss(model, xt, t, r, cond, v_tgt, clip, ws=None):
 
     Returns (loss, u, upstream, tape): the pass's tape goes straight to
     net._tape_backward, so a caller can add its own upstream on u and still
-    run one reverse pass.  The tape lives in the net.Workspace ``ws`` (see
-    net._core).
+    run one reverse pass.  The pass binds a net.Field to the batch, and the
+    tape lives in the net.Workspace ``ws`` (see net.Field).
     """
     tangent = (v_tgt, 1.0, 0.0) if np.any(r != t) else None
-    u, dudt, tape = net._core(model, xt, t, r, cond, want_tape=True, tangent=tangent, ws=ws)
+    field = net.Field(model, cond, len(xt), ws)
+    u, dudt, tape = field.run(xt, t, r, want_tape=True, tangent=tangent)
     target = v_tgt if dudt is None else v_tgt - (t - r)[:, None] * dudt
     g = u - target
     if clip is not None:

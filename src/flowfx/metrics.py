@@ -239,7 +239,8 @@ def _csv_float(text) -> float:
 
 def read_embedding_csv(path) -> EmbeddingSet:
     """Parse an `id,dim0..dimN` CSV into its rows; the id column is not
-    kept.  Malformed content reports the byte offset of the offending line."""
+    kept.  Malformed content reports the byte offset of the offending line;
+    a non-finite cell is refused with the file's path."""
     rows = []
     with open(path, "rb") as fh:
         offset = fh.tell()
@@ -269,7 +270,10 @@ def read_embedding_csv(path) -> EmbeddingSet:
                 raise FileFormatError(path, f"bad number: {exc}", offset=offset) from exc
     if not rows:
         raise FileFormatError(path, "no embedding rows")
-    return EmbeddingSet(np.array(rows, dtype=np.float64))
+    try:
+        return EmbeddingSet(np.array(rows, dtype=np.float64))
+    except DomainError as exc:  # a non-finite cell
+        raise FileFormatError(path, str(exc)) from exc
 
 
 def write_report_csv(path, entries) -> None:

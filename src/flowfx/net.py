@@ -9,19 +9,17 @@ embedding (with a dedicated null row for unconditional passes); one or more
 hidden layers use SiLU, a * _logistic(a), where _logistic is 1 / (1 + exp(-a))
 on numpy's exp; the output layer is linear.
 
-Every pass is one run of ``_pass``, the one copy of the layer math, so all
+Every pass is one run of ``_core``, the one copy of the layer math, so all
 of them evaluate the same expressions in the same order.  Its inputs are
-resolved before it runs, in one of two places.  ``_core`` resolves them on
-every call (it checks x, t, r and the condition ids, gathers the ids'
-first-layer rows and compares r with t): training, the tape and the
-tangent go through it, and so does ``forward``.  A ``Field`` binds a model
-to one sample request (its condition and row count): it resolves the
-condition once, and each solver step then checks x's shape and runs
-``_pass``.  Forward mode rides along in the pass: given a (dx, dt, dr)
-tangent, ``_pass`` propagates it in lockstep with the primal ops, and the
-value it returns is bit-identical to forward.  Reverse mode replays a
-tape: a training loss asks ``_core`` to record one during its single primal
-pass and hands it to ``_tape_backward`` (or, for a frozen feature map,
+resolved in one place, a ``Field``: it binds a model to one condition and
+row count, checking the ids and taking their first-layer rows once, and
+each ``Field.run`` checks x, t, r and the tangent.  A sample request binds
+a field per guidance branch for all its solver steps; ``forward``,
+``hidden_forward`` and a training loss bind one per pass.  Forward mode
+rides along in the pass: a (dx, dt, dr) tangent goes through ``_core`` in
+lockstep with the primal ops, whose value stays bit-identical to forward.
+Reverse mode replays a tape that a training loss records in its single
+primal pass and hands to ``_tape_backward`` (or, for a frozen feature map,
 ``hidden_input_gradient``), instead of running the pass again.  The tape
 keeps each layer's input and its SiLU slope, taken once in the primal pass
 and read by the tangent and by the chain rule alike.
@@ -227,6 +225,14 @@ def _as_time_rows(val, n, name):
     return arr
 
 
+def _time_rows(t, r, n):
+    """t's and r's time rows, of one length; r's are None if they have t's bits."""
+    t_rows, r_rows = _as_time_rows(t, n, "t"), _as_time_rows(r, n, "r")
+    if len(t_rows) != len(r_rows):
+        return np.broadcast_arrays(t_rows, r_rows)
+    return t_rows, None if t_rows.tobytes() == r_rows.tobytes() else r_rows
+
+
 def _resolve_cond(cond, n, config):
     if cond is None:
         return np.full(n, config.null_cond, dtype=np.intp)
@@ -282,59 +288,14 @@ def _cond_term(model):
     return model.params["cond_table"] @ model.params["w0"][:, cfg.dim + cfg.embed_dim :].T
 
 
-def _core(model, x, t, r, cond, want_tape=False, tangent=None, readout=True, ws=None):
-    """Shared primal pass on unchecked inputs: resolves x, t, r, cond and
-    the tangent, then runs ``_pass``.  Optionally records a tape for
-    _tape_backward and/or propagates a (dx, dt, dr) tangent in lockstep with
-    the primal ops.  With ``readout`` false the pass stops at the last
-    hidden activations, which then stand in for u (and du).
-
-    The time rows are one row when the batch shares one (t, r) and n rows
-    otherwise; r that has the bits of t reuses t's features.  The condition
-    term is (cond_table @ Wc.T)[ids], one row per sample.
-
-    The pass writes its row-sized arrays (e_in, e, the first layer's
-    terms, each layer's activations, SiLU logistic and slope, the tangent
-    and the tape's z) into the Workspace ``ws``, a fresh one when None.
-    The next pass on ws overwrites them, so the tape and, without
-    ``readout``, the returned activations must be used up before then.
-    The readout u and du are always new arrays.
-    Returns (u, du or None, tape or None)."""
-    cfg = model.config
-    x2, squeeze = _as_batch(x, cfg.dim)
-    n = x2.shape[0]
-    t_rows, r_rows = np.broadcast_arrays(_as_time_rows(t, n, "t"), _as_time_rows(r, n, "r"))
-    if np.array_equal(r_rows.view(np.uint64), t_rows.view(np.uint64)):
-        r_rows = None
-    ids = _resolve_cond(cond, n, cfg)
-    out = (Workspace() if ws is None else ws).take
-    # ids are checked, so clipping them changes nothing
-    cond_rows = np.take(_cond_term(model), ids, axis=0, mode="clip",
-                        out=out("first", n, cfg.hidden[0]))
-    if tangent is not None:
-        dx, dt, dr = tangent
-        dx2, _ = _as_batch(dx, cfg.dim)
-        if dx2.shape != x2.shape:
-            raise DomainError("tangent dx shape does not match x")
-        tangent = (dx2, _as_scalar_batch(dt, n, "dt"), _as_scalar_batch(dr, n, "dr"))
-    u, du, tape = _pass(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape, tangent,
-                        readout)
-    if squeeze:
-        u = u[0]
-        du = du[0] if du is not None else None
-    return u, du, tape
-
-
-def _pass(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape=False, tangent=None,
+def _core(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape=False, tangent=None,
           readout=True):
-    """The layer math of every pass, on resolved inputs.
-
-    x2 is (n, dim); t_rows holds one time row or n; r_rows holds r's rows,
-    or is None when r has the bits of t (r then reuses t's features); ids
-    are the n checked condition ids and cond_rows their cond_table @ Wc.T
-    rows, n of them or one shared by the batch; ``out(name, rows, width)``
-    gives the buffer an array is written into; the tangent is (dx2, dt, dr)
-    with n-row dt and dr.
+    """The layer math of every pass, on the inputs a ``Field`` resolved:
+    x2 is (n, dim); t_rows holds one time row or n, and r_rows r's, or None
+    when r has the bits of t (r then reuses t's features); cond_rows are the
+    n condition ids' cond_table @ Wc.T rows, or one shared by the batch;
+    ``out(name, rows, width)`` gives the buffer an array is written into;
+    the tangent is (dx2, dt, dr) with n-row dt and dr.
 
     The first affine map w0/b0 is x @ Wx.T, plus the condition rows, plus
     e @ We.T + b0, where the time embedding e has the time rows.  The
@@ -409,40 +370,55 @@ def _pass(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape=False, tange
 
 
 class Field:
-    """u(x, t, r) of one model for one sample request, bound once.
+    """u(x, t, r) of one model for one condition and row count n.
 
-    The condition and the row count n are fixed for the request, so the
-    condition ids are checked once and their cond_table @ Wc.T rows taken
-    once: a single row when all n ids are equal, which adds the same bits
-    as n equal rows.  Each call checks only x's shape and runs ``_pass``,
-    so it gives the bits of ``forward(model, x, t, r, cond)``.  x is
-    (n, dim), or (dim,) when n is 1, and u comes back in x's shape; t and
-    r are scalars.
+    ``__init__`` checks the condition ids and takes their cond_table @ Wc.T
+    rows once, one row when all n ids are equal (the same bits as n equal
+    rows).  ``run`` checks x ((n, dim), or (dim,) when n is 1), t and r
+    (scalars or n-vectors) and the tangent, then runs ``_core``; u and du
+    come back in x's shape as new arrays.  The pass's other arrays, the
+    tape among them, live in the Workspace ``ws`` (a fresh one when None)
+    until the next pass on it, so fields whose calls never interleave, such
+    as a guided pair, may share one."""
 
-    The pass writes its row-sized arrays into the Workspace ``ws``, valid
-    until the next pass on ws: fields whose calls never interleave, such as
-    a guided pair, may share one.  u is a new array."""
-
-    def __init__(self, model: VelocityModel, cond, n: int, ws: Workspace):
+    def __init__(self, model: VelocityModel, cond, n: int, ws: Workspace | None = None):
         self.model = model
-        self.shape = (n, model.config.dim)
+        self.n = n
         self.ids = _resolve_cond(cond, n, model.config)
         term = _cond_term(model)
         shared = n and (self.ids == self.ids[0]).all()
         self.cond_rows = term[self.ids[:1]] if shared else term[self.ids]
-        self.take = ws.take
+        self.take = (Workspace() if ws is None else ws).take
+
+    def run(self, x, t, r, want_tape=False, tangent=None, readout=True):
+        """One pass: (u, du or None, tape or None).  ``want_tape`` records a
+        tape for _tape_backward, a (dx, dt, dr) tangent goes along with the
+        primal ops, and without ``readout`` the last hidden activations
+        stand in for u (and du)."""
+        dim, n = self.model.config.dim, self.n
+        x2, squeeze = _as_batch(x, dim)
+        if len(x2) != n:
+            raise DomainError(f"input shape {np.shape(x)} does not match the field's {(n, dim)}")
+        t_rows, r_rows = _time_rows(t, r, n)
+        if tangent is not None:
+            dx, dt, dr = tangent
+            dx2, _ = _as_batch(dx, dim)
+            if dx2.shape != x2.shape:
+                raise DomainError("tangent dx shape does not match x")
+            tangent = (dx2, _as_scalar_batch(dt, n, "dt"), _as_scalar_batch(dr, n, "dr"))
+        u, du, tape = _core(self.model, x2, t_rows, r_rows, self.ids, self.cond_rows,
+                            self.take, want_tape, tangent, readout)
+        if squeeze:
+            u, du = u[0], du if du is None else du[0]
+        return u, du, tape
 
     def __call__(self, x, t, r) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        x2 = x[None] if x.ndim == 1 else x
-        if x2.shape != self.shape:
-            raise DomainError(f"input shape {x.shape} does not match the field's {self.shape}")
-        t, r = float(t), float(r)
-        # r with the bits of t has the features of t
-        same = t == r and math.copysign(1.0, t) == math.copysign(1.0, r)
-        u, _, _ = _pass(self.model, x2, np.array([t]), None if same else np.array([r]),
-                        self.ids, self.cond_rows, self.take)
-        return u[0] if x.ndim == 1 else u
+        return self.run(x, t, r)[0]
+
+
+def _rows(x) -> int:
+    """The row count of a batch x: 1 for a single (dim,) sample."""
+    return len(x) if np.ndim(x) > 1 else 1
 
 
 def forward(model: VelocityModel, x, t, r, cond=None, ws=None) -> np.ndarray:
@@ -450,8 +426,7 @@ def forward(model: VelocityModel, x, t, r, cond=None, ws=None) -> np.ndarray:
     scalars or per-sample vectors; cond is None (unconditional), a scalar id,
     or a per-sample id vector.  The pass's arrays go into the Workspace
     ``ws``, a fresh one when None; u is new either way."""
-    u, _, _ = _core(model, x, t, r, cond, ws=ws)
-    return u
+    return Field(model, cond, _rows(x), ws)(x, t, r)
 
 
 def _hidden_chain(model, tape, g, grads, ws):
@@ -508,8 +483,8 @@ def _tape_backward(model, tape, upstream, ws=None) -> GradTape:
 def hidden_forward(model: VelocityModel, x, t, r, cond=None, want_tape=True, ws=None):
     """Penultimate hidden activations (the features feeding the output
     layer) plus a replay handle for hidden_input_gradient (None unless
-    ``want_tape``).  Both live in the Workspace ``ws`` (see _core)."""
-    h, _, tape = _core(model, x, t, r, cond, want_tape=want_tape, readout=False, ws=ws)
+    ``want_tape``).  Both live in the Workspace ``ws`` (see Field)."""
+    h, _, tape = Field(model, cond, _rows(x), ws).run(x, t, r, want_tape, readout=False)
     return h, tape
 
 

@@ -7,8 +7,8 @@ which keeps analytic test problems cheap.  Both read the field through one
 wrapper that applies classifier-free guidance and charges every model call
 against the NFE budget.  The wrapper binds a model once per request, as a
 ``net.Field`` per guidance branch: the condition is resolved then, so each
-solver step runs only the layer math (``net._pass``) and gives the bits of
-``net.forward``.
+solver step checks only x, t and r before the layer math (``net._core``)
+and gives the bits of ``net.forward``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Reference compositions of the library's private passes, for tests only.
 
 No command runs these.  Each one composes the same private pieces the
-training loops run (``net._core``, ``net._tape_backward``,
+training loops run (``net.Field``, ``net._tape_backward``,
 ``flow._distill_target``, ``flow._interval_loss`` and
 ``distill._adversarial_upstream``) into one standalone call, so a test can
 check those pieces against finite differences, against each other, or
@@ -23,7 +23,7 @@ from flowfx.net import GradTape, VelocityModel
 def backward(model: VelocityModel, x, t, r, cond, upstream) -> GradTape:
     """Exact gradients of <forward(model, x, t, r, cond), upstream> with
     respect to every parameter and to x."""
-    u, _, tape = net._core(model, x, t, r, cond, want_tape=True)
+    u, _, tape = net.Field(model, cond, net._rows(x)).run(x, t, r, want_tape=True)
     squeeze = np.ndim(x) == 1
     up, up_squeeze = net._as_batch(upstream, model.config.dim)
     if up_squeeze != squeeze or up.shape[0] != np.atleast_2d(u).shape[0]:
@@ -40,7 +40,7 @@ def jvp(model: VelocityModel, x, t, r, cond, tangent):
     Returns (value, derivative); the value is bit-identical to forward
     because both run the same primal expressions.
     """
-    u, du, _ = net._core(model, x, t, r, cond, tangent=tangent)
+    u, du, _ = net.Field(model, cond, net._rows(x)).run(x, t, r, tangent=tangent)
     return u, du
 
 
@@ -89,7 +89,7 @@ def adversarial_grads(
     x_r = x_t - (t-r) u(x_t, t, r); the loss gradient reaches the student
     only through u, as dL/du = -(t-r) dD/dx_r with the trunk frozen.
     """
-    u, _, tape = net._core(student, xt, t, r, cond, want_tape=True)
+    u, _, tape = net.Field(student, cond, len(xt)).run(xt, t, r, want_tape=True)
     adv_loss, upstream = _adversarial_upstream(disc, xt, t, r, u)
     return adv_loss, net._tape_backward(student, tape, upstream)
 

@@ -261,6 +261,12 @@ def _write_rate_2_30(path):
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
+def _write_nan_float32(path):
+    """A float32 WAV whose last sample is NaN."""
+    dsp.write_wav(path, dsp.AudioBuffer(np.zeros(64), 48000))
+    path.write_bytes(path.read_bytes()[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+
+
 def _codec_case(write):
     def argv(tmp_path):
         wav = tmp_path / "in.wav"
@@ -359,6 +365,7 @@ class TestMalformedInputs:
             pytest.param(_codec_case(_write_pcm24), 2, id="codec-pcm24"),
             pytest.param(_codec_case(_write_empty_wav), 1, id="codec-empty-wav"),
             pytest.param(_codec_case(_write_rate_2_30), 1, id="codec-rate-past-wav-header"),
+            pytest.param(_codec_case(_write_nan_float32), 2, id="codec-nan-sample"),
             pytest.param(_raw_ckpt_case("sample", lambda b: b[: len(b) // 2]), 2,
                          id="sample-truncated-checkpoint"),
             pytest.param(_raw_ckpt_case("sample", lambda b: b.replace(b"{", b"{\xff", 1)), 2,
@@ -387,6 +394,7 @@ class TestMalformedInputs:
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,abc\n"), 2, id="eval-non-numeric-csv"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,1_0,4.0\n"), 2,
                          id="eval-underscore-in-number"),
+            pytest.param(_eval_case("id,dim0,dim1\n0,1.0,inf\n"), 2, id="eval-inf-cell"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0,4.0\n", "--workers", "0"), 1,
                          id="eval-workers-zero"),
         ],
@@ -650,25 +658,34 @@ class TestDistillCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def _count_calls(monkeypatch, *targets):
+    """A Counter of calls to each (module, name) in ``targets``, counted by
+    wrappers installed as the module attributes."""
+    counts = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in targets:
+        count(module, name)
+    return counts
+
+
 class TestPrimalPasses:
+    # Every primal pass runs net._core, looked up as a module global, so a
+    # counting wrapper installed there sees every call.
+
     def test_one_primal_pass_per_training_step(self, tmp_path, monkeypatch):
-        # Every primal pass runs net._core, looked up as a module global, and
         # the loops call flow.fm_loss and distill.gen_step as module
-        # attributes, so counting wrappers installed there see every call.
-        counts = Counter()
-
-        def count(module, name):
-            fn = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(net, "_core")
-        count(flow, "fm_loss")
-        count(distill, "gen_step")
+        # attributes, so their wrappers see every step
+        counts = _count_calls(monkeypatch, (net, "_core"), (flow, "fm_loss"),
+                              (distill, "gen_step"))
         fm_out = tmp_path / "fm"
         assert main(["train-fm", "--steps", "5", "--batch-size", "16",
                      "--hidden", "8,8", "--out", str(fm_out)]) == 0
@@ -682,6 +699,21 @@ class TestPrimalPasses:
         # discriminator trunk on x_r plus the disc step's student pass and
         # its one stacked [real; fake] trunk pass
         assert counts == {"gen_step": 4, "_core": 2 * 2 + 2 * 5}
+
+    @pytest.mark.parametrize("flags, passes", [
+        (["--solver", "euler", "--steps", "4"], 4),
+        (["--solver", "euler", "--steps", "4", "--cfg-scale", "2"], 8),
+        (["--solver", "dopri5"], None),  # the report's mean_nfe
+    ])
+    def test_one_primal_pass_per_model_call_when_sampling(
+        self, flags, passes, small_teacher, tmp_path, monkeypatch
+    ):
+        counts = _count_calls(monkeypatch, (net, "_core"))
+        out = tmp_path / "o"
+        assert main(["sample", str(small_teacher), "--n", "8", *flags, "--out", str(out)]) == 0
+        nfe = read_report(out / "sample_report.csv")["mean_nfe"][0]
+        assert passes is None or nfe == passes
+        assert counts == {"_core": nfe}
 
 
 class TestSampleCommand:

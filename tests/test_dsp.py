@@ -447,9 +447,9 @@ def _wave(*chunks, magic=b"RIFF"):
     return magic + struct.pack("<I", len(body)) + body
 
 
-def _fmt(tag=3, channels=1, bits=32, block_align=None, size=None):
+def _fmt(tag=3, channels=1, bits=32, block_align=None, size=None, rate=SR):
     align = channels * bits // 8 if block_align is None else block_align
-    return _chunk(b"fmt ", struct.pack("<HHIIHH", tag, channels, SR, SR * align, align, bits),
+    return _chunk(b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits),
                   size)
 
 
@@ -592,7 +592,7 @@ def test_read_wav_matches_scipy_on_seeded_valid_files(tmp_path):
     p = tmp_path / "nonfinite.wav"
     p.write_bytes(_wave(_fmt(), _chunk(b"data", bad.tobytes())))
     assert np.isnan(_scipy_mono(p)[1][1])
-    with pytest.raises(DomainError, match="finite"):
+    with pytest.raises(FileFormatError, match="nonfinite.wav: audio samples must be finite"):
         read_wav(p)
 
 
@@ -613,6 +613,7 @@ _DATA = _chunk(b"data", _SAMPLES.tobytes())
         pytest.param(_wave(_fmt(bits=24), _DATA), "unsupported WAV sample format",
                      id="float24"),
         pytest.param(_wave(_fmt()), "no data chunk", id="no-data"),
+        pytest.param(_wave(_fmt(rate=0), _DATA), "sample_rate must be positive", id="zero-rate"),
     ],
 )
 def test_read_wav_refuses_malformed_files(raw, why, tmp_path):

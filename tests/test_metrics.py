@@ -412,7 +412,7 @@ class TestCsv:
         path = tmp_path / "nonfinite.csv"
         path.write_text("id,dim0\nrow0,inf\n")
         assert np.loadtxt(path, delimiter=",", skiprows=1, usecols=[1]) == np.inf
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(FileFormatError, match="nonfinite.csv: embeddings must be finite"):
             read_embedding_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):

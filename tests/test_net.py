@@ -40,6 +40,11 @@ def small_model(seed=0):
     return init_model(SMALL, np.random.default_rng(seed))
 
 
+def _run(model, x, t, r, cond, **kwargs):
+    """One pass of a Field bound to x's rows: (u, du, tape)."""
+    return net.Field(model, cond, len(x)).run(x, t, r, **kwargs)
+
+
 def test_zero_parameters_zero_output():
     model = small_model()
     for k in model.params:
@@ -314,7 +319,7 @@ def test_core_matches_separate_r_features(r_equals_t, hidden):
     assert np.array_equal(forward(model, x, t, r, cond), want_u)
     u, du = jvp(model, x, t, r, cond, tangent)
     assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
-    u, du, tape = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
+    u, du, tape = _run(model, x, t, r, cond, want_tape=True, tangent=tangent)
     assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
     assert len(tape["slope"]) == len(want_slopes)
     assert all(np.array_equal(a, b) for a, b in zip(tape["slope"], want_slopes))
@@ -341,9 +346,8 @@ def test_scalar_times_match_full_vectors(n, hidden, r_equals_t, cond_kind):
 
     want_u, want_du, _ = _core_reference(model, x, t_vec, r_vec, ids, tangent, one_row=True)
     cat_u, cat_du, _ = _concatenated_reference(model, x, t_vec, r_vec, ids, tangent)
-    u, du, tape = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
-    vu, vdu, vtape = net._core(model, x, t_vec, r_vec, cond, want_tape=True,
-                               tangent=tangent)
+    u, du, tape = _run(model, x, t, r, cond, want_tape=True, tangent=tangent)
+    vu, vdu, vtape = _run(model, x, t_vec, r_vec, cond, want_tape=True, tangent=tangent)
     assert np.array_equal(u, want_u) and np.array_equal(du, want_du)
     # the concatenated product sums the same terms in another order
     assert np.allclose(u, cat_u, rtol=1e-12, atol=1e-12)
@@ -381,7 +385,7 @@ def test_time_vector_mixing_signed_zeros_takes_the_per_sample_path():
     r = np.zeros(n)
     want, _, _ = _core_reference(model, x, t, r, cond, (x, 0.0, 0.0))
     assert np.array_equal(forward(model, x, t, r, cond), want)
-    u, _, tape = net._core(model, x, t, r, cond, want_tape=True)
+    u, _, tape = _run(model, x, t, r, cond, want_tape=True)
     assert np.array_equal(u, want)
     # one embedded row would give equal values; the taped sines' signs show
     # which pass ran
@@ -429,7 +433,7 @@ def test_untaped_features_match_hidden_forward():
     rng = np.random.default_rng(26)
     x, r = rng.standard_normal((6, 3)), rng.uniform(0.0, 1.0, 6)
     feats, tape = net.hidden_forward(model, x, r, r, None)
-    untaped, _, no_tape = net._core(model, x, r, r, None, readout=False)
+    untaped, _, no_tape = _run(model, x, r, r, None, readout=False)
     assert no_tape is None
     assert np.array_equal(untaped, feats) and feats is tape["inputs"][-1]
 
@@ -437,16 +441,37 @@ def test_untaped_features_match_hidden_forward():
 @pytest.mark.parametrize("cond", [None, 1, "per-sample"])
 @pytest.mark.parametrize("t, r", [(0.75, 0.75), (0.75, 0.5), (0.0, -0.0), (-0.0, 0.0)])
 def test_field_matches_forward_bitwise(t, r, cond):
-    # the field's single condition row and its scalar r-equals-t check give
-    # the bits of forward's gathered rows and bitwise time comparison
+    # the field's single shared condition row and its r-equals-t check give
+    # the bits of the reference's per-sample gathered rows and features
     model = small_model(27)
     x = np.random.default_rng(28).standard_normal((5, 3))
-    ids = np.array([0, 2, 1, 1, 2]) if cond == "per-sample" else cond
-    field = net.Field(model, ids, 5, net.Workspace())
+    ids = {None: np.full(5, SMALL.null_cond), 1: np.full(5, 1),
+           "per-sample": np.array([0, 2, 1, 1, 2])}[cond]
+    want, _, _ = _core_reference(model, x, np.full(5, t), np.full(5, r), ids,
+                                 (x, 0.0, 0.0), one_row=True)
+    field = net.Field(model, ids if cond == "per-sample" else cond, 5, net.Workspace())
     for _ in range(2):  # the second call reuses the field's buffers
-        u = field(x, t, r)
-        assert np.array_equal(u, forward(model, x, t, r, ids))
-        assert u.tobytes() == forward(model, x, t, r, ids).tobytes()
+        assert field(x, t, r).tobytes() == want.tobytes()
+    assert forward(model, x, t, r, ids).tobytes() == want.tobytes()
+
+
+def test_field_run_refuses_a_tangent_or_x_of_another_shape():
+    model = small_model(36)
+    rng = np.random.default_rng(37)
+    x, dx = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    field = net.Field(model, 1, 4)
+    u, du, tape = field.run(x, 0.5, 0.25, want_tape=True, tangent=(dx, 1.0, 0.0))
+    assert u.shape == du.shape == (4, 3) and tape is not None
+    for bad_dx, why in [(dx[:3], "tangent dx shape"), (dx[0], "tangent dx shape"),
+                        (dx[:, :2], "does not match dim")]:
+        with pytest.raises(DomainError, match=why):
+            field.run(x, 0.5, 0.25, want_tape=True, tangent=(bad_dx, 1.0, 0.0))
+    with pytest.raises(DomainError, match="does not match the field's"):
+        field.run(x[:3], 0.5, 0.25, want_tape=True, tangent=(dx[:3], 1.0, 0.0))
+    with pytest.raises(DomainError, match="dt shape"):
+        field.run(x, 0.5, 0.25, tangent=(dx, np.ones(3), 0.0))
+    with pytest.raises(DomainError, match="t shape"):
+        field.run(x, np.ones(3), 0.25)
 
 
 def test_forward_only_pass_takes_no_slope_buffer():
@@ -474,10 +499,10 @@ def _scratch_case(n, seed):
 
 
 def _core_outputs(model, n, seed, want_tape, with_tangent):
-    """Every array _core hands back for one pass, copied out of its result."""
+    """Every array a pass hands back, copied out of its result."""
     x, t, r, cond, tangent = _scratch_case(n, seed)
-    u, du, tape = net._core(model, x, t, r, cond, want_tape=want_tape,
-                            tangent=tangent if with_tangent else None)
+    u, du, tape = _run(model, x, t, r, cond, want_tape=want_tape,
+                       tangent=tangent if with_tangent else None)
     got = [u, du]
     if tape is not None:
         got += [tape["e_in"], *tape["inputs"], *tape["slope"]]
@@ -504,14 +529,14 @@ def test_tape_survives_later_calls_on_the_same_model():
     model = init_model(SCRATCH, np.random.default_rng(32))
     x, t, r, cond, tangent = _scratch_case(64, 33)
     up = np.random.default_rng(34).standard_normal((64, 3))
-    _, _, tape = net._core(model, x, t, r, cond, want_tape=True, tangent=tangent)
+    _, _, tape = _run(model, x, t, r, cond, want_tape=True, tangent=tangent)
     for n in (64, 1024, 16):
         xs, ts, rs, cs, tans = _scratch_case(n, 35 + n)
-        net._core(model, xs, ts, rs, cs, want_tape=True, tangent=tans)
+        _run(model, xs, ts, rs, cs, want_tape=True, tangent=tans)
         forward(model, xs, ts, rs, cs)
     got = net._tape_backward(model, tape, up)
     fresh = model.clone()
-    _, _, fresh_tape = net._core(fresh, x, t, r, cond, want_tape=True, tangent=tangent)
+    _, _, fresh_tape = _run(fresh, x, t, r, cond, want_tape=True, tangent=tangent)
     want = net._tape_backward(fresh, fresh_tape, up)
     assert np.array_equal(got.grad_x, want.grad_x)
     for k in want.grads:
