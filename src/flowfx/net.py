@@ -35,11 +35,15 @@ as vectors, and with or without a tape or tangent.
 
 Every work buffer of a pass lives in a ``Workspace`` that the caller
 owns: a training loop keeps one for all its steps, and a sample request
-one for its fields.  A pass writes its row-sized arrays (the time rows, the
+one for each of its fields, whose guidance branches may run on two
+threads.  A pass writes its row-sized arrays (the time rows, the
 first layer's terms, each layer's activations, SiLU logistic and slope, the
 tangent, the tape's z, the chain-rule gradients) into the workspace's
 buffers, which grow to the largest row count asked for, so a warm loop
-stops allocating and faulting in that memory.  What a pass writes there is
+stops allocating and faulting in that memory.  A taped pass keeps one
+activation buffer per layer and one for the logistic; a pass without a
+tape needs two row buffers in all, each layer writing one and taking its
+logistic in the other.  What a pass writes there is
 valid until the next pass on the same workspace; nothing returned outside
 the loop lives there.  A call that passes no workspace gets a fresh one
 for itself, so its results stay valid across later calls.  A model holds
@@ -349,13 +353,17 @@ def _core(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape=False, tange
         tape = {"e_in": e_in, "ids": ids, "inputs": [z], "slope": []}
 
     want_slope = want_tape or tangent is not None
+    # without a tape, layer i writes ("h", i % 2) and takes its logistic in
+    # the other buffer, whose activations its matmul has already read
     h = a
     for i, width in enumerate(cfg.hidden):
         if i:
-            h = np.matmul(h, p[f"w{i}"].T, out=out(("h", i), n, width))
+            key = ("h", i) if want_tape else ("h", i % 2)
+            h = np.matmul(h, p[f"w{i}"].T, out=out(key, n, width))
             h += p[f"b{i}"]
+        s = out("logistic", n, width) if want_tape else out(("h", (i + 1) % 2), n, width)
         slope_out = out(("slope", i), n, width) if want_slope else None
-        slope = _silu(h, out("logistic", n, width), want_slope, slope_out)
+        slope = _silu(h, s, want_slope, slope_out)
         if want_tape:
             tape["inputs"].append(h)
             tape["slope"].append(slope)
@@ -379,7 +387,8 @@ class Field:
     come back in x's shape as new arrays.  The pass's other arrays, the
     tape among them, live in the Workspace ``ws`` (a fresh one when None)
     until the next pass on it, so fields whose calls never interleave, such
-    as a guided pair, may share one."""
+    as a training loss's student and teacher, may share one; fields run on
+    different threads may not."""
 
     def __init__(self, model: VelocityModel, cond, n: int, ws: Workspace | None = None):
         self.model = model

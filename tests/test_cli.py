@@ -953,3 +953,39 @@ class TestBlasThreadCount:
         one, two = artifacts
         assert sorted(one) == sorted(two)
         assert [name for name in one if one[name] != two[name]] == []
+
+
+# Pins the child to the CPUs in argv[1] before flowfx is imported, runs the
+# command in argv[2:] and prints whether the guidance pool was made.
+_PINNED_MAIN = (
+    "import os, sys\n"
+    "os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(',')})\n"
+    "from flowfx import cli, solvers\n"
+    "code = cli.main(sys.argv[2:])\n"
+    "print(solvers._POOL is not None)\n"
+    "sys.exit(code)"
+)
+
+
+def _cpus():
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+class TestSampleCpuCount:
+    @pytest.mark.skipif(len(_cpus()) < 2, reason="needs a process that may use two CPUs")
+    def test_guided_sample_same_bytes_on_one_and_two_cpus(self, small_teacher, tmp_path):
+        # n = 2048 is above PARALLEL_MIN_ROWS: two CPUs run the guidance
+        # branches on two threads, one CPU runs them serially
+        out = tmp_path / "o"
+        argv = ["sample", str(small_teacher), "--solver", "dopri5", "--n", "2048",
+                "--cfg-scale", "2", "--out", str(out)]
+        runs = []
+        for cpus in (_cpus()[:1], _cpus()[:2]):
+            proc = _run_python("-c", _PINNED_MAIN, ",".join(map(str, cpus)), *argv)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout.split(), {name: (out / name).read_bytes() for name in
+                                               ("samples.csv", "nfe.csv", "sample_report.csv")}))
+            shutil.rmtree(out)
+        (one_pool, one), (two_pool, two) = runs
+        assert (one_pool, two_pool) == (["False"], ["True"])
+        assert one == two

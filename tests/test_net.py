@@ -487,6 +487,28 @@ def test_forward_only_pass_takes_no_slope_buffer():
     assert ("slope", 0) in {name for name, _ in ws.bufs}
 
 
+@pytest.mark.parametrize("layers", [2, 3])
+def test_pass_without_a_tape_keeps_two_row_buffers(layers):
+    # width 7 is no other buffer's width here, so the (n, 7) buffers are
+    # exactly the activation, logistic and slope buffers
+    cfg = ModelConfig(dim=3, hidden=(7,) * layers, n_cond=2, cond_dim=4, embed_dim=5,
+                      n_freqs=4)
+    model = init_model(cfg, np.random.default_rng(34))
+    n = 9
+    x = np.random.default_rng(35).standard_normal((n, 3))
+
+    def row_buffers(ws):
+        return {name for name, buf in ws.bufs.items() if buf.shape == (n, 7)}
+
+    ws = net.Workspace()
+    net.Field(model, 1, n, ws)(x, 0.5, 0.25)
+    assert row_buffers(ws) == {(("h", 0), 7), (("h", 1), 7)}
+    ws = net.Workspace()
+    net.Field(model, 1, n, ws).run(x, 0.5, 0.25, want_tape=True)
+    assert row_buffers(ws) == {(("h", i), 7) for i in range(layers)} | {
+        (("slope", i), 7) for i in range(layers)} | {("logistic", 7)}
+
+
 # hidden widths 8, 8 and 6: two layers share the width-8 logistic buffer
 SCRATCH = ModelConfig(dim=3, hidden=(8, 8, 6), n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
 
@@ -523,6 +545,24 @@ def test_core_reusing_scratch_matches_fresh_clone():
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert (a is None and b is None) or np.array_equal(a, b), call
+
+
+def test_one_workspace_for_every_pass_kind_matches_fresh_ones():
+    # passes with and without a tape or tangent, at several row counts, on
+    # one workspace: each gives the bits of the same pass on a fresh one,
+    # also where the two-buffer pass's widths differ between layers
+    model = init_model(SCRATCH, np.random.default_rng(36))
+    ws = net.Workspace()
+    for seed, n in enumerate([256, 1, 512, 256]):
+        x, t, r, cond, tangent = _scratch_case(n, seed)
+        for want_tape, tan in [(False, None), (True, None), (False, tangent), (True, tangent)]:
+            shared = net.Field(model, cond, n, ws).run(x, t, r, want_tape, tan)
+            fresh = _run(model, x, t, r, cond, want_tape=want_tape, tangent=tan)
+            for a, b in zip(shared[:2], fresh[:2]):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+            h_shared = net.hidden_forward(model, x, t, r, cond, want_tape, ws)[0]
+            h_fresh = net.hidden_forward(model, x, t, r, cond, want_tape)[0]
+            assert h_shared.tobytes() == h_fresh.tobytes()
 
 
 def test_tape_survives_later_calls_on_the_same_model():

@@ -1,10 +1,15 @@
+import os
+import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from flowfx import net
+import flowfx
+from flowfx import net, solvers
 from flowfx.errors import DomainError, SolverError
 from flowfx.net import ModelConfig, init_model
 from flowfx.solvers import SolverConfig, dopri5_sample, euler_sample
@@ -254,9 +259,16 @@ def test_field_refuses_x_with_another_row_count():
     assert net.Field(model, None, 1, net.Workspace())(np.ones(2), 0.5, 0.5).shape == (2,)
 
 
+def _two_threads(monkeypatch):
+    """Let a guided request above PARALLEL_MIN_ROWS use two threads, on a
+    host with any number of CPUs."""
+    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+
+
 def _thread_requests():
-    """dopri5 and guided euler requests of several sizes: (sample, x1,
-    cond, config)."""
+    """dopri5 and guided euler requests of several sizes, and a guided
+    dopri5 request large enough for two threads: (sample, x1, cond,
+    config)."""
     rng = np.random.default_rng(82)
     dopri = SolverConfig(kind="dopri5", rtol=1e-4, atol=1e-4)
     guided = SolverConfig(kind="euler", steps=6, cfg_scale=3.0)
@@ -264,6 +276,10 @@ def _thread_requests():
     for n in (1, 96, 5, 257):
         requests.append((dopri5_sample, rng.standard_normal((n, 2)), np.arange(n) % 2, dopri))
         requests.append((euler_sample, rng.standard_normal((n, 2)), 1, guided))
+    n = solvers.PARALLEL_MIN_ROWS + 3
+    guided_dopri = SolverConfig(kind="dopri5", rtol=1e-4, atol=1e-4, cfg_scale=3.0)
+    requests.append((dopri5_sample, rng.standard_normal((n, 2)), np.arange(n) % 2,
+                     guided_dopri))
     return requests
 
 
@@ -273,9 +289,11 @@ def _run(model, request):
     return trace.final, (trace.nfe, trace.t_grid, trace.accepted, trace.rejected)
 
 
-def test_threads_sampling_one_model_match_serial_runs():
+def test_threads_sampling_one_model_match_serial_runs(monkeypatch):
     # the buffers of a request belong to it, not to the model: two threads
-    # sampling from one shared model give the bits of one thread
+    # sampling from one shared model give the bits of one thread, also when
+    # both hand unconditional passes to the one pool worker
+    _two_threads(monkeypatch)
     model = small_model(83)
     requests = _thread_requests() * 2
     serial = [_run(model, req) for req in requests]
@@ -289,3 +307,146 @@ def test_threads_sampling_one_model_match_serial_runs():
     for (got, got_stats), (want, want_stats) in zip(threaded, serial):
         assert got.tobytes() == want.tobytes()
         assert got_stats == want_stats
+
+
+def _core_threads(monkeypatch):
+    """Wrap net._core to record the name of each thread that runs it."""
+    names, core = [], net._core
+
+    def recorded(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(net, "_core", recorded)
+    return names
+
+
+@pytest.mark.parametrize("sample, config", [
+    (euler_sample, SolverConfig(kind="euler", steps=5, cfg_scale=2.5)),
+    (dopri5_sample, SolverConfig(kind="dopri5", rtol=1e-4, atol=1e-4, cfg_scale=2.5)),
+])
+def test_two_thread_guidance_matches_serial_bitwise(sample, config, monkeypatch):
+    model = small_model(84)
+    n = solvers.PARALLEL_MIN_ROWS + 1
+    x1 = np.random.default_rng(85).standard_normal((n, 2))
+    cond = np.arange(n) % 2
+    _two_threads(monkeypatch)
+    threads = _core_threads(monkeypatch)
+    two = sample(model, x1, cond=cond, config=config)
+    assert sum(name.startswith("flowfx-uncond") for name in threads) == two.nfe // 2
+    threads.clear()
+    monkeypatch.setattr(solvers, "PARALLEL_MIN_ROWS", n + 1)
+    one = sample(model, x1, cond=cond, config=config)
+    assert threads == [threading.current_thread().name] * one.nfe
+    assert two.final.tobytes() == one.final.tobytes()
+    assert (two.nfe, two.t_grid, two.accepted, two.rejected) == (
+        one.nfe, one.t_grid, one.accepted, one.rejected)
+
+
+class _RecordingPool:
+    """A pool that keeps every future it hands out."""
+
+    def __init__(self, pool):
+        self.pool, self.futures = pool, []
+
+    def submit(self, *args):
+        self.futures.append(self.pool.submit(*args))
+        return self.futures[-1]
+
+
+@pytest.mark.parametrize("sample, kind, budgets", [
+    (euler_sample, "euler", (6, 7)),
+    (dopri5_sample, "dopri5", (20, 21)),
+])
+def test_two_thread_guidance_keeps_the_budget_error(sample, kind, budgets, monkeypatch):
+    # an evaluation that would cross max_nfe runs serially, so the error
+    # and its nfe are the serial ones, odd or even budget alike
+    model = small_model(86)
+    n = solvers.PARALLEL_MIN_ROWS
+    x1 = np.random.default_rng(87).standard_normal((n, 2))
+    _two_threads(monkeypatch)
+    pool = _RecordingPool(solvers._pool())
+    monkeypatch.setattr(solvers, "_pool", lambda: pool)
+    for max_nfe in budgets:
+        config = SolverConfig(kind=kind, steps=4, cfg_scale=2.0, max_nfe=max_nfe)
+        with pytest.raises(SolverError) as two:
+            sample(model, x1, cond=1, config=config)
+        assert pool.futures and all(f.done() for f in pool.futures)
+        with monkeypatch.context() as serial:
+            serial.setattr(solvers, "PARALLEL_MIN_ROWS", n + 1)
+            with pytest.raises(SolverError) as one:
+                sample(model, x1, cond=1, config=config)
+        assert (str(two.value), two.value.nfe) == (str(one.value), one.value.nfe)
+        assert two.value.nfe == max_nfe + 1
+
+
+def test_failed_conditional_call_waits_for_the_unconditional_one(monkeypatch):
+    # the conditional branch's error is raised only after the pending
+    # unconditional pass is done, so no work outlives the request
+    model = small_model(88)
+    n = solvers.PARALLEL_MIN_ROWS
+    _two_threads(monkeypatch)
+    finished, core = [], net._core
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            raise FloatingPointError("conditional pass failed")
+        time.sleep(0.05)
+        finished.append(core(*args, **kwargs))
+        return finished[-1]
+
+    monkeypatch.setattr(net, "_core", failing)
+    config = SolverConfig(kind="euler", steps=2, cfg_scale=2.0)
+    with pytest.raises(FloatingPointError, match="conditional pass failed"):
+        euler_sample(model, np.ones((n, 2)), cond=0, config=config)
+    assert len(finished) == 1
+
+
+def test_unconditional_branch_runs_under_the_callers_numpy_error_state(monkeypatch):
+    # the pool worker sees the error state the request was made under, as
+    # the serial unconditional call does
+    model = small_model(89)
+    n = solvers.PARALLEL_MIN_ROWS
+    _two_threads(monkeypatch)
+    states, core = [], net._core
+
+    def recorded(*args, **kwargs):
+        states.append((threading.current_thread().name, np.geterr()["over"]))
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(net, "_core", recorded)
+    with np.errstate(over="raise"):
+        euler_sample(model, np.ones((n, 2)), cond=0,
+                     config=SolverConfig(kind="euler", steps=1, cfg_scale=2.0))
+    assert sorted(over for _, over in states) == ["raise", "raise"]
+    assert any(name.startswith("flowfx-uncond") for name, _ in states)
+
+
+# Makes the guidance pool, forks, and samples with two threads in the child,
+# which exits 0 only if that request finishes within five seconds.
+_FORKED_SAMPLE = """
+import os, signal
+import numpy as np
+from flowfx import net, solvers
+solvers._cpus = lambda: 2
+model = net.init_model(net.ModelConfig(hidden=(16,), n_cond=2), np.random.default_rng(0))
+config = solvers.SolverConfig(kind="euler", steps=2, cfg_scale=2.0)
+x = np.ones((solvers.PARALLEL_MIN_ROWS, 2))
+solvers.euler_sample(model, x, cond=1, config=config)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(5)
+    solvers.euler_sample(model, x, cond=1, config=config)
+    os._exit(0)
+raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_guidance_pool():
+    # the parent's pool worker does not exist in a forked child; a child
+    # that reused the pool would wait on it forever
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flowfx.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FORKED_SAMPLE], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
