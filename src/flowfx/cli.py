@@ -244,10 +244,10 @@ def cmd_train_fm(cfg: RunConfig) -> None:
     for step in range(1, v["steps"] + 1):
         x0, labels = toy.sample_ring(rng, v["batch_size"])
         batch = flow.sample_path(x0, rng)
-        loss, tape = flow.fm_loss(model, batch, labels, ws)
+        loss, grads = flow.fm_loss(model, batch, labels, ws)
         if not math.isfinite(loss):
             raise DivergenceError(step)
-        net.adam_step(opt, model, tape)
+        net.adam_step(opt, model, grads)
         rows.append((step, loss, opt.effective_lr()))
     meta = {"dataset": "ring", "seed": cfg.seed, "steps": v["steps"]}
     net.save_checkpoint(cfg.out_dir / "fm_teacher.json", model, meta=meta)

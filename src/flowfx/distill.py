@@ -30,7 +30,6 @@ import numpy as np
 
 from . import flow, losses, net
 from .errors import DivergenceError, DomainError
-from .net import GradTape
 
 DISC_HEADS = 4
 HEAD_HIDDEN = 64
@@ -194,7 +193,7 @@ def disc_step(
         np.where(1.0 + s_fake > 0.0, 1.0, 0.0) / s_fake.size,
     ])
     grads = _head_param_grads(disc, cache, up_scores)
-    net.adam_step(opt, disc, GradTape(grads, np.zeros(disc.trunk.config.dim)))
+    net.adam_step(opt, disc, grads)
     return loss
 
 
@@ -224,8 +223,8 @@ def gen_step(
 ):
     """One generator update on fresh (t, r) draws from flow.sample_times:
     mean-velocity distillation loss plus, when ``disc`` is given, adv_weight
-    times the adversarial term.  Returns (mf_loss, adv_loss or None, total);
-    the discriminator is read-only here.
+    times the adversarial term.  Returns (mf_loss, adv_loss or None); the
+    discriminator is read-only here.
 
     The student runs once, with the jvp tangent and a tape; both terms'
     upstreams on u are summed and backpropagated in one reverse pass.  Both
@@ -248,13 +247,11 @@ def gen_step(
         student, batch.xt, t, r, cond_ids, v_tgt, flow.CLIP_BOUNDS, ws
     )
     adv_loss = None
-    total = mf_loss
     if disc is not None:
         adv_loss, adv_upstream = _adversarial_upstream(disc, batch.xt, t, r, u, ws)
         upstream = upstream + adv_weight * adv_upstream
-        total = mf_loss + adv_weight * adv_loss
     net.adam_step(opt, student, net._tape_backward(student, tape, upstream, ws))
-    return mf_loss, adv_loss, total
+    return mf_loss, adv_loss
 
 
 def distill_loop(
@@ -303,7 +300,7 @@ def distill_loop(
             x0_d, cond_d = sample_batch(rng_disc, batch_size)
             disc_loss = disc_step(disc, student, x0_d, disc_opt, rng_disc, cond_d, ws)
         x0, cond = sample_batch(rng_gen, batch_size)
-        mf_loss, adv_loss, _ = gen_step(
+        mf_loss, adv_loss = gen_step(
             student, teacher, disc if active else None, x0, gen_opt, rng_gen,
             config.adv_weight, cond, cfg, ws,
         )

@@ -57,10 +57,6 @@ class AudioBuffer:
             raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class StftConfig:

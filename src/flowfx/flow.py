@@ -10,8 +10,8 @@ guidance applied (``_distill_target``, run by ``distill.gen_step``).  All
 three are one interval loss that differs only in its target and clipping,
 and each runs the network's primal pass once.
 
-fm_loss and meanflow_loss return (value, GradTape); all three are
-deterministic given their inputs.  The callers draw (t, r) pairs with
+fm_loss and meanflow_loss return (value, parameter gradients); all three
+are deterministic given their inputs.  The callers draw (t, r) pairs with
 sample_times and noise with sample_path, which keeps the losses replayable.
 """
 
@@ -126,9 +126,9 @@ def _interval_loss(model, xt, t, r, cond, v_tgt, clip, ws=None):
 
 def fm_loss(model, batch: PathSample, cond=None, ws=None):
     """Flow-matching objective: mean squared error between u(xt, t, t) and
-    the path velocity.  Returns (loss, GradTape); a training loop passes
-    its net.Workspace as ``ws`` for the pass's arrays, and the GradTape is
-    new either way."""
+    the path velocity.  Returns (loss, grads), grads as net._tape_backward
+    gives them; a training loop passes its net.Workspace as ``ws`` for the
+    pass's arrays, and the gradients are new either way."""
     _check_batch(batch)
     loss, _, upstream, tape = _interval_loss(
         model, batch.xt, batch.t, batch.t, cond, batch.v_target, None, ws
@@ -143,6 +143,7 @@ def meanflow_loss(model, batch: PathSample, r, cond=None):
     exact jvp; the regression target is v_target - (t - r) * du/dt, treated
     as constant.  The residual is clipped to CLIP_BOUNDS, the loss value
     is mean(g^2), and the gradient flows only through u (upstream 2g/n).
+    Returns (loss, grads), as fm_loss does.
 
     With r = t this is exactly fm_loss whenever every residual lies inside
     the clip bounds.
@@ -183,8 +184,6 @@ def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng, 
     supplies the dropout coins, then the per-sample scales.  The teacher
     passes use the net.Workspace ``ws`` when given; v_tgt is new.
     """
-    if cfg is not None and rng is None:
-        raise DomainError("guided distillation needs an rng for scale/dropout draws")
     if cond is None:
         cond_ids = np.full(batch.xt.shape[0], teacher.config.null_cond, dtype=np.intp)
     else:

@@ -189,14 +189,6 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> VelocityModel:
     return VelocityModel(config, p)
 
 
-@dataclass
-class GradTape:
-    """Parameter gradients (keys mirror the model) plus the input gradient."""
-
-    grads: dict
-    grad_x: np.ndarray
-
-
 def _as_batch(x, dim):
     arr = np.asarray(x, dtype=np.float64)
     squeeze = arr.ndim == 1
@@ -465,11 +457,13 @@ def _sum_rows_by_id(ids, rows, n_ids):
     return sums.reshape(n_ids, width)
 
 
-def _tape_backward(model, tape, upstream, ws=None) -> GradTape:
-    """Gradients of <u, upstream> for the pass that recorded ``tape``;
-    ``upstream`` is (batch, dim) and the input gradient comes back batched.
-    The gradients are new arrays; the row-sized chain-rule arrays in
-    between live in the Workspace ``ws``, a fresh one when None."""
+def _tape_backward(model, tape, upstream, ws=None) -> dict:
+    """Parameter gradients of <u, upstream> for the pass that recorded
+    ``tape``, with ``upstream`` (batch, dim): a dict keyed as
+    ``model.params``, from the readout back to the first layer (the order
+    adam_step sums the clip norm in).  The gradients are new arrays; the
+    row-sized chain-rule arrays in between live in the Workspace ``ws``, a
+    fresh one when None."""
     cfg = model.config
     p = model.params
     ws = Workspace() if ws is None else ws
@@ -480,13 +474,12 @@ def _tape_backward(model, tape, upstream, ws=None) -> GradTape:
     g = _hidden_chain(model, tape, g, grads, ws)
 
     dim, ed = cfg.dim, cfg.embed_dim
-    gx = g[:, :dim]
     ge = g[:, dim : dim + ed]
     gc = g[:, dim + ed :]
     grads["embed_w"] = ge.T @ tape["e_in"]
     grads["embed_b"] = ge.sum(axis=0)
     grads["cond_table"] = _sum_rows_by_id(tape["ids"], gc, len(p["cond_table"]))
-    return GradTape(grads, gx.copy())
+    return grads
 
 
 def hidden_forward(model: VelocityModel, x, t, r, cond=None, want_tape=True, ws=None):
@@ -519,11 +512,6 @@ def _spans(arrays: dict) -> dict:
 def _norm_of_squares(squares, spans, keys) -> float:
     """sqrt of the sums of ``squares[spans[k]]``, added in ``keys`` order."""
     return float(np.sqrt(sum(np.sum(squares[spans[k]]) for k in keys)))
-
-
-def global_grad_norm(tape: GradTape) -> float:
-    flat = np.concatenate([g.ravel() for g in tape.grads.values()])
-    return _norm_of_squares(flat * flat, _spans(tape.grads), tape.grads)
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's published defaults (arXiv:1412.6980)
@@ -568,30 +556,32 @@ def init_optimizer(model: VelocityModel, **kwargs) -> OptimizerState:
     return state
 
 
-def adam_step(state: OptimizerState, model: VelocityModel, tape: GradTape) -> bool:
-    """One optimizer step, in place.  Order: global-norm clip at CLIP_NORM,
+def adam_step(state: OptimizerState, model: VelocityModel, grads: dict) -> bool:
+    """One optimizer step, in place, on ``grads`` (a gradient per key of
+    ``model.params``, as _tape_backward returns them).  Order: global-norm
+    clip at CLIP_NORM, its squares summed key by key in ``grads`` order,
     linear learning-rate warmup, then bias-corrected Adam, run once over
     the gradients flattened in ``model.params`` order into the state's work
     vectors, so a step allocates no parameter-sized array.
 
     Non-finite gradients skip the step entirely (only ``skipped``, the count
     of consecutive skips, advances) with a warning naming the first such key
-    in ``tape.grads`` order, and the MAX_SKIPS-th skip in a row raises
+    in ``grads`` order, and the MAX_SKIPS-th skip in a row raises
     DivergenceError; returns whether the step was applied.
     """
     g, work = state._work
-    np.concatenate([tape.grads[k].ravel() for k in model.params], out=g)
+    np.concatenate([grads[k].ravel() for k in model.params], out=g)
     if not np.isfinite(g).all():
         state.skipped += 1
         if state.skipped >= MAX_SKIPS:
             msg = f"non-finite gradients {state.skipped} times in a row"
             raise DivergenceError(state.step + 1, msg)
-        bad = next(k for k, v in tape.grads.items() if not np.isfinite(v).all())
+        bad = next(k for k, v in grads.items() if not np.isfinite(v).all())
         warnings.warn(f"skipping optimizer step: non-finite gradient in {bad!r}")
         return False
     state.skipped = 0
     spans = _spans(model.params)
-    norm = _norm_of_squares(np.multiply(g, g, out=work), spans, tape.grads)
+    norm = _norm_of_squares(np.multiply(g, g, out=work), spans, grads)
     scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
     state.step += 1
     lr_t = state.effective_lr()

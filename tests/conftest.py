@@ -57,8 +57,8 @@ def two_point_models():
         for _ in range(steps):
             x0, labels = toy.sample_two_point(rng, 256)
             batch = flow.sample_path(x0, rng)
-            _, tape = flow.fm_loss(teacher, batch, labels, ws)
-            if net.adam_step(opt, teacher, tape):
+            _, grads = flow.fm_loss(teacher, batch, labels, ws)
+            if net.adam_step(opt, teacher, grads):
                 for k, p in teacher.params.items():
                     ema[k] = 0.999 * ema[k] + (1 - 0.999) * p
     teacher = net.VelocityModel(teacher.config, ema)

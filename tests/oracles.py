@@ -7,8 +7,8 @@ training loops run (``net.Field``, ``net._tape_backward``,
 check those pieces against finite differences, against each other, or
 against a fused step, through a small public-looking signature.
 ``adam_step`` is the allocating formula that ``net.adam_step`` computes in
-place, kept as its bitwise reference, and ``workspace_buffers`` lists what a
-``net.Workspace`` holds.
+place, kept as its bitwise reference with the ``global_grad_norm`` it clips
+by, and ``workspace_buffers`` lists what a ``net.Workspace`` holds.
 """
 
 import numpy as np
@@ -17,21 +17,23 @@ from flowfx import flow, net
 from flowfx.distill import Discriminator, _adversarial_upstream
 from flowfx.errors import DomainError
 from flowfx.flow import CfgSpec, PathSample
-from flowfx.net import GradTape, VelocityModel
+from flowfx.net import VelocityModel
 
 
-def backward(model: VelocityModel, x, t, r, cond, upstream) -> GradTape:
-    """Exact gradients of <forward(model, x, t, r, cond), upstream> with
-    respect to every parameter and to x."""
+def backward(model: VelocityModel, x, t, r, cond, upstream):
+    """Exact gradients of <forward(model, x, t, r, cond), upstream>:
+    returns (grads, grad_x), the parameter gradients of
+    ``net._tape_backward`` and the input gradient in x's shape.  grad_x is
+    the chain rule the discriminator runs: ``net.hidden_input_gradient``
+    from the readout's upstream on the last hidden layer."""
     u, _, tape = net.Field(model, cond, net._rows(x)).run(x, t, r, want_tape=True)
     squeeze = np.ndim(x) == 1
     up, up_squeeze = net._as_batch(upstream, model.config.dim)
     if up_squeeze != squeeze or up.shape[0] != np.atleast_2d(u).shape[0]:
         raise DomainError("upstream shape does not match output")
-    grad = net._tape_backward(model, tape, up)
-    if squeeze:
-        grad.grad_x = grad.grad_x[0]
-    return grad
+    grads = net._tape_backward(model, tape, up)
+    grad_x = net.hidden_input_gradient(model, tape, up @ model.params["w_out"])
+    return grads, grad_x[0] if squeeze else grad_x
 
 
 def jvp(model: VelocityModel, x, t, r, cond, tangent):
@@ -44,11 +46,8 @@ def jvp(model: VelocityModel, x, t, r, cond, tangent):
     return u, du
 
 
-def zero_grads(model: VelocityModel) -> GradTape:
-    return GradTape(
-        {k: np.zeros_like(v) for k, v in model.params.items()},
-        np.zeros(model.config.dim),
-    )
+def zero_grads(model: VelocityModel) -> dict:
+    return {k: np.zeros_like(v) for k, v in model.params.items()}
 
 
 def meanflow_distill_loss(
@@ -94,18 +93,24 @@ def adversarial_grads(
     return adv_loss, net._tape_backward(student, tape, upstream)
 
 
-def adam_step(state: net.OptimizerState, model: VelocityModel, tape: GradTape) -> bool:
+def global_grad_norm(grads: dict) -> float:
+    """sqrt of the sum of every gradient's squares, added key by key in
+    ``grads`` order."""
+    return float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
+
+
+def adam_step(state: net.OptimizerState, model: VelocityModel, grads: dict) -> bool:
     """Clipped, warmed-up Adam over the flattened gradients, written as
     expressions that allocate their results: the global norm sums each
-    key's squares in ``tape.grads`` order, the rest runs in
-    ``model.params`` order.  Non-finite gradients are not handled here."""
-    norm = float(np.sqrt(sum(np.sum(g * g) for g in tape.grads.values())))
+    key's squares in ``grads`` order, the rest runs in ``model.params``
+    order.  Non-finite gradients are not handled here."""
+    norm = global_grad_norm(grads)
     scale = net.CLIP_NORM / norm if norm > net.CLIP_NORM else 1.0
     state.step += 1
     lr_t = state.effective_lr()
     b1c = 1.0 - net.BETA1**state.step
     b2c = 1.0 - net.BETA2**state.step
-    g = np.concatenate([tape.grads[k].ravel() for k in model.params]) * scale
+    g = np.concatenate([grads[k].ravel() for k in model.params]) * scale
     state.m = net.BETA1 * state.m + (1.0 - net.BETA1) * g
     state.v = net.BETA2 * state.v + (1.0 - net.BETA2) * g * g
     d = lr_t * (state.m / b1c) / (np.sqrt(state.v / b2c) + net.EPS)

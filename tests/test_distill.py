@@ -374,7 +374,7 @@ class TestAdversarialGrads:
         t = np.full(5, 0.8)
         r = np.full(5, 0.3)
         cond = rng.integers(0, 2, 5)
-        _, tape = adversarial_grads(student, disc, xt, t, r, cond)
+        _, grads = adversarial_grads(student, disc, xt, t, r, cond)
         h = 1e-6
         rng_pick = np.random.default_rng(34)
         for key in ("w_out", "w0", "embed_w", "cond_table", "b1"):
@@ -387,7 +387,7 @@ class TestAdversarialGrads:
                 f_minus = adversarial_grads(student, disc, xt, t, r, cond)[0]
                 flat[idx] = keep
                 fd = (f_plus - f_minus) / (2 * h)
-                got = tape.grads[key].reshape(-1)[idx]
+                got = grads[key].reshape(-1)[idx]
                 assert got == pytest.approx(fd, rel=1e-4, abs=1e-9), key
 
     def test_zero_span_kills_the_gradient(self):
@@ -398,8 +398,8 @@ class TestAdversarialGrads:
         rng = np.random.default_rng(43)
         xt = rng.standard_normal((5, 2))
         t = rng.uniform(0.2, 1.0, 5)
-        _, tape = adversarial_grads(student, disc, xt, t, t.copy())
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in tape.grads.values())
+        _, grads = adversarial_grads(student, disc, xt, t, t.copy())
+        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
     def test_disc_read_only(self):
         teacher = _teacher(44)
@@ -423,11 +423,10 @@ class TestGenStep:
         opt = net.init_optimizer(student, lr=1e-3)
         rng = np.random.default_rng(53)
         x0 = rng.standard_normal((6, 2))
-        mf, adv, total = gen_step(
+        mf, adv = gen_step(
             student, teacher, None, x0, opt, rng, adv_weight=0.5,
         )
-        assert adv is None
-        assert total == mf
+        assert adv is None and np.isfinite(mf)
         _assert_bitwise_equal(disc.params, before_disc)
         assert opt.step == 1
 
@@ -440,11 +439,11 @@ class TestGenStep:
         opt = net.init_optimizer(student, lr=1e-3)
         rng = np.random.default_rng(56)
         before_student = _snapshot(student.params)
-        mf, adv, total = gen_step(
+        mf, adv = gen_step(
             student, teacher, disc, rng.standard_normal((6, 2)), opt, rng, adv_weight=0.5,
         )
-        assert adv is not None
-        assert total == mf + 0.5 * adv
+        # TestFusedGenStep checks the weighted sum through the gradients
+        assert adv is not None and np.isfinite(mf) and np.isfinite(adv)
         _assert_bitwise_equal(disc.params, before_disc)
         _assert_bitwise_equal(disc.trunk.params, before_trunk)
         assert any(
@@ -459,7 +458,7 @@ class TestGenStep:
         frozen = student.clone()
         opt = net.init_optimizer(student, lr=1e-3)
         x0 = np.random.default_rng(58).standard_normal((6, 2))
-        mf, _, _ = gen_step(
+        mf, _ = gen_step(
             student, teacher, None, x0, opt, np.random.default_rng(59), adv_weight=0.5,
         )
         # replay the same draws against the pre-step parameters
@@ -478,11 +477,11 @@ class TestGenStep:
         teacher.params["b_out"] = np.array([0.3, -0.7])
         student = teacher.clone()
         opt = net.init_optimizer(student, lr=1e-3)
-        mf, adv, total = gen_step(
+        mf, adv = gen_step(
             student, teacher, None, np.random.default_rng(61).standard_normal((5, 2)),
             opt, np.random.default_rng(62), adv_weight=0.5,
         )
-        assert mf == 0.0 and total == 0.0 and adv is None
+        assert mf == 0.0 and adv is None
 
 
 def _captured_gen_step(monkeypatch, student, teacher, disc, x0, cond, cfg, seed, adv_weight):
@@ -490,8 +489,8 @@ def _captured_gen_step(monkeypatch, student, teacher, disc, x0, cond, cfg, seed,
     losses it reported and the gradient it handed to the optimizer."""
     captured = []
 
-    def record(opt, model, tape):
-        captured.append(tape)
+    def record(opt, model, grads):
+        captured.append(grads)
         return True
 
     monkeypatch.setattr(net, "adam_step", record)
@@ -499,8 +498,8 @@ def _captured_gen_step(monkeypatch, student, teacher, disc, x0, cond, cfg, seed,
         student, teacher, disc, x0, net.init_optimizer(student),
         np.random.default_rng(seed), adv_weight, cond=cond, cfg=cfg,
     )
-    (tape,) = captured
-    return result, tape
+    (grads,) = captured
+    return result, grads
 
 
 def _assert_relative_close(got, want, rel):
@@ -525,23 +524,23 @@ class TestFusedGenStep:
 
     def test_unguided_gradient_is_mf_plus_weighted_adversarial(self, monkeypatch):
         teacher, student, disc, x0, cond = self._setup(101)
-        (mf, adv, total), tape = _captured_gen_step(
+        (mf, adv), grads = _captured_gen_step(
             monkeypatch, student, teacher, disc, x0, cond, None, 104, 0.5
         )
 
         rng = np.random.default_rng(104)
         t, r = flow.sample_times(rng, 16)
         batch = flow.sample_path(x0, rng, t=t)
-        mf_ref, mf_tape = meanflow_distill_loss(student, teacher, batch, r, cond)
-        adv_ref, adv_tape = adversarial_grads(student, disc, batch.xt, t, r, cond)
-        assert (mf, adv, total) == (mf_ref, adv_ref, mf_ref + 0.5 * adv_ref)
-        want = {k: mf_tape.grads[k] + 0.5 * adv_tape.grads[k] for k in mf_tape.grads}
-        _assert_relative_close(tape.grads, want, 1e-12)
+        mf_ref, mf_grads = meanflow_distill_loss(student, teacher, batch, r, cond)
+        adv_ref, adv_grads = adversarial_grads(student, disc, batch.xt, t, r, cond)
+        assert (mf, adv) == (mf_ref, adv_ref)
+        want = {k: mf_grads[k] + 0.5 * adv_grads[k] for k in mf_grads}
+        _assert_relative_close(grads, want, 1e-12)
 
     def test_guided_terms_share_the_dropped_condition_ids(self, monkeypatch):
         teacher, student, disc, x0, cond = self._setup(111)
         guide = flow.CfgSpec(scale_range=(1.0, 3.0), drop_prob=0.5)
-        (mf, adv, total), tape = _captured_gen_step(
+        (mf, adv), grads = _captured_gen_step(
             monkeypatch, student, teacher, disc, x0, cond, guide, 114, 0.5
         )
 
@@ -553,13 +552,13 @@ class TestFusedGenStep:
             cond, guide.drop_prob, copy.deepcopy(rng), teacher.config.null_cond
         )
         assert not np.array_equal(dropped, cond)
-        mf_ref, mf_tape = meanflow_distill_loss(
+        mf_ref, mf_grads = meanflow_distill_loss(
             student, teacher, batch, r, cond, guide, rng
         )
-        adv_ref, adv_tape = adversarial_grads(student, disc, batch.xt, t, r, dropped)
-        assert (mf, adv, total) == (mf_ref, adv_ref, mf_ref + 0.5 * adv_ref)
-        want = {k: mf_tape.grads[k] + 0.5 * adv_tape.grads[k] for k in mf_tape.grads}
-        _assert_relative_close(tape.grads, want, 1e-12)
+        adv_ref, adv_grads = adversarial_grads(student, disc, batch.xt, t, r, dropped)
+        assert (mf, adv) == (mf_ref, adv_ref)
+        want = {k: mf_grads[k] + 0.5 * adv_grads[k] for k in mf_grads}
+        _assert_relative_close(grads, want, 1e-12)
 
 
 class TestDistillLoop:
@@ -582,10 +581,10 @@ class TestDistillLoop:
             x0, cond = _two_mode_batch(rng, 6)
             t, r = flow.sample_times(rng, 6)
             batch = flow.sample_path(x0, rng, t=t)
-            loss, tape = meanflow_distill_loss(
+            loss, grads = meanflow_distill_loss(
                 student_b, teacher, batch, r, cond, None, rng
             )
-            net.adam_step(opt, student_b, tape)
+            net.adam_step(opt, student_b, grads)
             manual.append(loss)
         _assert_bitwise_equal(student_a.params, student_b.params)
         assert [row[1] for row in rows] == manual
@@ -653,7 +652,7 @@ class TestDistillLoop:
     def test_clip_saturated_run_stops_after_max_skips_steps(self, monkeypatch):
         # mf_loss 1.0 is the squared clip bound: every residual clipped
         losses = iter([1.0] * (net.MAX_SKIPS - 1) + [0.5] + [1.0] * net.MAX_SKIPS)
-        monkeypatch.setattr(distill, "gen_step", lambda *args: (next(losses), None, 0.0))
+        monkeypatch.setattr(distill, "gen_step", lambda *args: (next(losses), None))
         teacher = _teacher(75)
         with pytest.raises(DivergenceError, match="clipped") as err:
             distill_loop(

@@ -17,13 +17,11 @@ from flowfx.net import (
     CLIP_NORM,
     EPS,
     MAX_SKIPS,
-    GradTape,
     ModelConfig,
     OptimizerState,
     VelocityModel,
     adam_step,
     forward,
-    global_grad_norm,
     init_model,
     init_optimizer,
     load_checkpoint,
@@ -31,7 +29,7 @@ from flowfx.net import (
 )
 
 import oracles
-from oracles import backward, jvp, zero_grads
+from oracles import backward, global_grad_norm, jvp, zero_grads
 
 SMALL = ModelConfig(dim=3, hidden=(8, 6), n_cond=2, cond_dim=4, embed_dim=5, n_freqs=4)
 
@@ -109,10 +107,10 @@ def test_backward_matches_finite_differences():
     r = np.array([0.1, 0.8])
     cond = np.array([0, 2])
     upstream = rng.standard_normal((2, 3))
-    tape = backward(model, x, t, r, cond, upstream)
+    grads, _ = backward(model, x, t, r, cond, upstream)
     h = 1e-5
     for name, p in model.params.items():
-        g = tape.grads[name]
+        g = grads[name]
         assert g.shape == p.shape
         flat = p.reshape(-1)
         for j in range(flat.size):
@@ -131,7 +129,7 @@ def test_backward_grad_x_matches_finite_differences():
     model = small_model(6)
     x = rng.standard_normal(3)
     upstream = rng.standard_normal(3)
-    tape = backward(model, x, 0.6, 0.2, 1, upstream)
+    _, grad_x = backward(model, x, 0.6, 0.2, 1, upstream)
     h = 1e-5
     for j in range(3):
         e = np.zeros(3)
@@ -140,15 +138,15 @@ def test_backward_grad_x_matches_finite_differences():
             _loss(model, x + e, 0.6, 0.2, 1, upstream)
             - _loss(model, x - e, 0.6, 0.2, 1, upstream)
         ) / (2 * h)
-        assert abs(tape.grad_x[j] - fd) <= 1e-4 * max(abs(fd), 1e-2)
+        assert abs(grad_x[j] - fd) <= 1e-4 * max(abs(fd), 1e-2)
 
 
 def test_backward_zero_upstream():
     model = small_model(1)
-    tape = backward(model, np.ones(3), 0.5, 0.5, None, np.zeros(3))
-    for g in tape.grads.values():
+    grads, grad_x = backward(model, np.ones(3), 0.5, 0.5, None, np.zeros(3))
+    for g in grads.values():
         assert not np.any(g)
-    assert not np.any(tape.grad_x)
+    assert not np.any(grad_x)
 
 
 def test_backward_linear_weight_gradient_closed_form():
@@ -157,9 +155,9 @@ def test_backward_linear_weight_gradient_closed_form():
     x = np.array([1.5, -2.0, 0.5])
     up = np.array([0.5, 3.0, -1.0])
     h, _ = net.hidden_forward(model, x, 0.3, 0.1, 1, want_tape=False)
-    tape = backward(model, x, 0.3, 0.1, 1, up)
-    assert np.array_equal(tape.grads["w_out"], np.outer(up, h))
-    assert np.array_equal(tape.grads["b_out"], up)
+    grads, _ = backward(model, x, 0.3, 0.1, 1, up)
+    assert np.array_equal(grads["w_out"], np.outer(up, h))
+    assert np.array_equal(grads["b_out"], up)
 
 
 def test_jvp_value_bit_identical_to_forward():
@@ -224,8 +222,8 @@ def test_backward_jvp_adjoint_consistency():
     for i in range(3):
         e = np.zeros(3)
         e[i] = 1.0
-        tape = backward(model, x, 0.3, 0.1, 2, e)
-        assert abs(float(tape.grad_x @ dx) - d[i]) <= 1e-9
+        _, grad_x = backward(model, x, 0.3, 0.1, 2, e)
+        assert abs(float(grad_x @ dx) - d[i]) <= 1e-9
 
 
 def test_logistic_within_4_ulp_of_expit():
@@ -575,12 +573,14 @@ def test_tape_survives_later_calls_on_the_same_model():
         _run(model, xs, ts, rs, cs, want_tape=True, tangent=tans)
         forward(model, xs, ts, rs, cs)
     got = net._tape_backward(model, tape, up)
+    got_x = net.hidden_input_gradient(model, tape, up @ model.params["w_out"])
     fresh = model.clone()
     _, _, fresh_tape = _run(fresh, x, t, r, cond, want_tape=True, tangent=tangent)
     want = net._tape_backward(fresh, fresh_tape, up)
-    assert np.array_equal(got.grad_x, want.grad_x)
-    for k in want.grads:
-        assert np.array_equal(got.grads[k], want.grads[k]), k
+    want_x = net.hidden_input_gradient(fresh, fresh_tape, up @ fresh.params["w_out"])
+    assert np.array_equal(got_x, want_x)
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
 
 
 def test_forward_from_threads_matches_serial():
@@ -601,18 +601,18 @@ def test_forward_from_threads_matches_serial():
     assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
 
 
-def _per_key_adam(model, grad_tapes, lr, warmup):
+def _per_key_adam(model, grad_dicts, lr, warmup):
     """Clipped Adam with warmup run one parameter array at a time; returns
     the moments (m, v) as dicts."""
     m = {k: np.zeros_like(p) for k, p in model.params.items()}
     v = {k: np.zeros_like(p) for k, p in model.params.items()}
-    for step, tape in enumerate(grad_tapes, start=1):
-        norm = global_grad_norm(tape)
+    for step, grads in enumerate(grad_dicts, start=1):
+        norm = global_grad_norm(grads)
         scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         lr_t = lr * min(1.0, step / warmup)
         b1c, b2c = 1.0 - BETA1**step, 1.0 - BETA2**step
         for k, p in model.params.items():
-            g = tape.grads[k] * scale
+            g = grads[k] * scale
             m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
             v[k] = BETA2 * v[k] + (1.0 - BETA2) * g * g
             p -= lr_t * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + EPS)
@@ -623,17 +623,17 @@ def test_flat_adam_matches_per_key_adam():
     model = small_model(23)
     reference = model.clone()
     rng = np.random.default_rng(24)
-    tapes = []
+    steps = []
     for gain in (3.0, 0.01, 5.0, 0.02, 2.0):  # global norms above and below CLIP_NORM
         # keys in reverse parameter order: the flat layout follows model.params
-        grads = {k: gain * rng.standard_normal(p.shape) for k, p in reversed(model.params.items())}
-        tapes.append(GradTape(grads, np.zeros(3)))
-    assert sum(global_grad_norm(tape) > CLIP_NORM for tape in tapes) == 3
+        steps.append({k: gain * rng.standard_normal(p.shape)
+                      for k, p in reversed(model.params.items())})
+    assert sum(global_grad_norm(grads) > CLIP_NORM for grads in steps) == 3
 
     state = init_optimizer(model, lr=1e-2, warmup=3)
-    for tape in tapes:
-        assert adam_step(state, model, tape)
-    m, v = _per_key_adam(reference, tapes, lr=1e-2, warmup=3)
+    for grads in steps:
+        assert adam_step(state, model, grads)
+    m, v = _per_key_adam(reference, steps, lr=1e-2, warmup=3)
     for k in model.params:
         assert np.array_equal(model.params[k], reference.params[k]), k
     assert np.array_equal(state.m, np.concatenate([m[k].ravel() for k in model.params]))
@@ -651,9 +651,9 @@ def _scalar_adam_oracle(grads, lr, warmup, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def _only_bout_grads(model, g):
-    tape = zero_grads(model)
-    tape.grads["b_out"][0] = g
-    return tape
+    grads = zero_grads(model)
+    grads["b_out"][0] = g
+    return grads
 
 
 def test_adam_matches_scalar_oracle():
@@ -707,9 +707,9 @@ def test_adam_global_norm_clip():
 
 
 def _nan_grads(model):
-    tape = zero_grads(model)
-    tape.grads["w0"][0, 0] = np.nan
-    return tape
+    grads = zero_grads(model)
+    grads["w0"][0, 0] = np.nan
+    return grads
 
 
 def test_adam_skips_non_finite_gradients():
@@ -756,10 +756,9 @@ def test_in_place_adam_matches_the_allocating_formula(gain):
     for _ in range(5):
         # keys in reverse parameter order, as _tape_backward writes them
         grads = {k: gain * rng.standard_normal(p.shape) for k, p in reversed(model.params.items())}
-        tape = GradTape(grads, np.zeros(2))
-        assert (global_grad_norm(tape) > CLIP_NORM) == (gain > 0.1)
-        assert adam_step(state, model, tape)
-        oracles.adam_step(ref_state, reference, tape)
+        assert (global_grad_norm(grads) > CLIP_NORM) == (gain > 0.1)
+        assert adam_step(state, model, grads)
+        oracles.adam_step(ref_state, reference, grads)
         for k in model.params:
             assert np.array_equal(model.params[k], reference.params[k]), k
         assert np.array_equal(state.m, ref_state.m) and np.array_equal(state.v, ref_state.v)
@@ -767,21 +766,24 @@ def test_in_place_adam_matches_the_allocating_formula(gain):
 
 
 def test_grad_norm_sums_keys_in_tape_order():
+    # adam_step's clip norm: squares of the flat gradient, summed per key
+    # in the order _tape_backward writes the keys, not model.params order
     rng = np.random.default_rng(27)
-    tape = GradTape({k: rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape)
-                     for k, shape in reversed(net._param_shapes(RING).items())}, np.zeros(2))
-    want = float(np.sqrt(sum(np.sum(g * g) for g in tape.grads.values())))
-    assert global_grad_norm(tape) == want
+    grads = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape)
+             for k, shape in reversed(net._param_shapes(RING).items())}
+    flat = np.concatenate([g.ravel() for g in grads.values()])
+    got = net._norm_of_squares(flat * flat, net._spans(grads), grads)
+    assert got == global_grad_norm(grads)
 
 
 def test_adam_skip_warning_names_the_first_non_finite_key_in_tape_order():
     model = small_model(6)
     state = init_optimizer(model)
-    grads = {k: g for k, g in reversed(zero_grads(model).grads.items())}
+    grads = {k: g for k, g in reversed(zero_grads(model).items())}
     grads["w0"][0, 0] = np.nan
     grads["w1"][1, 0] = np.inf  # w1 comes first in this tape, w0 in model.params
     with pytest.warns(UserWarning, match="non-finite gradient in 'w1'"):
-        assert not adam_step(state, model, GradTape(grads, np.zeros(3)))
+        assert not adam_step(state, model, grads)
 
 
 def test_row_sums_by_id_match_add_at_bitwise():

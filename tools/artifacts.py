@@ -6,7 +6,9 @@
 Run it from any directory; flowfx is imported from the ``src/`` beside this
 file.  Every command of ``flowfx.cli`` runs in-process through ``cli.main``
 at seed 0 (see RUNS), from the repository root and into a temporary
-directory that is removed afterwards.
+directory that is removed afterwards.  Between them the runs reach every
+row an eval report can hold and both ways of setting a value: a flag, and
+a ``--config`` file (CONFIG).
 The manifest holds the sha256 of each file the commands write, plus the
 machine facts of ``perfbench/run.py``'s ``environment()``: the numpy, scipy
 and BLAS versions, the BLAS thread environment (pinned to one thread, as
@@ -40,11 +42,16 @@ CLIP_SECONDS = 2.0
 # Relative to the repository root, so that student.json, whose meta names
 # its teacher, has the same bytes in every checkout.
 TEACHER = "perfbench/data/fm_teacher.json"
+# The file "train-fm-config" reads: a shorter run of a narrower model.
+CONFIG = "steps = 300\nhidden = 32, 32\n"
 
-# Each run writes into {work}/<name>; "eval" pairs the two sample sets and
-# the codec input with its round trip (see run_set).
+# Each run writes into {work}/<name>; "eval" pairs two sample sets of
+# different sizes and the codec input with its round trip (see run_set),
+# and "eval-equal" compares two sample sets of one size, for which eval also
+# reports kl, clap_score and recall.
 RUNS = {
     "train-fm": ["train-fm"],
+    "train-fm-config": ["train-fm", "--config", "{work}/train-fm.cfg"],
     "distill": ["distill", TEACHER],
     "distill-guided": ["distill", TEACHER, "--guidance", "true", "--steps", "600"],
     "sample-dopri5-guided": ["sample", TEACHER, "--solver", "dopri5", "--cfg-scale", "2",
@@ -55,6 +62,8 @@ RUNS = {
                      "--n", "256"],
     "codec": ["codec", "{work}/real/clip.wav"],
     "eval": ["eval", "--real", "{work}/real", "--fake", "{work}/fake"],
+    "eval-equal": ["eval", "--real", "{work}/sample-dopri5", "--fake",
+                   "{work}/sample-euler-teacher"],
 }
 
 
@@ -68,6 +77,7 @@ def run_set(work: Path) -> dict:
     the synthetic codec input under "input"."""
     real, fake = work / "real", work / "fake"
     dsp.write_wav(real / "clip.wav", dsp.synth_signal(SEED, CLIP_SECONDS))
+    (work / "train-fm.cfg").write_text(CONFIG)
     files = {"input": _digests(real)}
     for name, template in RUNS.items():
         if name == "eval":
