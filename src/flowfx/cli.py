@@ -347,12 +347,10 @@ def _is_embedding_csv(path) -> bool:
     """True when the header marks an ``id,dim0..dimN`` embedding file.
 
     Other CSV artifacts (reports, NFE tables) share the extension and are
-    skipped rather than treated as malformed."""
-    try:
-        with open(path, "rb") as fh:
-            header = fh.readline().decode("utf-8", errors="replace").strip()
-    except OSError:
-        return False
+    skipped rather than treated as malformed; one that cannot be opened
+    raises, so it is never dropped unread."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8", errors="replace").strip()
     return header.split(",")[:2] == ["id", "dim0"]
 
 

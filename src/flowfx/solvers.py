@@ -4,15 +4,17 @@ PI step-size controller and NFE accounting.
 Both solvers integrate from t = 1 (noise) down to t = 0 (data).  The vector
 field may be a VelocityModel or any callable f(x, t, r, cond) -> velocity,
 which keeps analytic test problems cheap.  Both read the field through one
-wrapper that applies classifier-free guidance and charges every model call
-against the NFE budget.  The wrapper binds a model once per request, as a
-``net.Field`` per guidance branch, each with its own ``net.Workspace``: the
-condition is resolved then, so each solver step checks only x, t and r
-before the layer math (``net._core``) and gives the bits of
-``net.forward``.  A guided batch of at least PARALLEL_MIN_ROWS rows, on a
-process that may use two CPUs, runs its two branches at once on two
-threads, the unconditional one on a one-worker pool that the process makes
-on first use; the bits are those of the serial calls.
+wrapper that applies classifier-free guidance and charges every evaluation
+its model calls (1, or 2 under guidance) before it runs; an evaluation whose
+charge would pass the NFE budget raises instead of running.  The wrapper
+binds a model once per request, as a ``net.Field`` per guidance branch, each
+with its own ``net.Workspace``: the condition is resolved then, so each
+solver step checks only x, t and r before the layer math (``net._core``)
+and gives the bits of ``net.forward``.  A guided batch of at least
+PARALLEL_MIN_ROWS rows, on a process that may use two CPUs, runs its two
+branches at once on two threads, the unconditional one on a one-worker pool
+that the request makes and joins before it returns or raises; the bits are
+those of the serial calls.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,18 +60,6 @@ MIN_STEP = 1e-10
 # BLAS thread: two threads took 1.45x the serial time at 128 rows, tied at
 # 384 and won from 512 rows on (0.90x; 0.61x at 2048).
 PARALLEL_MIN_ROWS = 512
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _forget_pool():
-    # a forked child has no worker thread: it makes its own pool
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -114,16 +104,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The process's one-worker pool for unconditional guidance passes,
-    made on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="flowfx-uncond")
-        return _POOL
-
-
+@contextmanager
 def _field(model, cond, config: SolverConfig, x1):
     """The sampled field f(x, t, r) and its model-call counter (a 1-list).
 
@@ -134,11 +115,12 @@ def _field(model, cond, config: SolverConfig, x1):
     non-neutral scale, each evaluation makes a conditional call and an
     unconditional one and combines them with cfg_combine.  For a model with
     at least PARALLEL_MIN_ROWS rows, on a process that may use two CPUs, the
-    unconditional call runs on the pool's worker while the conditional one
+    unconditional call runs on a one-worker pool while the conditional one
     runs here; numpy releases the GIL in the layer math, so the two overlap,
-    and each branch's bits are those of the serial calls.  Every model call
-    counts against config.max_nfe; an evaluation that would cross it runs
-    serially, so it fails where and how the serial one does.
+    and each branch's bits are those of the serial calls.  The pool lives in
+    this context: its worker is joined when the request returns or raises.
+    Every evaluation is charged its model calls before it runs; one whose
+    charge would pass config.max_nfe raises, serial or on two threads.
     """
     guided = cond is not None and config.cfg_scale != cfg_neutral_scale(config.cfg_mode)
     n = 1 if x1.ndim == 1 else len(x1)
@@ -151,37 +133,31 @@ def _field(model, cond, config: SolverConfig, x1):
     f_c = bind(cond)
     f_u = bind(None) if guided else None
     parallel = guided and not callable(model) and n >= PARALLEL_MIN_ROWS and _cpus() >= 2
+    calls = 2 if guided else 1
     nfe = [0]
 
-    def call(f, x, t, r):
-        nfe[0] += 1
-        if nfe[0] > config.max_nfe:
-            raise SolverError(f"nfe budget {config.max_nfe} exhausted", nfe=nfe[0])
-        return f(x, t, r)
-
-    def both(x, t, r):
-        # the worker runs in a copy of this thread's context, so the
-        # caller's numpy error state holds there too
-        nfe[0] += 1
-        pending = _pool().submit(contextvars.copy_context().run, f_u, x, t, r)
-        try:
-            v_c = f_c(x, t, r)
-        finally:
-            wait([pending])
-        nfe[0] += 1
-        return v_c, pending.result()
-
     def field(x, t, r):
+        if nfe[0] + calls > config.max_nfe:
+            raise SolverError(f"nfe budget {config.max_nfe} exhausted",
+                              nfe=config.max_nfe + 1)
+        nfe[0] += calls
         if not guided:
-            return call(f_c, x, t, r)
-        if parallel and nfe[0] + 2 <= config.max_nfe:
-            v_c, v_u = both(x, t, r)
+            return f_c(x, t, r)
+        if pool is None:
+            v_c, v_u = f_c(x, t, r), f_u(x, t, r)
         else:
-            v_c = call(f_c, x, t, r)
-            v_u = call(f_u, x, t, r)
+            # the worker runs in a copy of this thread's context, so the
+            # caller's numpy error state holds there too
+            pending = pool.submit(contextvars.copy_context().run, f_u, x, t, r)
+            try:
+                v_c = f_c(x, t, r)
+            finally:
+                wait([pending])
+            v_u = pending.result()
         return cfg_combine(v_c, v_u, config.cfg_scale, mode=config.cfg_mode)
 
-    return field, nfe
+    with ThreadPoolExecutor(1, "flowfx-uncond") if parallel else nullcontext() as pool:
+        yield field, nfe
 
 
 def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig()) -> SampleTrace:
@@ -200,14 +176,14 @@ def euler_sample(model, x1, cond=None, config: SolverConfig = SolverConfig()) ->
         msg = f"nfe budget {config.max_nfe} exhausted"
         raise SolverError(msg, nfe=config.max_nfe + 1)
     x = np.array(x1, dtype=np.float64)
-    f, nfe = _field(model, cond, config, x)
     grid = 1.0 - np.arange(config.steps + 1) / config.steps
     grid[-1] = 0.0
-    for k in range(config.steps):
-        t_k, r_k = grid[k], grid[k + 1]
-        x = x - (t_k - r_k) * f(x, t_k, r_k)
-        if not np.all(np.isfinite(x)):
-            raise SolverError(f"non-finite state after step {k}", step=k, nfe=nfe[0])
+    with _field(model, cond, config, x) as (f, nfe):
+        for k in range(config.steps):
+            t_k, r_k = grid[k], grid[k + 1]
+            x = x - (t_k - r_k) * f(x, t_k, r_k)
+            if not np.all(np.isfinite(x)):
+                raise SolverError(f"non-finite state after step {k}", step=k, nfe=nfe[0])
     return SampleTrace(final=x, nfe=nfe[0], t_grid=list(grid), accepted=config.steps,
                        rejected=0)
 
@@ -224,56 +200,55 @@ def dopri5_sample(model, x1, cond=None,
     if config.kind != "dopri5":
         raise DomainError("dopri5_sample needs config.kind == 'dopri5'")
     x = np.array(x1, dtype=np.float64)
-    f, nfe = _field(model, cond, config, x)
+    with _field(model, cond, config, x) as (f, nfe):
+        def eval_field(x_at, s):
+            # integrate forward in s = 1 - t: dx/ds = -u(x, t, r = t)
+            return -np.asarray(f(x_at, 1.0 - s, 1.0 - s), dtype=np.float64)
 
-    def eval_field(x_at, s):
-        # integrate forward in s = 1 - t: dx/ds = -u(x, t, r = t)
-        return -np.asarray(f(x_at, 1.0 - s, 1.0 - s), dtype=np.float64)
-
-    s, s_end = 0.0, 1.0
-    h = INITIAL_STEP
-    k1 = eval_field(x, s)
-    t_grid = [1.0]
-    accepted = rejected = 0
-    err_prev = 1.0
-    ks = [None] * 7
-    while s < s_end:
-        if s_end - s <= MIN_STEP:
-            break  # residual span is far below the error-control scale
-        h = min(h, s_end - s)
-        if h < MIN_STEP:
-            raise SolverError(
-                f"step size underflow (h={h:.3e}) at t={1.0 - s:.6f}",
-                step=accepted, nfe=nfe[0],
+        s, s_end = 0.0, 1.0
+        h = INITIAL_STEP
+        k1 = eval_field(x, s)
+        t_grid = [1.0]
+        accepted = rejected = 0
+        err_prev = 1.0
+        ks = [None] * 7
+        while s < s_end:
+            if s_end - s <= MIN_STEP:
+                break  # residual span is far below the error-control scale
+            h = min(h, s_end - s)
+            if h < MIN_STEP:
+                raise SolverError(
+                    f"step size underflow (h={h:.3e}) at t={1.0 - s:.6f}",
+                    step=accepted, nfe=nfe[0],
+                )
+            ks[0] = k1
+            xi = x
+            for i in range(1, 7):
+                xi = x + h * sum(a * ks[j] for j, a in enumerate(_DOPRI_A[i]))
+                ks[i] = eval_field(xi, s + _DOPRI_C[i] * h)
+            x_new = xi  # stage 7 sits at c=1 with the b-row, i.e. the 5th-order result
+            err_vec = h * sum(
+                (b - bh) * ks[i]
+                for i, (b, bh) in enumerate(zip(_DOPRI_B, _DOPRI_B_HAT))
+                if b != bh
             )
-        ks[0] = k1
-        xi = x
-        for i in range(1, 7):
-            xi = x + h * sum(a * ks[j] for j, a in enumerate(_DOPRI_A[i]))
-            ks[i] = eval_field(xi, s + _DOPRI_C[i] * h)
-        x_new = xi  # stage 7 sits at c=1 with the b-row, i.e. the 5th-order result
-        err_vec = h * sum(
-            (b - bh) * ks[i]
-            for i, (b, bh) in enumerate(zip(_DOPRI_B, _DOPRI_B_HAT))
-            if b != bh
-        )
-        scale = config.atol + config.rtol * np.maximum(np.abs(x), np.abs(x_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if not np.isfinite(err):
-            raise SolverError("non-finite error estimate", step=accepted, nfe=nfe[0])
-        if err <= 1.0:
-            s += h
-            x = x_new
-            k1 = ks[6]  # FSAL: stage 7 was evaluated at (x_new, s + h)
-            t_grid.append(1.0 - s)
-            accepted += 1
-            factor = SAFETY * err ** -0.14 * err_prev ** 0.08 if err > 0 else FACTOR_MAX
-            err_prev = max(err, 1e-10)
-        else:
-            rejected += 1
-            factor = max(SAFETY * err ** -0.2, FACTOR_MIN)
-            factor = min(factor, 1.0)  # never grow after a rejection
-        h *= min(max(factor, FACTOR_MIN), FACTOR_MAX)
+            scale = config.atol + config.rtol * np.maximum(np.abs(x), np.abs(x_new))
+            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            if not np.isfinite(err):
+                raise SolverError("non-finite error estimate", step=accepted, nfe=nfe[0])
+            if err <= 1.0:
+                s += h
+                x = x_new
+                k1 = ks[6]  # FSAL: stage 7 was evaluated at (x_new, s + h)
+                t_grid.append(1.0 - s)
+                accepted += 1
+                factor = SAFETY * err ** -0.14 * err_prev ** 0.08 if err > 0 else FACTOR_MAX
+                err_prev = max(err, 1e-10)
+            else:
+                rejected += 1
+                factor = max(SAFETY * err ** -0.2, FACTOR_MIN)
+                factor = min(factor, 1.0)  # never grow after a rejection
+            h *= min(max(factor, FACTOR_MIN), FACTOR_MAX)
     if not np.all(np.isfinite(x)):
         raise SolverError("non-finite final state", step=accepted, nfe=nfe[0])
     t_grid[-1] = 0.0

@@ -844,6 +844,21 @@ class TestEvalCommand:
         assert rc == 2
         assert "byte offset" in capsys.readouterr().err
 
+    def test_unreadable_embedding_csv_exits_2(self, tmp_path, capsys):
+        # a *.csv that cannot be opened is an error, not a file to skip
+        real, fake = tmp_path / "real", tmp_path / "fake"
+        real.mkdir(), fake.mkdir()
+        emb = metrics.EmbeddingSet(np.random.default_rng(0).standard_normal((50, 3)))
+        metrics.write_embedding_csv(real / "emb0.csv", emb)
+        metrics.write_embedding_csv(fake / "emb0.csv", emb)
+        (real / "emb1.csv").symlink_to(tmp_path / "missing.csv")
+        out = tmp_path / "o"
+        rc = main(["eval", "--real", str(real), "--fake", str(fake), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "emb1.csv" in err[0]
+        assert not (out / "eval_report.csv").exists()
+
     def test_k_out_of_range_exits_1(self, small_teacher, tmp_path):
         d = self._sample_dir(small_teacher, tmp_path, "same", 0)
         rc = main(["eval", "--real", str(d), "--fake", str(d), "--k", "99",
@@ -956,13 +971,19 @@ class TestBlasThreadCount:
 
 
 # Pins the child to the CPUs in argv[1] before flowfx is imported, runs the
-# command in argv[2:] and prints whether the guidance pool was made.
+# command in argv[2:] and prints whether a guidance pool was made.
 _PINNED_MAIN = (
     "import os, sys\n"
     "os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(',')})\n"
     "from flowfx import cli, solvers\n"
+    "made = []\n"
+    "class Pool(solvers.ThreadPoolExecutor):\n"
+    "    def __init__(self, *args, **kwargs):\n"
+    "        made.append(self)\n"
+    "        super().__init__(*args, **kwargs)\n"
+    "solvers.ThreadPoolExecutor = Pool\n"
     "code = cli.main(sys.argv[2:])\n"
-    "print(solvers._POOL is not None)\n"
+    "print(bool(made))\n"
     "sys.exit(code)"
 )
 

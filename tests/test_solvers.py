@@ -292,7 +292,7 @@ def _run(model, request):
 def test_threads_sampling_one_model_match_serial_runs(monkeypatch):
     # the buffers of a request belong to it, not to the model: two threads
     # sampling from one shared model give the bits of one thread, also when
-    # both hand unconditional passes to the one pool worker
+    # both run unconditional passes on workers of their own
     _two_threads(monkeypatch)
     model = small_model(83)
     requests = _thread_requests() * 2
@@ -343,15 +343,18 @@ def test_two_thread_guidance_matches_serial_bitwise(sample, config, monkeypatch)
         one.nfe, one.t_grid, one.accepted, one.rejected)
 
 
-class _RecordingPool:
-    """A pool that keeps every future it hands out."""
+def _recorded_futures(monkeypatch):
+    """Make every guidance pool one that keeps the futures it hands out, in
+    the returned list."""
+    futures = []
 
-    def __init__(self, pool):
-        self.pool, self.futures = pool, []
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, *args):
+            futures.append(super().submit(*args))
+            return futures[-1]
 
-    def submit(self, *args):
-        self.futures.append(self.pool.submit(*args))
-        return self.futures[-1]
+    monkeypatch.setattr(solvers, "ThreadPoolExecutor", RecordingPool)
+    return futures
 
 
 @pytest.mark.parametrize("sample, kind, budgets", [
@@ -359,19 +362,19 @@ class _RecordingPool:
     (dopri5_sample, "dopri5", (20, 21)),
 ])
 def test_two_thread_guidance_keeps_the_budget_error(sample, kind, budgets, monkeypatch):
-    # an evaluation that would cross max_nfe runs serially, so the error
-    # and its nfe are the serial ones, odd or even budget alike
+    # every evaluation is charged its two model calls before it runs, and one
+    # that would pass max_nfe raises, so the error and its nfe are the serial
+    # ones, odd or even budget alike
     model = small_model(86)
     n = solvers.PARALLEL_MIN_ROWS
     x1 = np.random.default_rng(87).standard_normal((n, 2))
     _two_threads(monkeypatch)
-    pool = _RecordingPool(solvers._pool())
-    monkeypatch.setattr(solvers, "_pool", lambda: pool)
+    futures = _recorded_futures(monkeypatch)
     for max_nfe in budgets:
         config = SolverConfig(kind=kind, steps=4, cfg_scale=2.0, max_nfe=max_nfe)
         with pytest.raises(SolverError) as two:
             sample(model, x1, cond=1, config=config)
-        assert pool.futures and all(f.done() for f in pool.futures)
+        assert futures and all(f.done() for f in futures)
         with monkeypatch.context() as serial:
             serial.setattr(solvers, "PARALLEL_MIN_ROWS", n + 1)
             with pytest.raises(SolverError) as one:
@@ -422,7 +425,40 @@ def test_unconditional_branch_runs_under_the_callers_numpy_error_state(monkeypat
     assert any(name.startswith("flowfx-uncond") for name, _ in states)
 
 
-# Makes the guidance pool, forks, and samples with two threads in the child,
+def _guidance_workers():
+    return [t.name for t in threading.enumerate() if t.name.startswith("flowfx-uncond")]
+
+
+def test_no_guidance_worker_outlives_its_request(monkeypatch):
+    # the request makes its worker and joins it before it returns or raises
+    model = small_model(90)
+    x1 = np.ones((solvers.PARALLEL_MIN_ROWS, 2))
+    _two_threads(monkeypatch)
+    futures = _recorded_futures(monkeypatch)
+    config = SolverConfig(kind="euler", steps=2, cfg_scale=2.0)
+    euler_sample(model, x1, cond=0, config=config)
+    assert _guidance_workers() == []
+    assert len(futures) == 2
+    with pytest.raises(SolverError, match="nfe budget 3 exhausted"):
+        euler_sample(model, x1, cond=0, config=SolverConfig(
+            kind="euler", steps=2, cfg_scale=2.0, max_nfe=3))
+    assert _guidance_workers() == []
+    assert len(futures) == 3
+    core = net._core
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            raise FloatingPointError("conditional pass failed")
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(net, "_core", failing)
+    with pytest.raises(FloatingPointError, match="conditional pass failed"):
+        euler_sample(model, x1, cond=0, config=config)
+    assert _guidance_workers() == []
+    assert len(futures) == 4
+
+
+# Samples with two threads, forks, and samples with two threads in the child,
 # which exits 0 only if that request finishes within five seconds.
 _FORKED_SAMPLE = """
 import os, signal
@@ -444,8 +480,9 @@ raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_makes_its_own_guidance_pool():
-    # the parent's pool worker does not exist in a forked child; a child
-    # that reused the pool would wait on it forever
+    # a guided request makes its own worker, so a child forked after one
+    # samples on two threads; a worker kept from the parent would not exist
+    # in the child, which would wait on it forever
     src = os.path.dirname(os.path.dirname(os.path.abspath(flowfx.__file__)))
     proc = subprocess.run([sys.executable, "-c", _FORKED_SAMPLE], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})

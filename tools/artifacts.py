@@ -33,6 +33,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import run as perfbench_run  # noqa: E402  (pins one BLAS thread before numpy loads)
 
+import numpy as np  # noqa: E402
+
 from flowfx import cli, dsp  # noqa: E402
 from flowfx.fileio import atomic_write  # noqa: E402
 
@@ -46,9 +48,9 @@ TEACHER = "perfbench/data/fm_teacher.json"
 CONFIG = "steps = 300\nhidden = 32, 32\n"
 
 # Each run writes into {work}/<name>; "eval" pairs two sample sets of
-# different sizes and the codec input with its round trip (see run_set),
-# and "eval-equal" compares two sample sets of one size, for which eval also
-# reports kl, clap_score and recall.
+# different sizes and the codec input with a seeded degraded copy of it (see
+# run_set), and "eval-equal" compares two sample sets of one size, for which
+# eval also reports kl, clap_score and recall.
 RUNS = {
     "train-fm": ["train-fm"],
     "train-fm-config": ["train-fm", "--config", "{work}/train-fm.cfg"],
@@ -76,7 +78,8 @@ def run_set(work: Path) -> dict:
     """Run RUNS in order under ``work``; returns {run: {file: sha256}}, with
     the synthetic codec input under "input"."""
     real, fake = work / "real", work / "fake"
-    dsp.write_wav(real / "clip.wav", dsp.synth_signal(SEED, CLIP_SECONDS))
+    clip = dsp.synth_signal(SEED, CLIP_SECONDS)
+    dsp.write_wav(real / "clip.wav", clip)
     (work / "train-fm.cfg").write_text(CONFIG)
     files = {"input": _digests(real)}
     for name, template in RUNS.items():
@@ -84,7 +87,11 @@ def run_set(work: Path) -> dict:
             fake.mkdir()
             shutil.copy(work / "sample-dopri5-guided" / "samples.csv", real)
             shutil.copy(work / "sample-euler" / "samples.csv", fake)
-            shutil.copy(work / "codec" / "reconstructed.wav", fake / "clip.wav")
+            # a copy that differs from the clip, so the audio rows measure
+            # something: the codec's round trip has the input's bytes
+            noise = np.random.default_rng(SEED).standard_normal(len(clip.samples))
+            degraded = dsp.AudioBuffer(0.8 * clip.samples + 0.02 * noise, clip.sample_rate)
+            dsp.write_wav(fake / "clip.wav", degraded)
         argv = [arg.format(work=work) for arg in template]
         code = cli.main([*argv, "--seed", str(SEED), "--out", str(work / name)])
         if code != 0:
