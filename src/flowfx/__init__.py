@@ -11,6 +11,7 @@ Submodules group the math by pipeline stage:
 - ``transformer``  multi-stream joint-attention blocks with rotary positions
 - ``metrics``      SI-SDR, spectral distances, Frechet, KL, retrieval
 - ``fileio``       atomic artifact writes
+- ``host``         the CPUs this process may run on
 - ``toy``          tiny synthetic datasets for end-to-end checks
 - ``cli``          the ``flowfx`` command-line entry point
 

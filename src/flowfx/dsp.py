@@ -15,13 +15,24 @@ the same read-only arrays (``flags.writeable`` is False), so no caller can
 corrupt a shared entry, and ``functools.lru_cache`` makes the lookups safe
 across threads.  An entry lasts until 32 newer keys push it out; an array
 already handed out stays valid for as long as its holder keeps it.
+
+``spectral_l1`` may compute the second side of a pair on a worker thread
+(numpy drops the GIL in the window product, ``rfft``, ``abs``, the
+filterbank gemm and ``log``).  Every array that side writes (padded copy,
+block buffers, magnitudes, output) and the cached window and filterbank
+are made on the calling thread before the worker starts; the worker only
+fills them.  glibc gives each thread its own malloc arena and keeps what
+is freed there, so a worker that allocated its own arrays would leave the
+process holding that memory after the call.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,10 +40,17 @@ import numpy as np
 
 from .errors import DomainError, FileFormatError
 from .fileio import atomic_write
+from .host import cpus as _cpus
 
 MEL_LOG_FLOOR = 1e-5
 HEAD_MAG_FLOOR = 1e-30
 OLA_DENOM_FLOOR = 1e-12
+
+# spectral_l1 windows and transforms this many samples per rfft block, and
+# runs its two sides on two threads when a side windows at least
+# SPECTRAL_PARALLEL_MIN_SAMPLES of them (frames x n_fft).
+SPECTRAL_BLOCK_SAMPLES = 1 << 15
+SPECTRAL_PARALLEL_MIN_SAMPLES = 1 << 16
 
 
 def _as_samples(x) -> np.ndarray:
@@ -280,38 +298,80 @@ def _mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> MelFilterbank:
     return MelFilterbank(_read_only(weights), n_mels, int(sample_rate))
 
 
-def log_mel(
-    audio: AudioBuffer,
-    fb: MelFilterbank,
-    config: StftConfig = StftConfig(),
-) -> np.ndarray:
-    """Log mel spectrogram ``log(max(fb . |stft|, MEL_LOG_FLOOR))``, frames x
-    n_mels."""
-    if fb.sample_rate != audio.sample_rate:
-        raise DomainError(
-            f"filterbank built for {fb.sample_rate} Hz, audio is "
-            f"{audio.sample_rate} Hz"
-        )
-    mags = np.abs(stft(audio, config).data)
-    return np.log(np.maximum(mags @ fb.weights.T, MEL_LOG_FLOOR))
+def _log_spectrogram(x: np.ndarray, config: StftConfig, weights):
+    """The routine that computes one side of ``spectral_l1``:
+    ``log(max(|stft| . weights.T, MEL_LOG_FLOOR))``, or the floored
+    log-magnitude when ``weights`` is None.
+
+    Every array the routine writes is allocated here, on the calling
+    thread, before it runs: the padded signal, one block of windowed frames
+    and its rfft, the frames x bins magnitudes and the frames x bands
+    output.  The routine windows, transforms and rectifies one block of
+    frames at a time, runs the filterbank product once over all frames (so
+    its bits are those of one gemm), then floors and logs in place.
+    """
+    n_fft, hop = config.n_fft, config.hop
+    window = hann_window(n_fft)
+    n_frames = -(-len(x) // hop)
+    block = min(n_frames, max(1, SPECTRAL_BLOCK_SAMPLES // n_fft))
+    # a one-sample signal reflects into the constant vector
+    padded = np.pad(x, n_fft // 2, mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
+    segments = np.empty((block, n_fft))
+    spec = np.empty((block, config.bins), dtype=np.complex128)
+    mags = np.empty((n_frames, config.bins))
+    out = mags if weights is None else np.empty((n_frames, len(weights)))
+
+    def run() -> np.ndarray:
+        for start in range(0, n_frames, block):
+            stop = min(start + block, n_frames)
+            m = stop - start
+            np.multiply(frames[start:stop], window, out=segments[:m])
+            np.fft.rfft(segments[:m], axis=1, out=spec[:m])
+            np.abs(spec[:m], out=mags[start:stop])
+        # magnitudes are >= 0, so their max is finite only when every one is
+        if not np.isfinite(mags.max()):
+            raise DomainError("spectrogram entries must be finite")
+        if weights is not None:
+            np.matmul(mags, weights.T, out=out)
+        np.maximum(out, MEL_LOG_FLOOR, out=out)
+        return np.log(out, out=out)
+
+    return run
 
 
 def spectral_l1(
     a: AudioBuffer, b: AudioBuffer, config: StftConfig, n_mels: int | None = None
 ) -> float:
     """Mean absolute difference between the log spectrograms of a pair at one
-    STFT geometry: ``log_mel`` over ``n_mels`` bands when given, else the
-    log-magnitude, both floored at ``MEL_LOG_FLOOR``."""
+    STFT geometry: ``log(max(fb . |stft|, MEL_LOG_FLOOR))`` over ``n_mels``
+    mel bands when given, else the floored log-magnitude.
+
+    When a side windows at least SPECTRAL_PARALLEL_MIN_SAMPLES samples
+    (frames x n_fft) and the process may use two CPUs, ``b``'s side runs on
+    a one-worker pool that this call makes and joins before it returns or
+    raises, while ``a``'s runs here; the bits are those of the serial calls.
+    """
     if a.sample_rate != b.sample_rate:
         raise DomainError("sample rates differ")
     if len(a.samples) != len(b.samples):
         raise DomainError(f"lengths differ: {len(a.samples)} vs {len(b.samples)} samples")
-    if n_mels is None:
-        la, lb = (np.log(np.maximum(np.abs(stft(x, config).data), MEL_LOG_FLOOR)) for x in (a, b))
+    if len(a.samples) == 0:
+        raise DomainError("cannot transform empty audio")
+    weights = None if n_mels is None else mel_filterbank(n_mels, config, a.sample_rate).weights
+    side_a, side_b = (_log_spectrogram(x.samples, config, weights) for x in (a, b))
+    windowed = -(-len(a.samples) // config.hop) * config.n_fft
+    if windowed >= SPECTRAL_PARALLEL_MIN_SAMPLES and _cpus() >= 2:
+        with ThreadPoolExecutor(1, "flowfx-spectral") as pool:
+            # the worker runs in a copy of this thread's context, so the
+            # caller's numpy error state holds there too
+            pending = pool.submit(contextvars.copy_context().run, side_b)
+            la = side_a()
+        lb = pending.result()
     else:
-        fb = mel_filterbank(n_mels, config, a.sample_rate)
-        la, lb = (log_mel(x, fb, config) for x in (a, b))
-    return float(np.mean(np.abs(la - lb)))
+        la, lb = side_a(), side_b()
+    np.subtract(la, lb, out=la)
+    return float(np.mean(np.abs(la, out=la)))
 
 
 def synth_signal(seed: int, duration: float, sample_rate: int = 48000) -> AudioBuffer:

@@ -645,7 +645,7 @@ def save_checkpoint(path, model: VelocityModel, meta=None) -> None:
         "meta": dict(meta) if meta else {},
     }
     with atomic_write(path) as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False))
 
 
 def load_checkpoint(path):

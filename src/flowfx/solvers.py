@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import net
 from .errors import DomainError, SolverError
+from .host import cpus as _cpus
 from .losses import cfg_combine, cfg_neutral_scale
 
 # Dormand-Prince 5(4) tableau.  The last row of A equals b (FSAL): the 7th
@@ -95,13 +95,6 @@ class SampleTrace:
     t_grid: list
     accepted: int
     rejected: int
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @contextmanager

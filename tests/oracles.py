@@ -9,11 +9,14 @@ against a fused step, through a small public-looking signature.
 ``adam_step`` is the allocating formula that ``net.adam_step`` computes in
 place, kept as its bitwise reference with the ``global_grad_norm`` it clips
 by, and ``workspace_buffers`` lists what a ``net.Workspace`` holds.
+``log_mel`` and ``spectral_l1`` are the allocating formula of the log
+spectral distance, whole-signal ``dsp.stft`` and all, that
+``dsp.spectral_l1`` computes in blocks into buffers it allocates.
 """
 
 import numpy as np
 
-from flowfx import flow, net
+from flowfx import dsp, flow, net
 from flowfx.distill import Discriminator, _adversarial_upstream
 from flowfx.errors import DomainError
 from flowfx.flow import CfgSpec, PathSample
@@ -127,3 +130,29 @@ def workspace_buffers(ws: net.Workspace, path=()) -> dict:
     for name, part in ws.parts.items():
         found.update(workspace_buffers(part, (*path, name)))
     return found
+
+
+def log_mel(audio: dsp.AudioBuffer, fb: dsp.MelFilterbank,
+            config: dsp.StftConfig = dsp.StftConfig()) -> np.ndarray:
+    """Log mel spectrogram ``log(max(|stft| . fb.T, MEL_LOG_FLOOR))``,
+    frames x n_mels."""
+    if fb.sample_rate != audio.sample_rate:
+        raise DomainError(
+            f"filterbank built for {fb.sample_rate} Hz, audio is "
+            f"{audio.sample_rate} Hz"
+        )
+    mags = np.abs(dsp.stft(audio, config).data)
+    return np.log(np.maximum(mags @ fb.weights.T, dsp.MEL_LOG_FLOOR))
+
+
+def spectral_l1(a: dsp.AudioBuffer, b: dsp.AudioBuffer, config: dsp.StftConfig,
+                n_mels: int | None = None) -> float:
+    """``mean|L(a) - L(b)|`` with L the ``log_mel`` over ``n_mels`` bands
+    when given, else ``log(max(|stft|, MEL_LOG_FLOOR))``."""
+    if n_mels is None:
+        la, lb = (np.log(np.maximum(np.abs(dsp.stft(x, config).data), dsp.MEL_LOG_FLOOR))
+                  for x in (a, b))
+    else:
+        fb = dsp.mel_filterbank(n_mels, config, a.sample_rate)
+        la, lb = (log_mel(x, fb, config) for x in (a, b))
+    return float(np.mean(np.abs(la - lb)))

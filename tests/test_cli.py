@@ -238,13 +238,16 @@ def _raw_ckpt_case(command, edit):
     return argv
 
 
-def _write_pcm24(path):
-    """A mono 24-bit PCM WAV of four samples, a format read_wav rejects."""
-    data = bytes(12)
-    fmt = struct.pack("<HHIIHH", 1, 1, 48000, 48000 * 3, 3, 24)
+def _write_riff(path, fmt: bytes, data: bytes):
+    """A WAV file of one ``fmt `` chunk body and one ``data`` chunk."""
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(data)) + data
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def _write_pcm24(path):
+    """A mono 24-bit PCM WAV of four samples, a format read_wav rejects."""
+    _write_riff(path, struct.pack("<HHIIHH", 1, 1, 48000, 48000 * 3, 3, 24), bytes(12))
 
 
 def _write_empty_wav(path):
@@ -254,17 +257,22 @@ def _write_empty_wav(path):
 def _write_rate_2_30(path):
     """A float32 WAV at 2**30 Hz, whose byte rate the reconstruction's
     32-bit header field cannot hold."""
-    rate, data = 2**30, np.zeros(64, dtype=np.float32).tobytes()
-    fmt = struct.pack("<HHIIHH", 3, 1, rate, (4 * rate) % 2**32, 4, 32)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(data)) + data
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    rate = 2**30
+    _write_riff(path, struct.pack("<HHIIHH", 3, 1, rate, (4 * rate) % 2**32, 4, 32),
+                np.zeros(64, dtype=np.float32).tobytes())
 
 
 def _write_nan_float32(path):
     """A float32 WAV whose last sample is NaN."""
     dsp.write_wav(path, dsp.AudioBuffer(np.zeros(64), 48000))
     path.write_bytes(path.read_bytes()[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+
+
+def _write_overflowing_float64(path):
+    """A 64-bit float WAV of one second of alternating +-1e308 samples:
+    finite, but their spectrum overflows."""
+    _write_riff(path, struct.pack("<HHIIHH", 3, 1, 48000, 8 * 48000, 8, 64),
+                (1e308 * (-1.0) ** np.arange(48000)).astype("<f8").tobytes())
 
 
 def _codec_case(write):
@@ -506,6 +514,14 @@ class TestCodec:
         with pytest.warns(UserWarning, match="downmix"):
             rc = main(["codec", str(wav), "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflowing_spectrum_exits_1(self, cpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(dsp, "_cpus", lambda: cpus)
+        wav = tmp_path / "loud.wav"
+        _write_overflowing_float64(wav)
+        assert main(["codec", str(wav), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: spectrogram entries must be finite\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.wav"
@@ -823,6 +839,27 @@ class TestEvalCommand:
         assert report["si_sdr"] == (100.0, 1)  # one identical pair
         assert report["mel_dist"][0] == 0.0
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("side", ["real", "fake"])
+    def test_overflowing_spectrum_exits_1_naming_the_pair(
+        self, side, cpus, tmp_path, monkeypatch, capsys
+    ):
+        # one second at 48 kHz frames past dsp.SPECTRAL_PARALLEL_MIN_SAMPLES
+        # for both distances, so two CPUs put the fake side on a worker
+        monkeypatch.setattr(dsp, "_cpus", lambda: cpus)
+        dirs = {name: tmp_path / name for name in ("real", "fake")}
+        for name, d in dirs.items():
+            d.mkdir()
+            if name == side:
+                _write_overflowing_float64(d / "p.wav")
+            else:
+                dsp.write_wav(d / "p.wav", dsp.synth_signal(1, 1.0))
+        assert main(["eval", "--real", str(dirs["real"]), "--fake", str(dirs["fake"]),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: WAV pair p.wav: spectrogram entries must be finite\n"
+        assert not (tmp_path / "o" / "eval_report.csv").exists()
+
     def test_mixed_dimension_embeddings_exit_2(self, tmp_path, capsys):
         real, fake = tmp_path / "real", tmp_path / "fake"
         real.mkdir(), fake.mkdir()
@@ -904,11 +941,11 @@ class TestEvalCommand:
 _RUN_ALL = "import json, sys\nfrom flowfx.cli import main\n" \
            "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))"
 
-# OpenBLAS splits dsp.log_mel's filterbank gemm (frames x bins times bins x
-# mels) across its threads, so mel_dist's low bits follow the thread count.
-# Not strict: a one-core machine may not split it.
+# OpenBLAS splits dsp.spectral_l1's filterbank gemm (frames x bins times
+# bins x mels) across its threads, so mel_dist's low bits follow the thread
+# count.  Not strict: a one-core machine may not split it.
 _MEL_GEMM = pytest.mark.xfail(
-    strict=False, reason="dsp.log_mel's filterbank gemm sums in thread-count order"
+    strict=False, reason="dsp.spectral_l1's filterbank gemm sums in thread-count order"
 )
 
 

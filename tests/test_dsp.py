@@ -1,5 +1,6 @@
 import struct
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +18,6 @@ from flowfx.dsp import (
     head_to_complex,
     hz_to_mel,
     istft,
-    log_mel,
     mel_filterbank,
     read_wav,
     softplus,
@@ -27,6 +27,10 @@ from flowfx.dsp import (
 )
 from flowfx.errors import DomainError, FileFormatError
 from flowfx.losses import SPECTRAL_SCALES
+from flowfx.metrics import MEL_DIST_BANDS, MEL_DIST_CONFIG, STFT_DIST_CONFIG
+
+import oracles
+from oracles import log_mel
 
 SR = 48000
 CFG = StftConfig()
@@ -342,6 +346,86 @@ def test_log_mel_rejects_rate_mismatch():
     fb = mel_filterbank(32, CFG, 44100)
     with pytest.raises(DomainError):
         log_mel(AudioBuffer(np.zeros(4800), SR), fb, CFG)
+
+
+# every (geometry, mel bands) a command or loss passes to spectral_l1
+SPECTRAL_GEOMETRIES = [
+    *((StftConfig(win, win // 4), n_mels) for win, n_mels in SPECTRAL_SCALES),
+    (MEL_DIST_CONFIG, MEL_DIST_BANDS),
+    (STFT_DIST_CONFIG, None),
+]
+
+
+def _spectral_length(config, where):
+    """A signal length whose frames window just under ("below") or exactly
+    ("at") SPECTRAL_PARALLEL_MIN_SAMPLES samples, or 2.5 rfft blocks of
+    frames plus one ("ragged"), past it."""
+    at = dsp.SPECTRAL_PARALLEL_MIN_SAMPLES // config.n_fft
+    block = dsp.SPECTRAL_BLOCK_SAMPLES // config.n_fft
+    frames = {"below": at - 1, "at": at, "ragged": 2 * block + block // 2 + 1}[where]
+    return (frames - 1) * config.hop + 1
+
+
+def _noisy_pair(seed, n):
+    a = AudioBuffer(synth_signal(seed, 1.0, SR).samples[:n], SR)
+    noise = np.random.default_rng(seed).standard_normal(n)
+    return a, AudioBuffer(0.8 * a.samples + 0.02 * noise, SR)
+
+
+def _recorded_futures(monkeypatch):
+    """Make every spectral pool one that keeps the futures it hands out, in
+    the returned list."""
+    futures = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, *args):
+            futures.append(super().submit(*args))
+            return futures[-1]
+
+    monkeypatch.setattr(dsp, "ThreadPoolExecutor", RecordingPool)
+    return futures
+
+
+@pytest.mark.parametrize("where", ["below", "at", "ragged"])
+@pytest.mark.parametrize("config, n_mels", SPECTRAL_GEOMETRIES,
+                         ids=[f"{c.n_fft}-{c.hop}-{m}" for c, m in SPECTRAL_GEOMETRIES])
+def test_spectral_l1_same_bits_on_one_and_two_cpus(config, n_mels, where, monkeypatch):
+    # two CPUs compute b's side on a worker from the threshold on; either
+    # way the distance is the bits of the allocating whole-signal formula
+    a, b = _noisy_pair(11, _spectral_length(config, where))
+    futures = _recorded_futures(monkeypatch)
+    values = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dsp, "_cpus", lambda: cpus)
+        values.append(dsp.spectral_l1(a, b, config, n_mels).hex())
+    assert len(futures) == (where != "below")
+    assert values == [oracles.spectral_l1(a, b, config, n_mels).hex()] * 2
+
+
+@pytest.mark.parametrize("overflowing", [None, "a", "b"])
+def test_spectral_worker_is_joined_before_return_or_raise(overflowing, monkeypatch):
+    n = _spectral_length(STFT_DIST_CONFIG, "ragged")
+    pair = dict(zip("ab", _noisy_pair(12, n)))
+    if overflowing:
+        pair[overflowing] = AudioBuffer(1e308 * (-1.0) ** np.arange(n), SR)
+    monkeypatch.setattr(dsp, "_cpus", lambda: 2)
+    futures = _recorded_futures(monkeypatch)
+    # the worker runs under the caller's numpy error state: a RuntimeWarning
+    # from its overflowing rfft would be raised here as an error
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if overflowing:
+            with pytest.raises(DomainError, match="^spectrogram entries must be finite$"):
+                dsp.spectral_l1(pair["a"], pair["b"], STFT_DIST_CONFIG)
+        else:
+            dsp.spectral_l1(pair["a"], pair["b"], STFT_DIST_CONFIG)
+    assert len(futures) == 1 and futures[0].done()
+    assert not any(t.name.startswith("flowfx-spectral") for t in threading.enumerate())
+
+
+def test_spectral_l1_rejects_empty_audio():
+    with pytest.raises(DomainError, match="empty"):
+        dsp.spectral_l1(AudioBuffer(np.zeros(0), SR), AudioBuffer(np.zeros(0), SR), CFG)
 
 
 def test_synth_signal_deterministic():

@@ -1,6 +1,9 @@
 """Atomic artifact writes: a failed write leaves the previous file as it was
 and no temp file beside it."""
 
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,15 @@ def _rows_then_raise():
 
 
 def _write_checkpoint(path, monkeypatch):
-    monkeypatch.setattr(net.json, "dump", _half_then_raise)
+    # the checkpoint text is whole before its one write: fail that write
+    real = net.atomic_write
+
+    @contextmanager
+    def failing_write(*args, **kwargs):
+        with real(*args, **kwargs) as fh:
+            yield SimpleNamespace(mode=fh.mode, write=lambda text: _half_then_raise(fh))
+
+    monkeypatch.setattr(net, "atomic_write", failing_write)
     model = net.init_model(net.ModelConfig(dim=1, hidden=(2,)), np.random.default_rng(0))
     net.save_checkpoint(path, model)
 
