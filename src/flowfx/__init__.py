@@ -11,7 +11,8 @@ Submodules group the math by pipeline stage:
 - ``transformer``  multi-stream joint-attention blocks with rotary positions
 - ``metrics``      SI-SDR, spectral distances, Frechet, KL, retrieval
 - ``fileio``       atomic artifact writes
-- ``host``         the CPUs this process may run on
+- ``host``         the CPUs this process may run on, and the second thread
+                   (``pair``) of the guidance and spectral paths
 - ``toy``          tiny synthetic datasets for end-to-end checks
 - ``cli``          the ``flowfx`` command-line entry point
 

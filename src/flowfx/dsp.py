@@ -16,31 +16,28 @@ corrupt a shared entry, and ``functools.lru_cache`` makes the lookups safe
 across threads.  An entry lasts until 32 newer keys push it out; an array
 already handed out stays valid for as long as its holder keeps it.
 
-``spectral_l1`` may compute the second side of a pair on a worker thread
-(numpy drops the GIL in the window product, ``rfft``, ``abs``, the
-filterbank gemm and ``log``).  Every array that side writes (padded copy,
-block buffers, magnitudes, output) and the cached window and filterbank
-are made on the calling thread before the worker starts; the worker only
-fills them.  glibc gives each thread its own malloc arena and keeps what
-is freed there, so a worker that allocated its own arrays would leave the
-process holding that memory after the call.
+``spectral_l1`` may compute the second side of a pair on the worker of a
+``host.pair``.  Every array that side writes (padded copy, block buffers,
+magnitudes, output) and the cached window and filterbank are made on the
+calling thread before the worker starts; the worker only fills them.  glibc
+gives each thread its own malloc arena and keeps what is freed there, so a
+worker that allocated its own arrays would leave the process holding that
+memory after the call.
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import host
 from .errors import DomainError, FileFormatError
 from .fileio import atomic_write
-from .host import cpus as _cpus
 
 MEL_LOG_FLOOR = 1e-5
 HEAD_MAG_FLOOR = 1e-30
@@ -146,13 +143,19 @@ def stft(audio: AudioBuffer, config: StftConfig = StftConfig()) -> ComplexSpectr
     x = audio.samples
     if len(x) == 0:
         raise DomainError("cannot transform empty audio")
-    n_fft, hop = config.n_fft, config.hop
+    segments = _frames(x, config) * hann_window(config.n_fft)
+    return ComplexSpectrogram(np.fft.rfft(segments, axis=1), config)
+
+
+def _frames(x: np.ndarray, config: StftConfig) -> np.ndarray:
+    """The analysis frames of a non-empty ``x``: a (ceil(len(x) / hop),
+    n_fft) strided view of one copy of ``x`` reflect-padded by ``n_fft // 2``
+    on each side, its frames ``hop`` samples apart."""
+    n_fft = config.n_fft
     # a one-sample signal reflects into the constant vector
     padded = np.pad(x, n_fft // 2, mode="reflect")
-    frames = -(-len(x) // hop)
     windows = np.lib.stride_tricks.sliding_window_view(padded, n_fft)
-    segments = windows[::hop][:frames] * hann_window(n_fft)
-    return ComplexSpectrogram(np.fft.rfft(segments, axis=1), config)
+    return windows[::config.hop][: -(-len(x) // config.hop)]
 
 
 def istft(spec: ComplexSpectrogram, length: int) -> np.ndarray:
@@ -298,25 +301,23 @@ def _mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> MelFilterbank:
     return MelFilterbank(_read_only(weights), n_mels, int(sample_rate))
 
 
-def _log_spectrogram(x: np.ndarray, config: StftConfig, weights):
-    """The routine that computes one side of ``spectral_l1``:
-    ``log(max(|stft| . weights.T, MEL_LOG_FLOOR))``, or the floored
-    log-magnitude when ``weights`` is None.
+def _log_spectrogram(frames: np.ndarray, config: StftConfig, weights):
+    """The routine that computes one side of ``spectral_l1`` from its
+    ``_frames``: ``log(max(|stft| . weights.T, MEL_LOG_FLOOR))``, or the
+    floored log-magnitude when ``weights`` is None.
 
-    Every array the routine writes is allocated here, on the calling
-    thread, before it runs: the padded signal, one block of windowed frames
-    and its rfft, the frames x bins magnitudes and the frames x bands
-    output.  The routine windows, transforms and rectifies one block of
-    frames at a time, runs the filterbank product once over all frames (so
-    its bits are those of one gemm), then floors and logs in place.
+    Every array the routine writes is allocated on the calling thread
+    before it runs: the padded signal (by ``_frames``), and here one block
+    of windowed frames and its rfft, the frames x bins magnitudes and the
+    frames x bands output.  The routine windows, transforms and rectifies
+    one block of frames at a time, runs the filterbank product once over
+    all frames (so its bits are those of one gemm), then floors and logs in
+    place.
     """
-    n_fft, hop = config.n_fft, config.hop
+    n_fft = config.n_fft
     window = hann_window(n_fft)
-    n_frames = -(-len(x) // hop)
+    n_frames = len(frames)
     block = min(n_frames, max(1, SPECTRAL_BLOCK_SAMPLES // n_fft))
-    # a one-sample signal reflects into the constant vector
-    padded = np.pad(x, n_fft // 2, mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
     segments = np.empty((block, n_fft))
     spec = np.empty((block, config.bins), dtype=np.complex128)
     mags = np.empty((n_frames, config.bins))
@@ -348,9 +349,7 @@ def spectral_l1(
     mel bands when given, else the floored log-magnitude.
 
     When a side windows at least SPECTRAL_PARALLEL_MIN_SAMPLES samples
-    (frames x n_fft) and the process may use two CPUs, ``b``'s side runs on
-    a one-worker pool that this call makes and joins before it returns or
-    raises, while ``a``'s runs here; the bits are those of the serial calls.
+    (frames x n_fft), the two sides run through ``host.pair``.
     """
     if a.sample_rate != b.sample_rate:
         raise DomainError("sample rates differ")
@@ -359,17 +358,11 @@ def spectral_l1(
     if len(a.samples) == 0:
         raise DomainError("cannot transform empty audio")
     weights = None if n_mels is None else mel_filterbank(n_mels, config, a.sample_rate).weights
-    side_a, side_b = (_log_spectrogram(x.samples, config, weights) for x in (a, b))
-    windowed = -(-len(a.samples) // config.hop) * config.n_fft
-    if windowed >= SPECTRAL_PARALLEL_MIN_SAMPLES and _cpus() >= 2:
-        with ThreadPoolExecutor(1, "flowfx-spectral") as pool:
-            # the worker runs in a copy of this thread's context, so the
-            # caller's numpy error state holds there too
-            pending = pool.submit(contextvars.copy_context().run, side_b)
-            la = side_a()
-        lb = pending.result()
-    else:
-        la, lb = side_a(), side_b()
+    frames_a, frames_b = (_frames(x.samples, config) for x in (a, b))
+    side_a, side_b = (_log_spectrogram(f, config, weights) for f in (frames_a, frames_b))
+    windowed = frames_a.size
+    with host.pair("flowfx-spectral", windowed >= SPECTRAL_PARALLEL_MIN_SAMPLES) as both:
+        la, lb = both(side_a, side_b)
     np.subtract(la, lb, out=la)
     return float(np.mean(np.abs(la, out=la)))
 

@@ -559,7 +559,8 @@ def init_optimizer(model: VelocityModel, **kwargs) -> OptimizerState:
 def adam_step(state: OptimizerState, model: VelocityModel, grads: dict) -> bool:
     """One optimizer step, in place, on ``grads`` (a gradient per key of
     ``model.params``, as _tape_backward returns them).  Order: global-norm
-    clip at CLIP_NORM, its squares summed key by key in ``grads`` order,
+    clip at CLIP_NORM, its squares summed key by key in ``grads`` order
+    (when they overflow, those of the gradient scaled by a power of two),
     linear learning-rate warmup, then bias-corrected Adam, run once over
     the gradients flattened in ``model.params`` order into the state's work
     vectors, so a step allocates no parameter-sized array.
@@ -581,8 +582,16 @@ def adam_step(state: OptimizerState, model: VelocityModel, grads: dict) -> bool:
         return False
     state.skipped = 0
     spans = _spans(model.params)
-    norm = _norm_of_squares(np.multiply(g, g, out=work), spans, grads)
-    scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
+    with np.errstate(over="ignore"):
+        norm = _norm_of_squares(np.multiply(g, g, out=work), spans, grads)
+    if math.isfinite(norm):
+        scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
+    else:
+        # the squares of this finite g overflow: scaling g by a power of two
+        # is exact and bounds them; its true norm is far above CLIP_NORM
+        np.ldexp(g, -np.frexp(max(g.max(), -g.min()))[1], out=g)
+        norm = _norm_of_squares(np.multiply(g, g, out=work), spans, grads)
+        scale = CLIP_NORM / norm
     state.step += 1
     lr_t = state.effective_lr()
     b1c = 1.0 - BETA1**state.step

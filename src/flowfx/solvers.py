@@ -11,25 +11,19 @@ binds a model once per request, as a ``net.Field`` per guidance branch, each
 with its own ``net.Workspace``: the condition is resolved then, so each
 solver step checks only x, t and r before the layer math (``net._core``)
 and gives the bits of ``net.forward``.  A guided batch of at least
-PARALLEL_MIN_ROWS rows, on a process that may use two CPUs, runs its two
-branches at once on two threads, the unconditional one on a one-worker pool
-that the request makes and joins before it returns or raises; the bits are
-those of the serial calls.
+PARALLEL_MIN_ROWS rows runs its two branches through ``host.pair``.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import net
+from . import host, net
 from .errors import DomainError, SolverError
-from .host import cpus as _cpus
 from .losses import cfg_combine, cfg_neutral_scale
 
 # Dormand-Prince 5(4) tableau.  The last row of A equals b (FSAL): the 7th
@@ -107,13 +101,10 @@ def _field(model, cond, config: SolverConfig, x1):
     callable field is called as f(x, t, r, cond).  With ``cond`` set and a
     non-neutral scale, each evaluation makes a conditional call and an
     unconditional one and combines them with cfg_combine.  For a model with
-    at least PARALLEL_MIN_ROWS rows, on a process that may use two CPUs, the
-    unconditional call runs on a one-worker pool while the conditional one
-    runs here; numpy releases the GIL in the layer math, so the two overlap,
-    and each branch's bits are those of the serial calls.  The pool lives in
-    this context: its worker is joined when the request returns or raises.
-    Every evaluation is charged its model calls before it runs; one whose
-    charge would pass config.max_nfe raises, serial or on two threads.
+    at least PARALLEL_MIN_ROWS rows the two calls run through one
+    ``host.pair`` that lasts the request.  Every evaluation is charged its
+    model calls before it runs; one whose charge would pass config.max_nfe
+    raises, serial or on two threads.
     """
     guided = cond is not None and config.cfg_scale != cfg_neutral_scale(config.cfg_mode)
     n = 1 if x1.ndim == 1 else len(x1)
@@ -125,7 +116,6 @@ def _field(model, cond, config: SolverConfig, x1):
             return net.Field(model, c, n)
     f_c = bind(cond)
     f_u = bind(None) if guided else None
-    parallel = guided and not callable(model) and n >= PARALLEL_MIN_ROWS and _cpus() >= 2
     calls = 2 if guided else 1
     nfe = [0]
 
@@ -136,20 +126,11 @@ def _field(model, cond, config: SolverConfig, x1):
         nfe[0] += calls
         if not guided:
             return f_c(x, t, r)
-        if pool is None:
-            v_c, v_u = f_c(x, t, r), f_u(x, t, r)
-        else:
-            # the worker runs in a copy of this thread's context, so the
-            # caller's numpy error state holds there too
-            pending = pool.submit(contextvars.copy_context().run, f_u, x, t, r)
-            try:
-                v_c = f_c(x, t, r)
-            finally:
-                wait([pending])
-            v_u = pending.result()
+        v_c, v_u = both(f_c, f_u, x, t, r)
         return cfg_combine(v_c, v_u, config.cfg_scale, mode=config.cfg_mode)
 
-    with ThreadPoolExecutor(1, "flowfx-uncond") if parallel else nullcontext() as pool:
+    wanted = guided and not callable(model) and n >= PARALLEL_MIN_ROWS
+    with host.pair("flowfx-uncond", wanted) as both:
         yield field, nfe
 
 

@@ -1,15 +1,17 @@
-"""Session-scoped trained models shared by the CLI and acceptance tests.
+"""Session-scoped trained models shared by the CLI and acceptance tests,
+and a recorder of the second-thread pools of ``host.pair``.
 
-These fixtures are the expensive pieces (seconds to a minute); they build
-lazily on first use and are reused everywhere else.
+The trained models are the expensive pieces (seconds to a minute); they
+build lazily on first use and are reused everywhere else.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from flowfx import cli, distill, flow, net, toy
+from flowfx import cli, distill, flow, host, net, toy
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +76,18 @@ def two_point_models():
         student, teacher, toy.sample_two_point, 2000, 256, cool, rg, rd, disc=disc
     )
     return teacher, student
+
+
+@pytest.fixture
+def recorded_futures(monkeypatch):
+    """Make every ``host.pair`` pool one that keeps the futures it hands
+    out, in the returned list."""
+    futures = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, *args):
+            futures.append(super().submit(*args))
+            return futures[-1]
+
+    monkeypatch.setattr(host, "ThreadPoolExecutor", RecordingPool)
+    return futures

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import flowfx
-from flowfx import distill, dsp, flow, metrics, net
+from flowfx import distill, dsp, flow, host, metrics, net
 from flowfx.cli import SCHEMAS, build_parser, load_config_file, main, ring_model_config
 from flowfx.errors import ConfigError
 
@@ -517,7 +517,7 @@ class TestCodec:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_overflowing_spectrum_exits_1(self, cpus, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(dsp, "_cpus", lambda: cpus)
+        monkeypatch.setattr(host, "cpus", lambda: cpus)
         wav = tmp_path / "loud.wav"
         _write_overflowing_float64(wav)
         assert main(["codec", str(wav), "--out", str(tmp_path / "o")]) == 1
@@ -846,7 +846,7 @@ class TestEvalCommand:
     ):
         # one second at 48 kHz frames past dsp.SPECTRAL_PARALLEL_MIN_SAMPLES
         # for both distances, so two CPUs put the fake side on a worker
-        monkeypatch.setattr(dsp, "_cpus", lambda: cpus)
+        monkeypatch.setattr(host, "cpus", lambda: cpus)
         dirs = {name: tmp_path / name for name in ("real", "fake")}
         for name, d in dirs.items():
             d.mkdir()
@@ -1008,17 +1008,17 @@ class TestBlasThreadCount:
 
 
 # Pins the child to the CPUs in argv[1] before flowfx is imported, runs the
-# command in argv[2:] and prints whether a guidance pool was made.
+# command in argv[2:] and prints whether a host.pair pool was made.
 _PINNED_MAIN = (
     "import os, sys\n"
     "os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(',')})\n"
-    "from flowfx import cli, solvers\n"
+    "from flowfx import cli, host\n"
     "made = []\n"
-    "class Pool(solvers.ThreadPoolExecutor):\n"
+    "class Pool(host.ThreadPoolExecutor):\n"
     "    def __init__(self, *args, **kwargs):\n"
     "        made.append(self)\n"
     "        super().__init__(*args, **kwargs)\n"
-    "solvers.ThreadPoolExecutor = Pool\n"
+    "host.ThreadPoolExecutor = Pool\n"
     "code = cli.main(sys.argv[2:])\n"
     "print(bool(made))\n"
     "sys.exit(code)"
@@ -1029,20 +1029,38 @@ def _cpus():
     return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
 
-class TestSampleCpuCount:
+def _guided_sample_2048(teacher, inputs, out):
+    # n = 2048 is above PARALLEL_MIN_ROWS: two CPUs run the guidance
+    # branches on two threads, one CPU runs them serially
+    argv = ["sample", str(teacher), "--solver", "dopri5", "--n", "2048",
+            "--cfg-scale", "2", "--out", str(out)]
+    return argv, ("samples.csv", "nfe.csv", "sample_report.csv"), {}
+
+
+def _codec_1s(teacher, inputs, out):
+    # one second windows past SPECTRAL_PARALLEL_MIN_SAMPLES for both
+    # distances: two CPUs run the second side of each on a spectral worker.
+    # One BLAS thread on both runs, since the mel gemm sums in thread-count
+    # order (TestBlasThreadCount's codec case).
+    dsp.write_wav(inputs / "in.wav", dsp.synth_signal(0, 1.0))
+    argv = ["codec", str(inputs / "in.wav"), "--out", str(out)]
+    return argv, ("reconstructed.wav", "codec_report.csv"), {"OPENBLAS_NUM_THREADS": "1"}
+
+
+class TestCpuCount:
     @pytest.mark.skipif(len(_cpus()) < 2, reason="needs a process that may use two CPUs")
-    def test_guided_sample_same_bytes_on_one_and_two_cpus(self, small_teacher, tmp_path):
-        # n = 2048 is above PARALLEL_MIN_ROWS: two CPUs run the guidance
-        # branches on two threads, one CPU runs them serially
+    @pytest.mark.parametrize("command", [
+        pytest.param(_guided_sample_2048, id="guided-sample"),
+        pytest.param(_codec_1s, id="codec"),
+    ])
+    def test_same_bytes_on_one_and_two_cpus(self, command, small_teacher, tmp_path):
         out = tmp_path / "o"
-        argv = ["sample", str(small_teacher), "--solver", "dopri5", "--n", "2048",
-                "--cfg-scale", "2", "--out", str(out)]
+        argv, names, env = command(small_teacher, tmp_path, out)
         runs = []
         for cpus in (_cpus()[:1], _cpus()[:2]):
-            proc = _run_python("-c", _PINNED_MAIN, ",".join(map(str, cpus)), *argv)
+            proc = _run_python("-c", _PINNED_MAIN, ",".join(map(str, cpus)), *argv, **env)
             assert proc.returncode == 0, proc.stderr
-            runs.append((proc.stdout.split(), {name: (out / name).read_bytes() for name in
-                                               ("samples.csv", "nfe.csv", "sample_report.csv")}))
+            runs.append((proc.stdout.split(), {name: (out / name).read_bytes() for name in names}))
             shutil.rmtree(out)
         (one_pool, one), (two_pool, two) = runs
         assert (one_pool, two_pool) == (["False"], ["True"])

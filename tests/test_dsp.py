@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from flowfx import dsp
+from flowfx import dsp, host
 from flowfx.dsp import (
     AudioBuffer,
     ComplexSpectrogram,
@@ -372,44 +372,32 @@ def _noisy_pair(seed, n):
     return a, AudioBuffer(0.8 * a.samples + 0.02 * noise, SR)
 
 
-def _recorded_futures(monkeypatch):
-    """Make every spectral pool one that keeps the futures it hands out, in
-    the returned list."""
-    futures = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def submit(self, *args):
-            futures.append(super().submit(*args))
-            return futures[-1]
-
-    monkeypatch.setattr(dsp, "ThreadPoolExecutor", RecordingPool)
-    return futures
-
-
 @pytest.mark.parametrize("where", ["below", "at", "ragged"])
 @pytest.mark.parametrize("config, n_mels", SPECTRAL_GEOMETRIES,
                          ids=[f"{c.n_fft}-{c.hop}-{m}" for c, m in SPECTRAL_GEOMETRIES])
-def test_spectral_l1_same_bits_on_one_and_two_cpus(config, n_mels, where, monkeypatch):
+def test_spectral_l1_same_bits_on_one_and_two_cpus(config, n_mels, where, monkeypatch,
+                                                    recorded_futures):
     # two CPUs compute b's side on a worker from the threshold on; either
     # way the distance is the bits of the allocating whole-signal formula
     a, b = _noisy_pair(11, _spectral_length(config, where))
-    futures = _recorded_futures(monkeypatch)
+    futures = recorded_futures
     values = []
     for cpus in (1, 2):
-        monkeypatch.setattr(dsp, "_cpus", lambda: cpus)
+        monkeypatch.setattr(host, "cpus", lambda: cpus)
         values.append(dsp.spectral_l1(a, b, config, n_mels).hex())
     assert len(futures) == (where != "below")
     assert values == [oracles.spectral_l1(a, b, config, n_mels).hex()] * 2
 
 
 @pytest.mark.parametrize("overflowing", [None, "a", "b"])
-def test_spectral_worker_is_joined_before_return_or_raise(overflowing, monkeypatch):
+def test_spectral_worker_is_joined_before_return_or_raise(overflowing, monkeypatch,
+                                                           recorded_futures):
     n = _spectral_length(STFT_DIST_CONFIG, "ragged")
     pair = dict(zip("ab", _noisy_pair(12, n)))
     if overflowing:
         pair[overflowing] = AudioBuffer(1e308 * (-1.0) ** np.arange(n), SR)
-    monkeypatch.setattr(dsp, "_cpus", lambda: 2)
-    futures = _recorded_futures(monkeypatch)
+    monkeypatch.setattr(host, "cpus", lambda: 2)
+    futures = recorded_futures
     # the worker runs under the caller's numpy error state: a RuntimeWarning
     # from its overflowing rfft would be raised here as an error
     with np.errstate(all="ignore"), warnings.catch_warnings():

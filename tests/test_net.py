@@ -706,6 +706,29 @@ def test_adam_global_norm_clip():
     assert model_a.params["b_out"][0] == model_b.params["b_out"][0]
 
 
+def test_adam_clips_a_finite_gradient_whose_squares_overflow():
+    # G * 2**600 is finite but its squares are not: the step clips it as it
+    # clips G, with the same bits and no overflow warning
+    model = small_model(6)
+    rng = np.random.default_rng(7)
+    grads = {k: rng.uniform(-1.0, 1.0, p.shape) for k, p in model.params.items()}
+    peak = max(np.abs(g).max() for g in grads.values())
+    grads = {k: g * (0.75 / peak) for k, g in grads.items()}
+    assert global_grad_norm(grads) > CLIP_NORM
+    huge = {k: np.ldexp(g, 600) for k, g in grads.items()}
+    moved = []
+    for step in (grads, huge):
+        stepped = model.clone()
+        state = init_optimizer(stepped, lr=1e-3, warmup=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert adam_step(state, stepped, step)
+        moved.append(stepped)
+    for k in model.params:
+        assert moved[1].params[k].tobytes() == moved[0].params[k].tobytes(), k
+        assert not np.array_equal(moved[1].params[k], model.params[k]), k
+
+
 def _nan_grads(model):
     grads = zero_grads(model)
     grads["w0"][0, 0] = np.nan

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import flowfx
-from flowfx import net, solvers
+from flowfx import host, net, solvers
 from flowfx.errors import DomainError, SolverError
 from flowfx.net import ModelConfig, init_model
 from flowfx.solvers import SolverConfig, dopri5_sample, euler_sample
@@ -262,7 +262,7 @@ def test_field_refuses_x_with_another_row_count():
 def _two_threads(monkeypatch):
     """Let a guided request above PARALLEL_MIN_ROWS use two threads, on a
     host with any number of CPUs."""
-    monkeypatch.setattr(solvers, "_cpus", lambda: 2)
+    monkeypatch.setattr(host, "cpus", lambda: 2)
 
 
 def _thread_requests():
@@ -343,25 +343,12 @@ def test_two_thread_guidance_matches_serial_bitwise(sample, config, monkeypatch)
         one.nfe, one.t_grid, one.accepted, one.rejected)
 
 
-def _recorded_futures(monkeypatch):
-    """Make every guidance pool one that keeps the futures it hands out, in
-    the returned list."""
-    futures = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def submit(self, *args):
-            futures.append(super().submit(*args))
-            return futures[-1]
-
-    monkeypatch.setattr(solvers, "ThreadPoolExecutor", RecordingPool)
-    return futures
-
-
 @pytest.mark.parametrize("sample, kind, budgets", [
     (euler_sample, "euler", (6, 7)),
     (dopri5_sample, "dopri5", (20, 21)),
 ])
-def test_two_thread_guidance_keeps_the_budget_error(sample, kind, budgets, monkeypatch):
+def test_two_thread_guidance_keeps_the_budget_error(sample, kind, budgets, monkeypatch,
+                                                     recorded_futures):
     # every evaluation is charged its two model calls before it runs, and one
     # that would pass max_nfe raises, so the error and its nfe are the serial
     # ones, odd or even budget alike
@@ -369,7 +356,7 @@ def test_two_thread_guidance_keeps_the_budget_error(sample, kind, budgets, monke
     n = solvers.PARALLEL_MIN_ROWS
     x1 = np.random.default_rng(87).standard_normal((n, 2))
     _two_threads(monkeypatch)
-    futures = _recorded_futures(monkeypatch)
+    futures = recorded_futures
     for max_nfe in budgets:
         config = SolverConfig(kind=kind, steps=4, cfg_scale=2.0, max_nfe=max_nfe)
         with pytest.raises(SolverError) as two:
@@ -429,12 +416,30 @@ def _guidance_workers():
     return [t.name for t in threading.enumerate() if t.name.startswith("flowfx-uncond")]
 
 
-def test_no_guidance_worker_outlives_its_request(monkeypatch):
+def test_guided_request_makes_one_pool_for_all_its_evaluations(monkeypatch,
+                                                               recorded_futures):
+    # the pool that recorded_futures installs, counted as it is made
+    made = []
+
+    class CountingPool(host.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(host, "ThreadPoolExecutor", CountingPool)
+    _two_threads(monkeypatch)
+    trace = euler_sample(small_model(91), np.ones((solvers.PARALLEL_MIN_ROWS, 2)), cond=0,
+                         config=SolverConfig(kind="euler", steps=3, cfg_scale=2.0))
+    assert trace.nfe == 6
+    assert len(made) == 1 and len(recorded_futures) == 3
+
+
+def test_no_guidance_worker_outlives_its_request(monkeypatch, recorded_futures):
     # the request makes its worker and joins it before it returns or raises
     model = small_model(90)
     x1 = np.ones((solvers.PARALLEL_MIN_ROWS, 2))
     _two_threads(monkeypatch)
-    futures = _recorded_futures(monkeypatch)
+    futures = recorded_futures
     config = SolverConfig(kind="euler", steps=2, cfg_scale=2.0)
     euler_sample(model, x1, cond=0, config=config)
     assert _guidance_workers() == []
@@ -463,8 +468,8 @@ def test_no_guidance_worker_outlives_its_request(monkeypatch):
 _FORKED_SAMPLE = """
 import os, signal
 import numpy as np
-from flowfx import net, solvers
-solvers._cpus = lambda: 2
+from flowfx import host, net, solvers
+host.cpus = lambda: 2
 model = net.init_model(net.ModelConfig(hidden=(16,), n_cond=2), np.random.default_rng(0))
 config = solvers.SolverConfig(kind="euler", steps=2, cfg_scale=2.0)
 x = np.ones((solvers.PARALLEL_MIN_ROWS, 2))
