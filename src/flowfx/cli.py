@@ -105,7 +105,8 @@ SCHEMAS = {
     "distill": {
         "steps": (_parse_int, 800, "distillation steps"),
         "batch_size": (_parse_int, 256, "samples per step"),
-        "lr": (float, 1e-3, "Adam learning rate for student and discriminator"),
+        "lr": (float, 1e-3, "peak Adam learning rate for student and discriminator, reached "
+               f"after a {distill.LR_WARMUP}-step linear warmup"),
         "warmup_steps": (_parse_int, 500, "steps before the adversarial term activates"),
         "adv_weight": (float, 0.5, "adversarial loss weight"),
         "guidance": (_parse_bool, False, "distill the guided field"),
@@ -126,7 +127,7 @@ SCHEMAS = {
     },
     "eval": {
         "k": (_parse_int, 1, "retrieval depth for recall"),
-        "workers": (_parse_int, 4, "worker threads for file loading"),
+        "workers": (_parse_int, 4, "worker threads that load the files and score the WAV pairs"),
     },
 }
 
@@ -466,6 +467,9 @@ def _dispatch(args) -> None:
 # The exit code of each error a command may end in; see the module docstring.
 _EXIT_CODES = {_UsageError: 1, ConfigError: 1, DomainError: 1, MemoryError: 1,
                FileFormatError: 2, OSError: 2, SolverError: 3, DivergenceError: 3}
+# numpy's ValueError for an array whose byte size overflows: a size flag too
+# big to allocate, reported as MemoryError is.  Other ValueErrors are bugs.
+_ARRAY_TOO_BIG = "array is too big;"
 
 
 def main(argv=None) -> int:
@@ -480,6 +484,11 @@ def main(argv=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    except ValueError as exc:
+        if not str(exc).startswith(_ARRAY_TOO_BIG):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     return 0

@@ -33,6 +33,9 @@ from .errors import DivergenceError, DomainError
 
 DISC_HEADS = 4
 HEAD_HIDDEN = 64
+# Steps of both optimizers' linear learning-rate warmup up to config.lr (not
+# DistillConfig.warmup_steps, which delays the adversarial term).
+LR_WARMUP = 1000
 
 
 @dataclass(frozen=True)
@@ -277,16 +280,19 @@ def distill_loop(
     step with a non-finite loss raises DivergenceError instead, and so does
     the net.MAX_SKIPS-th step in a row whose mf_loss is the square of the
     flow.CLIP_BOUNDS bound: every residual of the batch is clipped, so the
-    loss no longer measures how far the student is from its target.  Every
-    step's passes share one net.Workspace that the loop owns.
+    loss no longer measures how far the student is from its target.  Both
+    optimizers warm their learning rate up linearly over LR_WARMUP steps to
+    config.lr (the row's lr is the student's); config.warmup_steps, which
+    delays the adversarial term, is a separate count.  Every step's passes
+    share one net.Workspace that the loop owns.
     """
     if n_steps < 0 or batch_size < 1:
         raise DomainError("need n_steps >= 0 and batch_size >= 1")
-    gen_opt = net.init_optimizer(student, lr=config.lr)
+    gen_opt = net.init_optimizer(student, lr=config.lr, warmup=LR_WARMUP)
     adversarial = config.adv_weight != 0.0
     if adversarial:
         disc = disc or init_discriminator(teacher, rng_disc)
-        disc_opt = net.init_optimizer(disc, lr=config.lr)
+        disc_opt = net.init_optimizer(disc, lr=config.lr, warmup=LR_WARMUP)
 
     # mean(g^2) of clipped residuals reaches this only when all are clipped
     saturated = max(b * b for b in flow.CLIP_BOUNDS)

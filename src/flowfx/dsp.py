@@ -37,7 +37,7 @@ import numpy as np
 
 from . import host
 from .errors import DomainError, FileFormatError
-from .fileio import atomic_write
+from .fileio import write_atomic
 
 MEL_LOG_FLOOR = 1e-5
 HEAD_MAG_FLOOR = 1e-30
@@ -490,16 +490,16 @@ def read_wav(path) -> AudioBuffer:
         raise FileFormatError(path, str(exc)) from exc
 
 
-def _write_wave(fh, audio: AudioBuffer) -> None:
-    """Write ``audio`` to ``fh`` as a 32-bit float WAV: an 18-byte ``fmt ``
-    chunk (format 3, cbSize 0), a ``fact`` chunk holding the sample count,
-    then ``data``."""
+def _wave_bytes(audio: AudioBuffer) -> bytes:
+    """``audio`` as a 32-bit float WAV file: an 18-byte ``fmt `` chunk
+    (format 3, cbSize 0), a ``fact`` chunk holding the sample count, then
+    ``data``."""
     data = audio.samples.astype("<f4")
     rate = audio.sample_rate
-    fh.write(_WAV_HEADER.pack(b"RIFF", _WAV_HEADER.size - 8 + data.nbytes, b"WAVE",
+    header = _WAV_HEADER.pack(b"RIFF", _WAV_HEADER.size - 8 + data.nbytes, b"WAVE",
                               b"fmt ", 18, WAVE_FORMAT_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,
-                              b"fact", 4, len(data), b"data", data.nbytes))
-    fh.write(data.tobytes())
+                              b"fact", 4, len(data), b"data", data.nbytes)
+    return header + data.tobytes()
 
 
 def write_wav(path, audio: AudioBuffer) -> None:
@@ -509,5 +509,4 @@ def write_wav(path, audio: AudioBuffer) -> None:
     n, rate = len(audio.samples), audio.sample_rate
     if _WAV_HEADER.size - 8 + 4 * n > 0xFFFFFFFF or 4 * rate > 0xFFFFFFFF:
         raise DomainError(f"{n} samples at {rate} Hz do not fit a WAV file")
-    with atomic_write(path, "wb") as fh:
-        _write_wave(fh, audio)
+    write_atomic(path, _wave_bytes(audio))

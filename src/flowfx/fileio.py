@@ -1,21 +1,23 @@
-"""Atomic artifact writes: a reader sees the old file or the whole new one."""
+"""Atomic artifact writes: a reader sees the old file or the whole new one.
+
+Every artifact writer builds its bytes and hands them to ``write_atomic``,
+the one function that puts an artifact on disk.
+"""
 
 import os
-from contextlib import contextmanager
 
 
-@contextmanager
-def atomic_write(path, mode="w", **kwargs):
-    """Yield a temp file beside ``path`` (making its directory if missing),
-    opened as ``open(.., mode, **kwargs)`` would open it but created fresh ("x"
-    for "w").  A clean exit moves it onto ``path`` with os.replace; an error
-    deletes it and leaves ``path`` intact."""
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically: make the directory if missing,
+    create a temp file beside ``path`` exclusively, write it in one call and
+    move it onto ``path`` with os.replace.  On any error the temp file is
+    deleted and ``path`` is left as it was."""
     tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     os.makedirs(os.path.dirname(tmp) or os.curdir, exist_ok=True)
-    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    fh = open(tmp, "xb")
     try:
         with fh:
-            yield fh
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -1,4 +1,4 @@
-"""What the host grants this process, and the one place flowfx spends it.
+"""What the host grants this process, and the second thread of a pair.
 
 ``pair`` runs the second of two independent computations on a second
 thread when the work is past the size its caller measured a second thread
@@ -6,6 +6,9 @@ to pay from and the process may use two CPUs, and both serially otherwise.
 Its callers are ``solvers`` (a guided request's two branches) and
 ``dsp.spectral_l1`` (the two sides of a pair).  numpy releases the GIL in
 the array math, so the two overlap; the bits are those of the serial calls.
+The one other place flowfx starts threads is ``cli.cmd_eval``: its pool of
+``--workers`` threads loads the files and scores each WAV pair, and a
+spectral side large enough there starts a ``pair`` worker of its own.
 """
 
 import contextvars

@@ -1,20 +1,18 @@
 """Evaluation metrics: SI-SDR, mel/STFT spectral distances (both
 ``dsp.spectral_l1`` at a fixed geometry), Gaussian Fréchet distance, softmax
 KL divergence, paired cosine score, retrieval recall@k, and the CSV formats
-that carry embeddings and metric reports, written by ``write_csv`` (or,
-for embeddings, in the same bytes by ``write_embedding_csv``).
+that carry embeddings and metric reports, all written by ``write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import AudioBuffer, StftConfig, spectral_l1
 from .errors import DomainError, FileFormatError
-from .fileio import atomic_write
+from .fileio import write_atomic
 
 SDR_CAP_DB = 100.0
 KL_EPS = 1e-10
@@ -206,28 +204,24 @@ def recall_at_k(sim: np.ndarray, k: int):
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows as CSV; floats (np.float64 too) go through
-    ``repr(float(v))`` so the bytes are stable, and None is an empty cell.
-    The file is written atomically."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
-            )
+    """Write a header and rows as CSV, atomically and in one piece.  Floats
+    (np.float64 too) go through ``repr(float(v))`` so the bytes are stable,
+    None is an empty cell and anything else is ``str(v)``; cells are joined
+    by commas and lines end in CRLF.  No cell a command writes needs
+    quoting, so the bytes are ``csv.writer``'s."""
+    lines = [
+        ",".join(["" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                  for v in row])
+        for row in [header, *rows]
+    ]
+    lines.append("")
+    write_atomic(path, "\r\n".join(lines).encode())
 
 
 def write_embedding_csv(path, emb: EmbeddingSet) -> None:
-    """Write rows as `id,dim0..dimN`; the id column holds the row index.
-    The bytes are write_csv's: no cell needs quoting, so each line is its
-    cells, repr for the floats, joined by commas and ended by CRLF, and the
-    file is written in one piece."""
-    lines = ["id," + ",".join(f"dim{j}" for j in range(emb.rows.shape[1]))]
-    lines += [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(emb.rows.tolist())]
-    lines.append("")
-    with atomic_write(path, newline="") as fh:
-        fh.write("\r\n".join(lines))
+    """Write rows as `id,dim0..dimN`; the id column holds the row index."""
+    header = ["id", *(f"dim{j}" for j in range(emb.rows.shape[1]))]
+    write_csv(path, header, ((i, *row) for i, row in enumerate(emb.rows.tolist())))
 
 
 def _csv_float(text) -> float:

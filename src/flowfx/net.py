@@ -63,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergenceError, DomainError, FileFormatError
-from .fileio import atomic_write
+from .fileio import write_atomic
 
 CHECKPOINT_FORMAT = "flowfx-checkpoint-v1"
 
@@ -653,8 +653,8 @@ def save_checkpoint(path, model: VelocityModel, meta=None) -> None:
         "optimizer": None,
         "meta": dict(meta) if meta else {},
     }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False))
+    write_atomic(path, json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False).encode())
 
 
 def load_checkpoint(path):

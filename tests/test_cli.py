@@ -250,6 +250,10 @@ def _write_pcm24(path):
     _write_riff(path, struct.pack("<HHIIHH", 1, 1, 48000, 48000 * 3, 3, 24), bytes(12))
 
 
+def _write_silence(path):
+    dsp.write_wav(path, dsp.AudioBuffer(np.zeros(64), 48000))
+
+
 def _write_empty_wav(path):
     dsp.write_wav(path, dsp.AudioBuffer(np.zeros(0), 48000))
 
@@ -275,11 +279,11 @@ def _write_overflowing_float64(path):
                 (1e308 * (-1.0) ** np.arange(48000)).astype("<f8").tobytes())
 
 
-def _codec_case(write):
+def _codec_case(write, *flags):
     def argv(tmp_path):
         wav = tmp_path / "in.wav"
         write(wav)
-        return ["codec", str(wav), "--out", str(tmp_path / "o")]
+        return ["codec", str(wav), *flags, "--out", str(tmp_path / "o")]
     return argv
 
 
@@ -395,6 +399,15 @@ class TestMalformedInputs:
                          id="sample-n-unallocatable"),
             pytest.param(_train_case("--steps", "1", "--batch-size", "1000000000000"), 1,
                          id="train-fm-batch-size-unallocatable"),
+            # sizes whose byte count overflows, which numpy refuses with a ValueError
+            pytest.param(_ckpt_case("sample", _unedited, "--n", str(2**62)), 1,
+                         id="sample-n-overflows"),
+            pytest.param(_train_case("--steps", "1", "--batch-size", str(2**62)), 1,
+                         id="train-fm-batch-size-overflows"),
+            pytest.param(_train_case("--steps", "1", "--hidden", str(2**62)), 1,
+                         id="train-fm-hidden-overflows"),
+            pytest.param(_codec_case(_write_silence, "--n-fft", str(2**62), "--hop", "1"), 1,
+                         id="codec-n-fft-overflows"),
             pytest.param(_ckpt_case("sample", _unedited, "--steps", "1000000000000",
                                     "--max-nfe", "3"), 3, id="sample-euler-grid-over-nfe-budget"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0\n"), 2,

@@ -29,6 +29,7 @@ from flowfx.metrics import (
     recall_at_k,
     si_sdr,
     stft_dist,
+    write_csv,
     write_embedding_csv,
     write_report_csv,
 )
@@ -374,6 +375,32 @@ class TestCsv:
             writer.writerow([str(i)] + [repr(v) for v in row])
         assert path.read_bytes() == want.getvalue().encode()
         assert path.read_bytes().startswith(b"id,dim0,dim1\r\n0,-0.0,5e-324\r\n")
+
+        # write_csv's generic cells against the same oracle, on seeded rows
+        # of the cell kinds the commands write
+        rng = np.random.default_rng(72)
+        floats = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+        names = ["mel_dist", "stft_dist", "si_sdr", "frechet", "kl", "clap_score",
+                 "recall_at_5_real_to_fake", "recall_at_5_fake_to_real", "mean_nfe",
+                 "accepted_steps", "rejected_steps"]
+        kinds = [lambda: int(rng.integers(-10**12, 10**12)),
+                 lambda: floats[rng.integers(len(floats))],
+                 lambda: np.float64(floats[rng.integers(len(floats))]),
+                 lambda: float(rng.standard_normal()),
+                 lambda: np.float64(rng.standard_normal()),
+                 lambda: None,
+                 lambda: names[rng.integers(len(names))]]
+        header = ["metric", "value", "n_items", "extra"]
+        rows = [[kinds[rng.integers(len(kinds))]() for _ in header] for _ in range(200)]
+        assert {type(v) for row in rows for v in row} == {int, float, np.float64, type(None), str}
+        path = tmp_path / "mixed.csv"
+        write_csv(path, header, rows)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        assert path.read_bytes() == want.getvalue().encode()
 
     @staticmethod
     def _random_cell(rng, value):

@@ -36,7 +36,7 @@ import run as perfbench_run  # noqa: E402  (pins one BLAS thread before numpy lo
 import numpy as np  # noqa: E402
 
 from flowfx import cli, dsp  # noqa: E402
-from flowfx.fileio import atomic_write  # noqa: E402
+from flowfx.fileio import write_atomic  # noqa: E402
 
 MANIFEST = ROOT / "ARTIFACTS.json"
 SEED = 0
@@ -129,9 +129,7 @@ def main(argv=None) -> int:
     count = sum(len(v) for v in files.values())
     if not args.check:
         manifest = {"seed": SEED, "machine": machine, "runs": RUNS, "files": files}
-        with atomic_write(MANIFEST) as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_atomic(MANIFEST, (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode())
         print(f"wrote {MANIFEST.name}: {count} files in {seconds:.1f} s")
         return 0
     manifest = json.loads(MANIFEST.read_text())
