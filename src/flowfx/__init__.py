@@ -16,13 +16,12 @@ Submodules group the math by pipeline stage:
 - ``toy``          tiny synthetic datasets for end-to-end checks
 - ``cli``          the ``flowfx`` command-line entry point
 
-Names live in their submodules; nothing is re-exported here.  ``cli`` and
-``transformer`` are not imported here: ``python -m flowfx.cli`` runs the
-command line once, as ``__main__``, and no command loads the transformer.
-``from flowfx import cli`` still works.  Nothing here imports scipy: WAV
-I/O is a small RIFF reader and writer in ``dsp``.
+Names live in their submodules, and this package imports none of them:
+``import flowfx`` loads only this file, and ``from flowfx import cli`` (or
+any other submodule) loads what that submodule needs.  So ``python -m
+flowfx.cli`` runs the command line once, as ``__main__``, and no command
+loads the transformer.  Nothing in flowfx imports scipy: WAV I/O is a
+small RIFF reader and writer in ``dsp``.
 """
-
-from . import distill, dsp, flow, losses, metrics, net, solvers, toy
 
 __version__ = "0.1.0"

@@ -214,16 +214,12 @@ def cmd_codec(cfg: RunConfig, input_path) -> None:
                               len(audio.samples))
     recon = dsp.AudioBuffer(recon_samples, audio.sample_rate)
     dsp.write_wav(cfg.out_dir / "reconstructed.wav", recon)
-    if np.any(audio.samples != 0.0):
-        sdr = metrics.si_sdr(audio, recon)
-    else:
-        sdr = -metrics.SDR_CAP_DB  # silent reference: report the cap floor
     metrics.write_report_csv(
         cfg.out_dir / "codec_report.csv",
         [
             ("mel_dist", metrics.mel_dist(audio, recon), 1),
             ("stft_dist", metrics.stft_dist(audio, recon), 1),
-            ("si_sdr", sdr, 1),
+            ("si_sdr", metrics.si_sdr(audio, recon), 1),
         ],
     )
 
@@ -344,17 +340,6 @@ def cmd_sample(cfg: RunConfig, ckpt_path) -> None:
     )
 
 
-def _is_embedding_csv(path) -> bool:
-    """True when the header marks an ``id,dim0..dimN`` embedding file.
-
-    Other CSV artifacts (reports, NFE tables) share the extension and are
-    skipped rather than treated as malformed; one that cannot be opened
-    raises, so it is never dropped unread."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8", errors="replace").strip()
-    return header.split(",")[:2] == ["id", "dim0"]
-
-
 def _merge_embeddings(paths, sets):
     if not sets:
         return None
@@ -370,21 +355,23 @@ def _merge_embeddings(paths, sets):
 def cmd_eval(cfg: RunConfig, real_dir, fake_dir) -> None:
     """Compare two directories and write one report row per metric.
 
-    ``*.csv`` files are embedding sets (concatenated per side, in sorted
-    path order); ``*.wav`` files pair up by matching filename.  Files load
-    on a bounded worker pool; results merge deterministically.
+    ``*.csv`` files that metrics.is_embedding_csv claims are embedding sets
+    (concatenated per side, in sorted path order); ``*.wav`` files pair up
+    by matching filename.  Files load on a bounded worker pool; results
+    merge deterministically.
     """
     v = cfg.values
-    if v["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {v['workers']}")
+    for key in ("k", "workers"):
+        if v[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {v[key]}")
     real_dir, fake_dir = Path(real_dir), Path(fake_dir)
     for d in (real_dir, fake_dir):
         if not d.is_dir():
             raise FileNotFoundError(f"not a directory: {d}")
     entries = []
     with ThreadPoolExecutor(max_workers=v["workers"]) as pool:
-        real_csvs = [p for p in sorted(real_dir.glob("*.csv")) if _is_embedding_csv(p)]
-        fake_csvs = [p for p in sorted(fake_dir.glob("*.csv")) if _is_embedding_csv(p)]
+        real_csvs = [p for p in sorted(real_dir.glob("*.csv")) if metrics.is_embedding_csv(p)]
+        fake_csvs = [p for p in sorted(fake_dir.glob("*.csv")) if metrics.is_embedding_csv(p)]
         real_emb = _merge_embeddings(real_csvs, list(pool.map(metrics.read_embedding_csv, real_csvs)))
         fake_emb = _merge_embeddings(fake_csvs, list(pool.map(metrics.read_embedding_csv, fake_csvs)))
         if real_emb is not None and fake_emb is not None:

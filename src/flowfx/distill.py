@@ -11,14 +11,15 @@ flow.sample_times and score through disc_scores.  The heads are one
 stacked dense SiLU layer with a per-head linear readout, so every head runs
 in the same matrix products.  distill_loop owns one net.Workspace for all
 its steps.  The discriminator's work buffers live in that workspace's
-"disc" part: the trunk pass and its chain rule, and the stacked-head
-buffers (activations, their logistic, the SiLU slopes, and the
-pre-activation gradient in the dead logistic buffer), grown to the largest
-row count seen, so the 512-row discriminator step and the 256-row
-generator step share one set.  A head cache from disc_scores therefore
-lasts only until the next scoring call on the same workspace.  The
-generator objective is the mean-velocity distillation loss plus a weighted
--D(x_r) term whose gradient enters the student through x_r = x_t - (t-r)*u.
+"disc" part, grown to the largest row count seen, so the 512-row
+discriminator step and the 256-row generator step share one set: the trunk
+pass and its chain rule write there, and the stacked heads write into its
+own "heads" part (activations, their logistic, the SiLU slopes, and the
+pre-activation gradient in the dead logistic buffer).  A head cache from
+disc_scores therefore lasts only until the next scoring call on the same
+workspace.  The generator objective is the mean-velocity distillation loss
+plus a weighted -D(x_r) term whose gradient enters the student through
+x_r = x_t - (t-r)*u.
 """
 
 from __future__ import annotations
@@ -92,22 +93,19 @@ def _head_activations(disc: Discriminator, act: np.ndarray):
     return act.reshape(len(act), *disc.params["w2"].shape).transpose(1, 0, 2)
 
 
-def _head_scores(disc: Discriminator, feats: np.ndarray, handle, ws=None):
+def _head_scores(disc: Discriminator, feats: np.ndarray, handle, ws):
     """Head scores (n, n_heads) of trunk features, and the cache the
     backward helpers read: the features, the trunk's replay handle, the
-    net.Workspace ``ws`` (a fresh one when None), and the stacked SiLU
-    activations and slopes.
+    heads' net.Workspace ``ws``, and the stacked SiLU activations and
+    slopes.
 
     The activations, their logistic and the slopes are written into ws,
-    under names apart from the trunk's, so the cache is valid only until
-    the next scoring call on the same workspace."""
+    so the cache is valid only until the next scoring call on it."""
     p = disc.params
     n, width = len(feats), len(p["b1"])
-    ws = net.Workspace() if ws is None else ws
-    act = np.matmul(feats, p["w1"].T, out=ws.take("head_act", n, width))
+    act = np.matmul(feats, p["w1"].T, out=ws.take("act", n, width))
     act += p["b1"]
-    slope = net._silu(act, ws.take("head_logistic", n, width),
-                      slope_out=ws.take("head_slope", n, width))
+    slope = net._silu(act, ws.take("logistic", n, width), slope_out=ws.take("slope", n, width))
     # C-ordered scores keep later sums over them in the same order
     scores = np.matmul(_head_activations(disc, act), p["w2"][:, :, None])[:, :, 0].T
     scores = np.ascontiguousarray(scores) + p["b2"]
@@ -121,13 +119,13 @@ def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray, want_tape=Tru
     The trunk sees (x, t=r, r=r) unconditionally; returns (scores, cache)
     where cache replays the forward pass for the backward helpers; without
     ``want_tape`` its trunk handle is None, so only the head gradients work.
-    The trunk pass and the heads write into the "disc" part of the
-    net.Workspace ``ws``, apart from the generator's tape; without ``ws``
-    they write into a fresh workspace.
+    The trunk pass writes into the "disc" part of the net.Workspace ``ws``,
+    apart from the generator's tape, and the heads into that part's
+    "heads" part; without ``ws`` a fresh workspace stands in for "disc".
     """
     ws = net.Workspace() if ws is None else ws.part("disc")
     feats, handle = net.hidden_forward(disc.trunk, x, r, r, None, want_tape, ws)
-    return _head_scores(disc, feats, handle, ws)
+    return _head_scores(disc, feats, handle, ws.part("heads"))
 
 
 def _pre_activation_grad(disc: Discriminator, cache: dict, up_scores: np.ndarray):
@@ -136,7 +134,7 @@ def _pre_activation_grad(disc: Discriminator, cache: dict, up_scores: np.ndarray
     out."""
     slope = cache["slope"]
     w2 = disc.params["w2"]
-    ga = cache["ws"].take("head_logistic", *slope.shape)
+    ga = cache["ws"].take("logistic", *slope.shape)
     np.multiply(up_scores[:, :, None], w2, out=ga.reshape(len(ga), *w2.shape))
     ga *= slope
     return ga
@@ -158,7 +156,7 @@ def _head_param_grads(disc: Discriminator, cache: dict, up_scores: np.ndarray) -
 def disc_input_gradient(disc: Discriminator, cache: dict, up_scores: np.ndarray):
     """Gradient of <scores, up_scores> with respect to the disc input x."""
     g_feats = _pre_activation_grad(disc, cache, up_scores) @ disc.params["w1"]
-    return net.hidden_input_gradient(disc.trunk, cache["handle"], g_feats, cache["ws"])
+    return net.hidden_input_gradient(disc.trunk, cache["handle"], g_feats)
 
 
 def disc_step(
@@ -253,7 +251,7 @@ def gen_step(
     if disc is not None:
         adv_loss, adv_upstream = _adversarial_upstream(disc, batch.xt, t, r, u, ws)
         upstream = upstream + adv_weight * adv_upstream
-    net.adam_step(opt, student, net._tape_backward(student, tape, upstream, ws))
+    net.adam_step(opt, student, net._tape_backward(student, tape, upstream))
     return mf_loss, adv_loss
 
 

@@ -140,17 +140,17 @@ def stft(audio: AudioBuffer, config: StftConfig = StftConfig()) -> ComplexSpectr
     strided views of the padded signal, so only the windowed product is
     allocated.
     """
-    x = audio.samples
-    if len(x) == 0:
-        raise DomainError("cannot transform empty audio")
-    segments = _frames(x, config) * hann_window(config.n_fft)
+    segments = _frames(audio.samples, config) * hann_window(config.n_fft)
     return ComplexSpectrogram(np.fft.rfft(segments, axis=1), config)
 
 
 def _frames(x: np.ndarray, config: StftConfig) -> np.ndarray:
-    """The analysis frames of a non-empty ``x``: a (ceil(len(x) / hop),
-    n_fft) strided view of one copy of ``x`` reflect-padded by ``n_fft // 2``
-    on each side, its frames ``hop`` samples apart."""
+    """The analysis frames of ``x``: a (ceil(len(x) / hop), n_fft) strided
+    view of one copy of ``x`` reflect-padded by ``n_fft // 2`` on each side,
+    its frames ``hop`` samples apart.  Empty audio has no frames and is
+    refused."""
+    if len(x) == 0:
+        raise DomainError("cannot transform empty audio")
     n_fft = config.n_fft
     # a one-sample signal reflects into the constant vector
     padded = np.pad(x, n_fft // 2, mode="reflect")
@@ -355,10 +355,8 @@ def spectral_l1(
         raise DomainError("sample rates differ")
     if len(a.samples) != len(b.samples):
         raise DomainError(f"lengths differ: {len(a.samples)} vs {len(b.samples)} samples")
-    if len(a.samples) == 0:
-        raise DomainError("cannot transform empty audio")
-    weights = None if n_mels is None else mel_filterbank(n_mels, config, a.sample_rate).weights
     frames_a, frames_b = (_frames(x.samples, config) for x in (a, b))
+    weights = None if n_mels is None else mel_filterbank(n_mels, config, a.sample_rate).weights
     side_a, side_b = (_log_spectrogram(f, config, weights) for f in (frames_a, frames_b))
     windowed = frames_a.size
     with host.pair("flowfx-spectral", windowed >= SPECTRAL_PARALLEL_MIN_SAMPLES) as both:

@@ -128,12 +128,12 @@ def fm_loss(model, batch: PathSample, cond=None, ws=None):
     """Flow-matching objective: mean squared error between u(xt, t, t) and
     the path velocity.  Returns (loss, grads), grads as net._tape_backward
     gives them; a training loop passes its net.Workspace as ``ws`` for the
-    pass's arrays, and the gradients are new either way."""
+    pass's and the chain rule's arrays; the gradients are new either way."""
     _check_batch(batch)
     loss, _, upstream, tape = _interval_loss(
         model, batch.xt, batch.t, batch.t, cond, batch.v_target, None, ws
     )
-    return loss, net._tape_backward(model, tape, upstream, ws)
+    return loss, net._tape_backward(model, tape, upstream)
 
 
 def meanflow_loss(model, batch: PathSample, r, cond=None):
@@ -179,16 +179,12 @@ def _distill_target(teacher, batch: PathSample, cond, cfg: CfgSpec | None, rng, 
     teacher calls with a per-sample scale drawn from cfg.scale_range and
     condition dropout at cfg.drop_prob.
 
-    Returns (v_tgt, cond_ids): cond_ids are the condition ids after any
-    dropout, the ids the student is evaluated at.  Under guidance, rng
+    Returns (v_tgt, cond_ids): cond_ids are net._resolve_cond's ids after
+    any dropout, the ids the student is evaluated at.  Under guidance, rng
     supplies the dropout coins, then the per-sample scales.  The teacher
     passes use the net.Workspace ``ws`` when given; v_tgt is new.
     """
-    if cond is None:
-        cond_ids = np.full(batch.xt.shape[0], teacher.config.null_cond, dtype=np.intp)
-    else:
-        cond_ids = np.asarray(cond, dtype=np.intp)
-
+    cond_ids = net._resolve_cond(cond, batch.xt.shape[0], teacher.config)
     if cfg is None:
         return net.forward(teacher, batch.xt, batch.t, batch.t, cond_ids, ws), cond_ids
     cond_ids = apply_cond_dropout(cond_ids, cfg.drop_prob, rng, teacher.config.null_cond)

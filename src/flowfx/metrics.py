@@ -41,7 +41,8 @@ def si_sdr(reference: AudioBuffer, estimate: AudioBuffer) -> float:
 
     The reference is rescaled by alpha = <estimate, reference> / ||reference||^2
     before comparing, so any positive rescaling of a faithful estimate scores
-    identically.
+    identically.  A side whose squares sum to 0 (silence, or samples whose
+    squares underflow) scores the floor, -SDR_CAP_DB, even on a silent pair.
     """
     s = reference.samples
     s_hat = estimate.samples
@@ -50,16 +51,16 @@ def si_sdr(reference: AudioBuffer, estimate: AudioBuffer) -> float:
     # numpy's own reductions, not BLAS dots, whose sums depend on the thread count
     denom = float(np.sum(s * s))
     if denom == 0.0:
-        raise DomainError("reference is all zeros")
+        return -SDR_CAP_DB
     alpha = float(np.sum(s_hat * s)) / denom
     target = alpha * s
     signal = float(np.sum(target * target))
     err = target - s_hat
     noise = float(np.sum(err * err))
-    if noise == 0.0:
-        return SDR_CAP_DB
     if signal == 0.0:
         return -SDR_CAP_DB
+    if noise == 0.0:
+        return SDR_CAP_DB
     return float(np.clip(10.0 * np.log10(signal / noise), -SDR_CAP_DB, SDR_CAP_DB))
 
 
@@ -231,6 +232,20 @@ def _csv_float(text) -> float:
     return float(text)
 
 
+def _header_fields(fh) -> list:
+    """The comma-separated fields of the line ``fh`` (binary) is at."""
+    return fh.readline().decode("utf-8", errors="replace").strip().split(",")
+
+
+def is_embedding_csv(path) -> bool:
+    """True when the header starts ``id,dim0``: other CSV artifacts (reports,
+    NFE tables) are passed over, and a malformed embedding header is claimed
+    for read_embedding_csv to refuse.  A file that cannot be opened raises,
+    so it is never dropped unread."""
+    with open(path, "rb") as fh:
+        return _header_fields(fh)[:2] == ["id", "dim0"]
+
+
 def read_embedding_csv(path) -> EmbeddingSet:
     """Parse an `id,dim0..dimN` CSV into its rows; the id column is not
     kept.  Malformed content reports the byte offset of the offending line;
@@ -238,8 +253,7 @@ def read_embedding_csv(path) -> EmbeddingSet:
     rows = []
     with open(path, "rb") as fh:
         offset = fh.tell()
-        header = fh.readline()
-        fields = header.decode("utf-8", errors="replace").strip().split(",")
+        fields = _header_fields(fh)
         if len(fields) < 2 or fields[0] != "id":
             raise FileFormatError(path, "expected header id,dim0..dimN", offset=offset)
         dim = len(fields) - 1

@@ -22,7 +22,8 @@ Reverse mode replays a tape that a training loss records in its single
 primal pass and hands to ``_tape_backward`` (or, for a frozen feature map,
 ``hidden_input_gradient``), instead of running the pass again.  The tape
 keeps each layer's input and its SiLU slope, taken once in the primal pass
-and read by the tangent and by the chain rule alike.
+and read by the tangent and by the chain rule alike, and the pass's
+workspace, which the chain rule writes its gradients into.
 
 The time features and their embedding e have one row per distinct time
 row: a single row when the batch shares one (t, r), that is t and r are
@@ -36,19 +37,19 @@ as vectors, and with or without a tape or tangent.
 Every work buffer of a pass lives in a ``Workspace`` that the caller
 owns: a training loop keeps one for all its steps, and a sample request
 one for each of its fields, whose guidance branches may run on two
-threads.  A pass writes its row-sized arrays (the time rows, the
-first layer's terms, each layer's activations, SiLU logistic and slope, the
-tangent, the tape's z, the chain-rule gradients) into the workspace's
-buffers, which grow to the largest row count asked for, so a warm loop
-stops allocating and faulting in that memory.  A taped pass keeps one
-activation buffer per layer and one for the logistic; a pass without a
-tape needs two row buffers in all, each layer writing one and taking its
-logistic in the other.  What a pass writes there is
-valid until the next pass on the same workspace; nothing returned outside
-the loop lives there.  A call that passes no workspace gets a fresh one
-for itself, so its results stay valid across later calls.  A model holds
-only its config and parameters, so threads calling into one model share no
-buffers.
+threads.  A pass writes its row-sized arrays (the time rows, the first
+layer's terms, each layer's activations, SiLU logistic and slope, the
+tangent, the tape's z) into the workspace's buffers, and a replay of its
+tape writes the chain-rule gradients there too.  The buffers grow to the
+largest row count asked for, so a warm loop stops allocating and faulting
+in that memory.  A taped pass keeps one activation buffer per layer and
+one for the logistic; a pass without a tape needs two row buffers in all,
+each layer writing one and taking its logistic in the other.  What a pass
+writes there is valid until the next pass on the same workspace; nothing
+returned outside the loop lives there.  A call that passes no workspace
+gets a fresh one for itself, so its results stay valid across later
+calls.  A model holds only its config and parameters, so threads calling
+into one model share no buffers.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def _core(model, x2, t_rows, r_rows, ids, cond_rows, out, want_tape=False, tange
         e_in = np.broadcast_to(e_in, (n, e_in.shape[1]))
         z = np.concatenate([x2, np.broadcast_to(e, (n, ed)), p["cond_table"][ids]], axis=1,
                            out=out("z", n, cfg.in_dim))
-        tape = {"e_in": e_in, "ids": ids, "inputs": [z], "slope": []}
+        tape = {"e_in": e_in, "ids": ids, "inputs": [z], "slope": [], "take": out}
 
     want_slope = want_tape or tangent is not None
     # without a tape, layer i writes ("h", i % 2) and takes its logistic in
@@ -377,10 +378,11 @@ class Field:
     rows).  ``run`` checks x ((n, dim), or (dim,) when n is 1), t and r
     (scalars or n-vectors) and the tangent, then runs ``_core``; u and du
     come back in x's shape as new arrays.  The pass's other arrays, the
-    tape among them, live in the Workspace ``ws`` (a fresh one when None)
-    until the next pass on it, so fields whose calls never interleave, such
-    as a training loss's student and teacher, may share one; fields run on
-    different threads may not."""
+    tape among them, and the chain-rule arrays of a replay of that tape
+    live in the Workspace ``ws`` (a fresh one when None) until the next
+    pass on it, so fields whose calls never interleave, such as a training
+    loss's student and teacher, may share one; fields run on different
+    threads may not."""
 
     def __init__(self, model: VelocityModel, cond, n: int, ws: Workspace | None = None):
         self.model = model
@@ -430,20 +432,22 @@ def forward(model: VelocityModel, x, t, r, cond=None, ws=None) -> np.ndarray:
     return Field(model, cond, _rows(x), ws)(x, t, r)
 
 
-def _hidden_chain(model, tape, g, grads, ws):
+def _hidden_chain(model, tape, g, grads):
     """Chain rule from the last hidden activations back to the network input
     [x, e, c], replaying a tape from _core.  When ``grads`` is a dict, the
     hidden layers' parameter gradients are written into it.  The row-sized
-    gradients go into the Workspace ``ws``, and so does the returned one."""
+    gradients, the returned one among them, go into the workspace of the
+    pass that recorded the tape."""
     p = model.params
+    take = tape["take"]
     n = len(g)
     for i in reversed(range(len(model.config.hidden))):
         w = p[f"w{i}"]
-        ga = np.multiply(g, tape["slope"][i], out=ws.take(("ga", i), n, w.shape[0]))
+        ga = np.multiply(g, tape["slope"][i], out=take(("ga", i), n, w.shape[0]))
         if grads is not None:
             grads[f"w{i}"] = ga.T @ tape["inputs"][i]
             grads[f"b{i}"] = ga.sum(axis=0)
-        g = np.matmul(ga, w, out=ws.take(("g", i), n, w.shape[1]))
+        g = np.matmul(ga, w, out=take(("g", i), n, w.shape[1]))
     return g
 
 
@@ -457,21 +461,20 @@ def _sum_rows_by_id(ids, rows, n_ids):
     return sums.reshape(n_ids, width)
 
 
-def _tape_backward(model, tape, upstream, ws=None) -> dict:
+def _tape_backward(model, tape, upstream) -> dict:
     """Parameter gradients of <u, upstream> for the pass that recorded
     ``tape``, with ``upstream`` (batch, dim): a dict keyed as
     ``model.params``, from the readout back to the first layer (the order
     adam_step sums the clip norm in).  The gradients are new arrays; the
-    row-sized chain-rule arrays in between live in the Workspace ``ws``, a
-    fresh one when None."""
+    row-sized chain-rule arrays in between live in the workspace of the pass
+    that recorded the tape."""
     cfg = model.config
     p = model.params
-    ws = Workspace() if ws is None else ws
     grads = {}
     grads["w_out"] = upstream.T @ tape["inputs"][-1]
     grads["b_out"] = upstream.sum(axis=0)
-    g = np.matmul(upstream, p["w_out"], out=ws.take("g_out", len(upstream), cfg.hidden[-1]))
-    g = _hidden_chain(model, tape, g, grads, ws)
+    g_out = tape["take"]("g_out", len(upstream), cfg.hidden[-1])
+    g = _hidden_chain(model, tape, np.matmul(upstream, p["w_out"], out=g_out), grads)
 
     dim, ed = cfg.dim, cfg.embed_dim
     ge = g[:, dim : dim + ed]
@@ -490,14 +493,13 @@ def hidden_forward(model: VelocityModel, x, t, r, cond=None, want_tape=True, ws=
     return h, tape
 
 
-def hidden_input_gradient(model: VelocityModel, tape, upstream, ws=None) -> np.ndarray:
+def hidden_input_gradient(model: VelocityModel, tape, upstream) -> np.ndarray:
     """Gradient of <hidden_forward features, upstream> with respect to x,
     holding every parameter fixed (the net acts as a frozen feature map).
     The chain rule's row-sized arrays, the result among them, live in the
-    Workspace ``ws``, a fresh one when None."""
+    workspace of the pass that recorded the tape."""
     g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    ws = Workspace() if ws is None else ws
-    return _hidden_chain(model, tape, g, None, ws)[:, : model.config.dim]
+    return _hidden_chain(model, tape, g, None)[:, : model.config.dim]
 
 
 def _spans(arrays: dict) -> dict:

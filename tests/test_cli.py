@@ -254,6 +254,10 @@ def _write_silence(path):
     dsp.write_wav(path, dsp.AudioBuffer(np.zeros(64), 48000))
 
 
+def _write_tone(path):
+    dsp.write_wav(path, dsp.synth_signal(1, 0.1))
+
+
 def _write_empty_wav(path):
     dsp.write_wav(path, dsp.AudioBuffer(np.zeros(0), 48000))
 
@@ -272,11 +276,16 @@ def _write_nan_float32(path):
     path.write_bytes(path.read_bytes()[:-4] + np.array([np.nan], dtype="<f4").tobytes())
 
 
-def _write_overflowing_float64(path):
-    """A 64-bit float WAV of one second of alternating +-1e308 samples:
-    finite, but their spectrum overflows."""
+def _write_float64(path, samples):
+    """A mono 64-bit float WAV at 48 kHz, a format write_wav does not write."""
     _write_riff(path, struct.pack("<HHIIHH", 3, 1, 48000, 8 * 48000, 8, 64),
-                (1e308 * (-1.0) ** np.arange(48000)).astype("<f8").tobytes())
+                np.asarray(samples, dtype="<f8").tobytes())
+
+
+def _write_overflowing_float64(path):
+    """One second of alternating +-1e308 samples: finite, but their spectrum
+    overflows."""
+    _write_float64(path, 1e308 * (-1.0) ** np.arange(48000))
 
 
 def _codec_case(write, *flags):
@@ -293,6 +302,17 @@ def _eval_case(real_csv, *flags):
         real.mkdir(), fake.mkdir()
         (real / "a.csv").write_text(real_csv)
         metrics.write_embedding_csv(fake / "a.csv", metrics.EmbeddingSet(np.eye(2)))
+        return ["eval", "--real", str(real), "--fake", str(fake), *flags,
+                "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _eval_wav_case(write, *flags):
+    """eval on one WAV pair, both sides written by ``write``."""
+    def argv(tmp_path):
+        real, fake = tmp_path / "real", tmp_path / "fake"
+        real.mkdir(), fake.mkdir()
+        write(real / "a.wav"), write(fake / "a.wav")
         return ["eval", "--real", str(real), "--fake", str(fake), *flags,
                 "--out", str(tmp_path / "o")]
     return argv
@@ -418,6 +438,10 @@ class TestMalformedInputs:
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,inf\n"), 2, id="eval-inf-cell"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0,4.0\n", "--workers", "0"), 1,
                          id="eval-workers-zero"),
+            # no recall row is written in either case, so only the up-front check refuses k
+            pytest.param(_eval_wav_case(_write_tone, "--k", "-5"), 1, id="eval-k-negative-wavs"),
+            pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0,4.0\n2,0.5,1.0\n",
+                                    "--k", "0"), 1, id="eval-k-zero-sets-of-other-sizes"),
         ],
     )
     def test_exit_code_and_one_error_line(self, argv, code, tmp_path, capsys):
@@ -494,6 +518,11 @@ class TestMalformedInputs:
                            "or m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+        # the package itself imports no submodule
+        proc = _run_python("-c", "import sys, flowfx; "
+                           "print(sorted(m for m in sys.modules if m.startswith('flowfx.')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCodec:
@@ -517,6 +546,14 @@ class TestCodec:
         report = read_report(out / "codec_report.csv")
         assert report["mel_dist"][0] == 0.0
         assert report["si_sdr"][0] == -100.0
+
+    def test_input_whose_squares_underflow_scores_the_floor(self, tmp_path):
+        # valid samples, but their squares sum to 0 in float64
+        wav = tmp_path / "tiny.wav"
+        _write_float64(wav, np.full(4800, 1e-200))
+        out = tmp_path / "o"
+        assert main(["codec", str(wav), "--out", str(out)]) == 0
+        assert read_report(out / "codec_report.csv")["si_sdr"] == (-100.0, 1)
 
     def test_stereo_input_downmixes_with_warning(self, tmp_path):
         from scipy.io import wavfile
@@ -851,6 +888,17 @@ class TestEvalCommand:
         report = read_report(out / "eval_report.csv")
         assert report["si_sdr"] == (100.0, 1)  # one identical pair
         assert report["mel_dist"][0] == 0.0
+
+    def test_silent_pair_scores_the_floor(self, tmp_path):
+        # as codec scores a silent input
+        real, fake = tmp_path / "real", tmp_path / "fake"
+        real.mkdir(), fake.mkdir()
+        for d in (real, fake):
+            dsp.write_wav(d / "s.wav", dsp.AudioBuffer(np.zeros(48000), 48000))
+        out = tmp_path / "report"
+        assert main(["eval", "--real", str(real), "--fake", str(fake),
+                     "--out", str(out)]) == 0
+        assert b"\r\nsi_sdr,-100.0,1\r\n" in (out / "eval_report.csv").read_bytes()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("side", ["real", "fake"])

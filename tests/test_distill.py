@@ -309,6 +309,10 @@ class TestWorkspace:
             _assert_bitwise_equal(state[0].params, fresh[0].params)
             _assert_bitwise_equal(state[1].params, fresh[1].params)
         assert set(ws.parts) == {"disc"}
+        # the heads write into a part of their own, under names of their own
+        disc = ws.part("disc")
+        assert set(disc.parts) == {"heads"}
+        assert not [name for name, _ in disc.bufs if str(name).startswith("head_")]
 
     def test_warm_loop_adds_no_buffer(self):
         teacher, state = self._state(85)

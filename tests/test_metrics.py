@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowfx.dsp import AudioBuffer, StftConfig, mel_filterbank, stft
+from flowfx.dsp import AudioBuffer, StftConfig, mel_filterbank, stft, synth_signal
 from flowfx.errors import DomainError, FileFormatError
 from flowfx.metrics import (
+    SDR_CAP_DB,
     EmbeddingSet,
     clap_score,
     cosine_similarity_matrix,
@@ -87,9 +88,16 @@ class TestSiSdr:
         for beta in (0.01, 3.0, 250.0):
             assert si_sdr(_buf(s), _buf(beta * est)) == pytest.approx(base, abs=1e-9)
 
-    def test_zero_reference_rejected(self):
-        with pytest.raises(DomainError):
-            si_sdr(_buf(np.zeros(10)), _buf(np.ones(10)))
+    @pytest.mark.parametrize(
+        "ref_scale, est_scale",
+        [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1e-200, 1.0), (1.0, 1e-200)],
+        ids=["silent-estimate", "silent-reference", "both-silent", "reference-1e-200",
+             "estimate-1e-200"],
+    )
+    def test_side_without_energy_scores_the_floor(self, ref_scale, est_scale):
+        # at 1e-200 the squares underflow to 0: no energy, as in silence
+        x = synth_signal(0, 0.5).samples
+        assert si_sdr(_buf(ref_scale * x), _buf(est_scale * x)) == -SDR_CAP_DB
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):

@@ -563,6 +563,26 @@ def test_one_workspace_for_every_pass_kind_matches_fresh_ones():
             assert h_shared.tobytes() == h_fresh.tobytes()
 
 
+def test_tape_backward_writes_into_the_pass_workspace():
+    # the chain rule's buffers join the Field's own; a warm replay adds none
+    model = init_model(SCRATCH, np.random.default_rng(37))
+    x, t, r, cond, _ = _scratch_case(64, 38)
+    ws = net.Workspace()
+    _, _, tape = net.Field(model, cond, 64, ws).run(x, t, r, want_tape=True)
+    before = set(ws.bufs)
+    up = np.random.default_rng(39).standard_normal((64, 3))
+    net._tape_backward(model, tape, up)
+    hidden = SCRATCH.hidden
+    widths = [SCRATCH.in_dim, *hidden]
+    chain = {("g_out", hidden[-1])}
+    chain |= {(("ga", i), hidden[i]) for i in range(len(hidden))}
+    chain |= {(("g", i), widths[i]) for i in range(len(hidden))}
+    assert set(ws.bufs) - before == chain and not ws.parts
+    warm = {key: id(buf) for key, buf in ws.bufs.items()}
+    net._tape_backward(model, tape, up)
+    assert {key: id(buf) for key, buf in ws.bufs.items()} == warm
+
+
 def test_tape_survives_later_calls_on_the_same_model():
     model = init_model(SCRATCH, np.random.default_rng(32))
     x, t, r, cond, tangent = _scratch_case(64, 33)
