@@ -204,15 +204,14 @@ def ring_model_config(hidden) -> net.ModelConfig:
 
 def cmd_codec(cfg: RunConfig, input_path) -> None:
     """Roundtrip a WAV through stft -> head parameterization -> istft and
-    report mel, spectral, and SI-SDR fidelity against the input."""
+    report mel, spectral, and SI-SDR fidelity against the input.
+
+    ``dsp.codec_roundtrip`` runs the round trip one block of frames at a
+    time, in under four signal lengths on long inputs, so the command's
+    memory peak is set by ``mel_dist``'s two log-mel sides, not the codec."""
     audio = dsp.read_wav(input_path)
     st = dsp.StftConfig(n_fft=cfg.values["n_fft"], hop=cfg.values["hop"])
-    spec = dsp.stft(audio, st)
-    head = dsp.complex_to_head(spec)
-    # unnamed, the coefficients are freed before the metrics' memory peak
-    recon_samples = dsp.istft(dsp.ComplexSpectrogram(dsp.head_to_complex(head), st),
-                              len(audio.samples))
-    recon = dsp.AudioBuffer(recon_samples, audio.sample_rate)
+    recon = dsp.AudioBuffer(dsp.codec_roundtrip(audio, st), audio.sample_rate)
     dsp.write_wav(cfg.out_dir / "reconstructed.wav", recon)
     metrics.write_report_csv(
         cfg.out_dir / "codec_report.csv",

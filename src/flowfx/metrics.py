@@ -195,10 +195,13 @@ def recall_at_k(sim: np.ndarray, k: int):
 
     def direction(mat):
         # rank of the diagonal under a stable descending sort: the entries
-        # above it plus its lower-index ties
-        diag = np.diagonal(mat)[:, None]
-        rank = np.count_nonzero(mat > diag, axis=1)
-        rank += np.count_nonzero(np.tril(mat == diag, -1), axis=1)
+        # above it plus its lower-index ties, which only a row whose
+        # diagonal is tied needs counted; one n x n mask is alive at a time
+        diag = np.diagonal(mat)
+        rank = np.count_nonzero(mat > diag[:, None], axis=1)
+        tied = np.count_nonzero(mat == diag[:, None], axis=1) > 1
+        for i in np.flatnonzero(tied):
+            rank[i] += np.count_nonzero(mat[i, :i] == diag[i])
         return int(np.count_nonzero(rank < k)) / n
 
     return direction(sim), direction(sim.T)

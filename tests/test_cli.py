@@ -12,6 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -525,6 +526,68 @@ class TestMalformedInputs:
         assert proc.stdout.strip() == "[]"
 
 
+# The boundary probe: each command flag but the two training --steps, the
+# --seed of sample and eval, --config and --out, set on a run of its command
+# that takes milliseconds, to each of these values.
+_PROBED_FLAGS = {
+    "codec": ("seed", "n_fft", "hop"),
+    "train-fm": ("seed", "batch_size", "lr", "lr_warmup", "hidden"),
+    "distill": ("seed", "batch_size", "lr", "warmup_steps", "adv_weight", "guidance", "cfg_lo",
+                "cfg_hi", "drop_prob"),
+    "sample": ("solver", "steps", "n", "rtol", "atol", "cfg_scale", "cfg_mode", "max_nfe",
+               "cond"),
+    "eval": ("k", "workers"),
+}
+_PROBE_VALUES = ("-1", "0", "1", "2", str(2**62), str(2**63), "nan", "inf", "-inf", "1e308",
+                 "1e-320", "-0.0", "", "x", "1,", ",1", "0,0", "8,,8")
+# flags that set a loop or thread count stay out of the sample at 2**62 and
+# 2**63, so that no case relies on another check to stop a run that long
+_LOOP_COUNTS = {("sample", "steps"), ("sample", "max_nfe"), ("eval", "workers")}
+
+
+def _probe_sample(count, seed):
+    """A seeded sample of ``count`` probe cases (command, key, value)."""
+    cases = [(command, key, value) for command, keys in _PROBED_FLAGS.items() for key in keys
+             for value in _PROBE_VALUES
+             if (command, key) not in _LOOP_COUNTS or value not in (str(2**62), str(2**63))]
+    picked = np.random.default_rng(seed).choice(len(cases), count, replace=False)
+    return [cases[i] for i in sorted(picked)]
+
+
+def _probe_base(command, tmp_path):
+    """The flags and inputs of a run of ``command`` that takes milliseconds."""
+    if command == "codec":
+        _write_tone(tmp_path / "in.wav")
+        return ["codec", str(tmp_path / "in.wav")]
+    if command == "train-fm":
+        return ["train-fm", "--steps", "2", "--batch-size", "8", "--hidden", "8"]
+    if command == "eval":
+        for side in ("real", "fake"):
+            (tmp_path / side).mkdir()
+            _write_tone(tmp_path / side / "a.wav")
+            metrics.write_embedding_csv(tmp_path / side / "a.csv",
+                                        metrics.EmbeddingSet(np.eye(3)))
+        return ["eval", "--real", str(tmp_path / "real"), "--fake", str(tmp_path / "fake")]
+    ckpt = _edited_checkpoint(tmp_path / "ckpt.json", _unedited)
+    size = "--batch-size" if command == "distill" else "--n"
+    return [command, str(ckpt), "--steps", "2", size, "8"]
+
+
+class TestBoundaryProbe:
+    """Flags at boundary values: every run ends in exit 0-3, a refused one
+    in one ``error:`` line, and none in a traceback."""
+
+    @pytest.mark.parametrize("command, key, value", _probe_sample(60, 30),
+                             ids=lambda v: v if v else "empty")
+    def test_exit_code_and_at_most_one_error_line(self, command, key, value, tmp_path, capsys):
+        flag = f"--{key.replace('_', '-')}={value}"  # "=": a value like -inf is not a flag
+        code = main([*_probe_base(command, tmp_path), flag, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert 0 <= code <= 3
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 class TestCodec:
     def test_roundtrip_report(self, tmp_path):
         wav = tmp_path / "tone.wav"
@@ -564,6 +627,20 @@ class TestCodec:
         with pytest.warns(UserWarning, match="downmix"):
             rc = main(["codec", str(wav), "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    def test_ten_second_codec_peaks_under_ten_signal_lengths(self, tmp_path):
+        # the round trip runs in blocks, so mel_dist's two sides set the peak
+        wav = tmp_path / "long.wav"
+        dsp.write_wav(wav, dsp.AudioBuffer(np.random.default_rng(9).uniform(-1, 1, 480000),
+                                           48000))
+        signal = 480000 * 8
+        tracemalloc.start()
+        try:
+            assert main(["codec", str(wav), "--out", str(tmp_path / "o")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * signal, peak / signal
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_overflowing_spectrum_exits_1(self, cpus, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import struct
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -77,6 +78,32 @@ def test_stft_and_istft_bit_identical_to_references(n_fft, hop):
         spec = stft(AudioBuffer(x, SR), StftConfig(n_fft, hop))
         assert np.array_equal(spec.data, _stft_gather(x, spec.config)), n
         assert np.array_equal(istft(spec, n), _istft_loop(spec, n)), n
+
+
+@pytest.mark.parametrize("n_fft,hop", GEOMETRIES)
+def test_codec_roundtrip_bit_identical_to_whole_signal_chain(n_fft, hop):
+    config = StftConfig(n_fft, hop)
+    rng = np.random.default_rng(n_fft * 1000 + hop + 1)
+    # on, one below and one above the first two block edges (block frames x hop)
+    edges = [j * (dsp.SPECTRAL_BLOCK_SAMPLES // n_fft) * hop for j in (1, 2)]
+    lengths = {1, 2, *(edge + d for edge in edges for d in (-1, 0, 1))}
+    for n in sorted(lengths):
+        audio = AudioBuffer(rng.standard_normal(n), SR)
+        whole = istft(ComplexSpectrogram(head_to_complex(complex_to_head(stft(audio, config))),
+                                         config), n)
+        assert dsp.codec_roundtrip(audio, config).tobytes() == whole.tobytes(), n
+
+
+def test_codec_roundtrip_peaks_under_four_signal_lengths():
+    audio = AudioBuffer(np.random.default_rng(5).standard_normal(10 * SR), SR)
+    dsp.codec_roundtrip(audio, CFG)  # the window cache is warm before tracing
+    tracemalloc.start()
+    try:
+        dsp.codec_roundtrip(audio, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * audio.samples.nbytes, peak / audio.samples.nbytes
 
 
 def _assert_cached_read_only(cache, get, fresh):

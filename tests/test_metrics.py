@@ -10,6 +10,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,42 @@ def _recall_argsort_loop(sim, k):
     return one_direction(sim), one_direction(sim.T)
 
 
+def _integer_embeddings():
+    """Similarities of small integer embeddings, n from 1 to 60: many
+    exactly tied dot products.  Yields (sim, every k)."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed * 59 // 39
+        t = rng.integers(-2, 3, (n, 3)).astype(np.float64)
+        a = rng.integers(-2, 3, (n, 3)).astype(np.float64)
+        yield t @ a.T, range(1, n + 1)
+
+
+def _all_equal(n=300):
+    """Every row tied throughout: at k = 1 only query 0 hits."""
+    yield np.ones((n, n)), (1, 2, n // 2, n - 1, n)
+
+
+def _ties_in_a_few_rows(n=300):
+    """A diagonal that tops every row and column, tied in 12 rows and 12
+    columns: 8 rows (4 columns) with an entry of lower index, the rest with
+    one of higher index.  At k = 1 a row or column misses exactly when its
+    tie has the lower index, so counting the wrong side changes the
+    recall."""
+    rng = np.random.default_rng(64)
+    sim = rng.standard_normal((n, n))
+    np.fill_diagonal(sim, 10.0)
+    a, b = rng.choice(n, (2, 12), replace=False)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    sim[hi[:8], lo[:8]] = 10.0
+    sim[lo[8:], hi[8:]] = 10.0
+    yield sim, (1, 2, n // 2, n - 1, n)
+
+
+_TIED_MATRICES = {"integer-embeddings": _integer_embeddings, "all-equal": _all_equal,
+                  "ties-in-a-few-rows": _ties_in_a_few_rows}
+
+
 class TestRecallAtK:
     def test_identity_matrix_is_perfect(self):
         assert recall_at_k(np.eye(5), 1) == (1.0, 1.0)
@@ -322,16 +359,23 @@ class TestRecallAtK:
             for k in (1, 5, 10):
                 assert recall_at_k(sim, k) == _recall_oracle(sim, k), (trial, k)
 
-    def test_rank_count_matches_argsort_loop_on_integer_embeddings(self):
-        # small integer embeddings give many exactly tied dot products
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            n = 1 + seed * 59 // 39  # 1 to 60
-            t = rng.integers(-2, 3, (n, 3)).astype(np.float64)
-            a = rng.integers(-2, 3, (n, 3)).astype(np.float64)
-            sim = t @ a.T
-            for k in range(1, n + 1):
-                assert recall_at_k(sim, k) == _recall_argsort_loop(sim, k), (seed, k)
+    @pytest.mark.parametrize("case", ["integer-embeddings", "all-equal", "ties-in-a-few-rows"])
+    def test_rank_count_matches_argsort_loop(self, case):
+        for sim, ks in _TIED_MATRICES[case]():
+            for k in ks:
+                assert recall_at_k(sim, k) == _recall_argsort_loop(sim, k), (len(sim), k)
+
+    def test_peak_memory_is_one_mask(self):
+        # one n x n boolean mask at a time: an eighth of the float64 matrix
+        sim = np.random.default_rng(65).standard_normal((2000, 2000))
+        recall_at_k(sim, 1)
+        tracemalloc.start()
+        try:
+            recall_at_k(sim, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.15 * sim.nbytes, peak / sim.nbytes
 
     def test_nan_entry_rejected(self):
         sim = np.eye(4)
