@@ -17,6 +17,7 @@ across runs.  Exit codes: 0 success, 1 usage or config error, 2 I/O error,
 """
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -142,12 +143,18 @@ class RunConfig:
 
 
 def load_config_file(path):
-    """Parse a flat UTF-8 ``key = value`` file; ``#`` starts a comment."""
+    """Parse a flat UTF-8 ``key = value`` file; ``#`` starts a comment and a
+    line ends at ``\\n``, ``\\r\\n`` or ``\\r``.  A refusal names
+    ``path:lineno``; a file that is not UTF-8 is refused at its first bad
+    byte before any line is parsed."""
+    data = Path(path).read_bytes()
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        # the bad byte's line: the lines before it, plus the one it opens
+        head = data[: exc.start].decode("utf-8") + "#"
+        lineno = len(io.StringIO(head, newline=None).readlines())
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
     entries = {}
     for lineno, raw in enumerate(lines, 1):
         text = raw.split("#", 1)[0].strip()
@@ -232,6 +239,8 @@ def cmd_train_fm(cfg: RunConfig) -> None:
     v = cfg.values
     if v["steps"] < 0:
         raise ConfigError(f"steps must be >= 0, got {v['steps']}")
+    if v["batch_size"] < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {v['batch_size']}")
     rng = np.random.default_rng(cfg.seed)
     model = net.init_model(ring_model_config(v["hidden"]), rng)
     opt = net.init_optimizer(model, lr=v["lr"], warmup=v["lr_warmup"])

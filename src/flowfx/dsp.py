@@ -7,12 +7,16 @@ periodic Hann window with reflect padding of ``n_fft // 2`` on each side and
 window-square-normalized overlap-add on the way back, which makes
 ``istft(stft(x))`` exact to roundoff on the interior of the signal.
 
-``codec_roundtrip`` runs the codec's stft -> head -> istft chain one block
-of frames at a time, through the analysis step and the overlap-add that
-``stft`` and ``istft`` run over the whole signal, so its bits are the whole
-chain's.  On long inputs it holds under 4x the float64 signal where the
-whole chain held 12x, so ``mel_dist``'s ``spectral_l1`` now sets the
-``codec`` command's memory peak.
+One iterator, ``_spectra``, windows and transforms the analysis frames a
+block of ``SPECTRAL_BLOCK_SAMPLES`` windowed samples at a time, into block
+buffers it allocates when it is called, on the calling thread.  ``stft``
+copies its blocks into the whole spectrogram, ``codec_roundtrip`` maps each
+through the head and back into the overlap-add that ``istft`` runs, and
+``spectral_l1`` rectifies each into its magnitudes.  Analysis is
+frame-local and each block's rfft writes its rows with the bits of one
+whole-signal rfft, so every path has the whole-signal bits.  On long inputs
+the codec holds under 4x the float64 signal, so ``mel_dist``'s
+``spectral_l1`` sets the ``codec`` command's memory peak.
 
 Two per-process caches keep the STFT cheap without changing any bit: the
 Hann window per ``n_fft`` (``hann_window``) and the filterbank weights per
@@ -24,12 +28,12 @@ across threads.  An entry lasts until 32 newer keys push it out; an array
 already handed out stays valid for as long as its holder keeps it.
 
 ``spectral_l1`` may compute the second side of a pair on the worker of a
-``host.pair``.  Every array that side writes (padded copy, block buffers,
-magnitudes, output) and the cached window and filterbank are made on the
-calling thread before the worker starts; the worker only fills them.  glibc
-gives each thread its own malloc arena and keeps what is freed there, so a
-worker that allocated its own arrays would leave the process holding that
-memory after the call.
+``host.pair``.  Every array that side writes (padded copy, ``_spectra``'s
+block buffers, magnitudes, output) and the cached window and filterbank are
+made on the calling thread before the worker starts; the worker only fills
+them.  glibc gives each thread its own malloc arena and keeps what is freed
+there, so a worker that allocated its own arrays would leave the process
+holding that memory after the call.
 """
 
 from __future__ import annotations
@@ -50,10 +54,9 @@ MEL_LOG_FLOOR = 1e-5
 HEAD_MAG_FLOOR = 1e-30
 OLA_DENOM_FLOOR = 1e-12
 
-# spectral_l1 and the codec round trip window and transform this many
-# samples per rfft block; spectral_l1 runs its two sides on two threads when
-# a side windows at least SPECTRAL_PARALLEL_MIN_SAMPLES of them
-# (frames x n_fft).
+# _spectra windows and transforms this many samples per rfft block;
+# spectral_l1 runs its two sides on two threads when a side windows at least
+# SPECTRAL_PARALLEL_MIN_SAMPLES of them (frames x n_fft).
 SPECTRAL_BLOCK_SAMPLES = 1 << 15
 SPECTRAL_PARALLEL_MIN_SAMPLES = 1 << 16
 
@@ -144,14 +147,14 @@ def stft(audio: AudioBuffer, config: StftConfig = StftConfig()) -> ComplexSpectr
 
     The signal is reflect-padded by ``n_fft // 2`` on each side and cut into
     ``ceil(len / hop)`` frames of length ``n_fft`` spaced ``hop`` apart; each
-    frame is Hann-windowed and transformed with a real FFT.  The frames are
-    strided views of the padded signal, so only the windowed product is
-    allocated.
+    frame is Hann-windowed and transformed with a real FFT, one ``_spectra``
+    block at a time.
     """
     frames = _frames(audio.samples, config)
     spec = np.empty((len(frames), config.bins), dtype=np.complex128)
-    return ComplexSpectrogram(
-        _analyse(frames, hann_window(config.n_fft), np.empty(frames.shape), spec), config)
+    for start, rows in _spectra(frames, config):
+        spec[start : start + len(rows)] = rows
+    return ComplexSpectrogram(spec, config)
 
 
 def _frames(x: np.ndarray, config: StftConfig) -> np.ndarray:
@@ -168,21 +171,30 @@ def _frames(x: np.ndarray, config: StftConfig) -> np.ndarray:
     return windows[::config.hop][: -(-len(x) // config.hop)]
 
 
-def _block_frames(n_frames: int, n_fft: int) -> int:
-    """Frames per block of the blocked loops: SPECTRAL_BLOCK_SAMPLES
-    windowed samples, at least one frame and at most ``n_frames``."""
-    return min(n_frames, max(1, SPECTRAL_BLOCK_SAMPLES // n_fft))
+def _spectra(frames: np.ndarray, config: StftConfig):
+    """An iterator of ``(first frame, rows)`` over ``frames``, where ``rows``
+    is the windowed rfft of the next block of frames: as many as window
+    SPECTRAL_BLOCK_SAMPLES samples, at least one and at most all of them.
+    The one analysis loop of ``stft``, ``codec_roundtrip`` and
+    ``spectral_l1``.
 
+    The window and the block buffers are allocated by this call, on the
+    calling thread (it returns a ``map``, not a generator whose body would
+    first run where it is drawn), and every block is written into the same
+    buffers, so a block's rows hold only until the next block is drawn."""
+    n_fft, n_frames = config.n_fft, len(frames)
+    block = min(n_frames, max(1, SPECTRAL_BLOCK_SAMPLES // n_fft))
+    window = hann_window(n_fft)
+    segments = np.empty((block, n_fft))
+    spec = np.empty((block, config.bins), dtype=np.complex128)
 
-def _analyse(frames: np.ndarray, window: np.ndarray, segments: np.ndarray,
-             spec: np.ndarray) -> np.ndarray:
-    """Window ``frames`` into the first rows of ``segments`` and write their
-    rfft into the first rows of ``spec``; returns those rows of ``spec``.
-    The one analysis step of ``stft``, ``codec_roundtrip`` and
-    ``spectral_l1``."""
-    m = len(frames)
-    np.multiply(frames, window, out=segments[:m])
-    return np.fft.rfft(segments[:m], axis=1, out=spec[:m])
+    def analyse(start: int) -> tuple[int, np.ndarray]:
+        rows = frames[start : start + block]
+        m = len(rows)
+        np.multiply(rows, window, out=segments[:m])
+        return start, np.fft.rfft(segments[:m], axis=1, out=spec[:m])
+
+    return map(analyse, range(0, n_frames, block))
 
 
 def _overlap_add(blocks, n_frames: int, config: StftConfig, length: int) -> np.ndarray:
@@ -287,22 +299,15 @@ def complex_to_head(spec: ComplexSpectrogram) -> HeadOutput:
 
 def codec_roundtrip(audio: AudioBuffer, config: StftConfig = StftConfig()) -> np.ndarray:
     """The bits of ``istft(ComplexSpectrogram(head_to_complex(
-    complex_to_head(stft(audio)))), len(audio.samples))``, one block of
-    ``_block_frames`` frames at a time: each block is analysed into buffers
-    allocated once, mapped to the head and back, and overlap-added before
-    the next.  Besides a block's arrays it holds the padded signal and the
-    overlap-add sums.  A non-finite spectrum is refused as ``stft`` refuses
-    it."""
+    complex_to_head(stft(audio)))), len(audio.samples))``, one ``_spectra``
+    block at a time: each block is mapped to the head and back and
+    overlap-added before the next is analysed into the same buffers.
+    Besides a block's arrays it holds the padded signal and the overlap-add
+    sums.  A non-finite spectrum is refused as ``stft`` refuses it."""
     frames = _frames(audio.samples, config)
-    n_frames = len(frames)
-    block = _block_frames(n_frames, config.n_fft)
-    window = hann_window(config.n_fft)
-    segments = np.empty((block, config.n_fft))
-    spec = np.empty((block, config.bins), dtype=np.complex128)
-    coeffs = (head_to_complex(complex_to_head(ComplexSpectrogram(
-                  _analyse(frames[start : start + block], window, segments, spec), config)))
-              for start in range(0, n_frames, block))
-    return _overlap_add(coeffs, n_frames, config, len(audio.samples))
+    coeffs = (head_to_complex(complex_to_head(ComplexSpectrogram(rows, config)))
+              for _, rows in _spectra(frames, config))
+    return _overlap_add(coeffs, len(frames), config, len(audio.samples))
 
 
 def hz_to_mel(f):
@@ -366,26 +371,19 @@ def _log_spectrogram(frames: np.ndarray, config: StftConfig, weights):
     floored log-magnitude when ``weights`` is None.
 
     Every array the routine writes is allocated on the calling thread
-    before it runs: the padded signal (by ``_frames``), and here one block
-    of windowed frames and its rfft, the frames x bins magnitudes and the
-    frames x bands output.  The routine windows, transforms and rectifies
-    one block of frames at a time, runs the filterbank product once over
-    all frames (so its bits are those of one gemm), then floors and logs in
-    place.
+    before it runs: the padded signal (by ``_frames``), ``_spectra``'s block
+    buffers (by calling it here), the frames x bins magnitudes and the
+    frames x bands output.  The routine rectifies each ``_spectra`` block
+    into the magnitudes, runs the filterbank product once over all frames
+    (so its bits are those of one gemm), then floors and logs in place.
     """
-    n_fft = config.n_fft
-    window = hann_window(n_fft)
-    n_frames = len(frames)
-    block = _block_frames(n_frames, n_fft)
-    segments = np.empty((block, n_fft))
-    spec = np.empty((block, config.bins), dtype=np.complex128)
-    mags = np.empty((n_frames, config.bins))
-    out = mags if weights is None else np.empty((n_frames, len(weights)))
+    mags = np.empty((len(frames), config.bins))
+    out = mags if weights is None else np.empty((len(frames), len(weights)))
+    blocks = _spectra(frames, config)
 
     def run() -> np.ndarray:
-        for start in range(0, n_frames, block):
-            stop = min(start + block, n_frames)
-            np.abs(_analyse(frames[start:stop], window, segments, spec), out=mags[start:stop])
+        for start, rows in blocks:
+            np.abs(rows, out=mags[start : start + len(rows)])
         # magnitudes are >= 0, so their max is finite only when every one is
         if not np.isfinite(mags.max()):
             raise DomainError("spectrogram entries must be finite")

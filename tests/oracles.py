@@ -12,7 +12,11 @@ by, and ``workspace_buffers`` lists what a ``net.Workspace`` holds.
 ``log_mel`` and ``spectral_l1`` are the allocating formula of the log
 spectral distance, whole-signal ``dsp.stft`` and all, that
 ``dsp.spectral_l1`` computes in blocks into buffers it allocates.
+``config_file`` is a reference reading of the flat ``key = value`` file
+that ``cli.load_config_file`` parses.
 """
+
+import re
 
 import numpy as np
 
@@ -156,3 +160,41 @@ def spectral_l1(a: dsp.AudioBuffer, b: dsp.AudioBuffer, config: dsp.StftConfig,
         fb = dsp.mel_filterbank(n_mels, config, a.sample_rate)
         la, lb = (log_mel(x, fb, config) for x in (a, b))
     return float(np.mean(np.abs(la - lb)))
+
+
+class ConfigRefused(Exception):
+    """``config_file`` refused a file at line ``lineno`` for ``reason``."""
+
+    def __init__(self, lineno: int, reason: str):
+        super().__init__(f"line {lineno}: {reason}")
+        self.lineno, self.reason = lineno, reason
+
+
+# optional key, optional "= value", optional "# comment", each trimmed
+_CONFIG_LINE = re.compile(r"\s*(?P<key>[^#=]*?)\s*(?:=\s*(?P<value>[^#]*?)\s*)?(?:#.*)?", re.S)
+
+
+def config_file(data: bytes) -> dict:
+    """The entries of a config file's bytes, or ConfigRefused at its first
+    bad line.  Lines are split on the bytes of ``\\r\\n``, ``\\r`` and
+    ``\\n``; every line must be UTF-8 before any is parsed.  A line is a
+    blank or a comment, or ``key = value`` with a nonempty key not seen
+    before; ``#`` ends the value."""
+    lines = re.split(rb"\r\n|\r|\n", data)
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigRefused(lineno, "not UTF-8") from None
+    entries = {}
+    for lineno, raw in enumerate(lines, 1):
+        key, value = _CONFIG_LINE.fullmatch(raw.decode("utf-8")).group("key", "value")
+        if value is None and key:
+            raise ConfigRefused(lineno, "no =")
+        if value is not None and not key:
+            raise ConfigRefused(lineno, "empty key")
+        if key in entries:
+            raise ConfigRefused(lineno, "duplicate key")
+        if key:
+            entries[key] = value
+    return entries

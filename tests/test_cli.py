@@ -7,6 +7,7 @@ against the documented contracts.
 
 import json
 import os
+import random
 import re
 import shutil
 import struct
@@ -23,6 +24,8 @@ import flowfx
 from flowfx import distill, dsp, flow, host, metrics, net
 from flowfx.cli import SCHEMAS, build_parser, load_config_file, main, ring_model_config
 from flowfx.errors import ConfigError
+
+import oracles
 
 
 def read_report(path):
@@ -43,6 +46,49 @@ def read_log(path):
     return header, rows
 
 
+# what config-file lines are made of: whitespace (str.strip's, ASCII or
+# not), key and value characters, line ends, and bytes that are not UTF-8
+_SPACES = [" ", "\t", "\x0b", "\xa0", "\u3000"]
+_KEY_CHARS = "abkz_019.-é鍵ключ"
+_VALUE_CHARS = _KEY_CHARS + " =→ü"
+_LINE_ENDS = ["\n"] * 6 + ["\r\n", "\r"]
+_NOT_UTF8 = [b"\xff", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80", b"\xe2\x82"]
+
+
+def _config_bytes(rng) -> bytes:
+    """One seeded config file: entries, comments and blank lines, and now
+    and then a line with no ``=``, an empty key, a repeated key or bytes
+    that are not UTF-8."""
+    def pad():
+        return "".join(rng.choices(_SPACES, k=rng.randint(0, 2)))
+
+    def word(chars):
+        return "".join(rng.choices(chars, k=rng.randint(1, 6)))
+
+    def comment():
+        return "#" + word(_VALUE_CHARS + "#") if rng.random() < 0.3 else ""
+
+    keys, lines = [], []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choices(["entry", "comment", "blank", "no =", "empty key", "repeat", "bytes"],
+                           weights=[12, 2, 2, 1, 1, 1, 1])[0]
+        key = rng.choice(keys) if kind == "repeat" and keys else word(_KEY_CHARS)
+        keys.append(key)
+        value = word(_VALUE_CHARS) if rng.random() < 0.9 else ""
+        line = {"comment": pad() + "#" + word(_VALUE_CHARS + "#"),
+                "blank": pad(),
+                "no =": pad() + key + pad() + comment(),
+                "empty key": pad() + "=" + pad() + value + comment(),
+                }.get(kind, pad() + key + pad() + "=" + pad() + value + pad() + comment())
+        raw = line.encode()
+        if kind == "bytes":
+            at = rng.randint(0, len(raw))
+            raw = raw[:at] + rng.choice(_NOT_UTF8) + raw[at:]
+        end = rng.choice(_LINE_ENDS) if rng.random() < 0.9 else ""
+        lines.append(raw + end.encode())
+    return b"".join(lines)
+
+
 class TestConfigPlumbing:
     def test_config_file_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -54,6 +100,33 @@ class TestConfigPlumbing:
         cfg.write_text("steps = 1\nsteps = 2\n")
         with pytest.raises(ConfigError):
             load_config_file(cfg)
+
+    def test_config_file_matches_reference_parser(self, tmp_path, capsys):
+        rng = random.Random(9)
+        outcomes = Counter()
+        refused = {}  # the first file refused for each reason
+        for i in range(400):
+            data = _config_bytes(rng)
+            path = tmp_path / f"{i}.conf"
+            path.write_bytes(data)
+            try:
+                want = oracles.config_file(data)
+            except oracles.ConfigRefused as refusal:
+                with pytest.raises(ConfigError) as info:
+                    load_config_file(path)
+                assert str(info.value).startswith(f"{path}:{refusal.lineno}: "), (data, refusal)
+                outcomes[refusal.reason] += 1
+                refused.setdefault(refusal.reason, path)
+            else:
+                assert load_config_file(path) == want, data
+                outcomes["accepted"] += 1
+        assert set(outcomes) == {"accepted", "no =", "empty key", "duplicate key", "not UTF-8"}
+        assert min(outcomes.values()) >= 10, outcomes
+        for path in refused.values():
+            assert main(["train-fm", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {path}:"), lines
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -393,6 +466,10 @@ class TestMalformedInputs:
             pytest.param(_train_case("--lr", "nan"), 1, id="lr-nan"),
             pytest.param(_train_case("--lr", "inf"), 1, id="lr-inf"),
             pytest.param(_train_case("--steps", "-1"), 1, id="steps-negative"),
+            pytest.param(_train_case("--steps", "0", "--batch-size", "0"), 1,
+                         id="train-fm-batch-size-zero"),
+            pytest.param(_train_case("--steps", "0", "--batch-size", "-1"), 1,
+                         id="train-fm-batch-size-negative"),
             pytest.param(_codec_case(lambda p: p.write_bytes(b"not a RIFF file")), 2,
                          id="codec-non-riff"),
             pytest.param(_codec_case(_write_pcm24), 2, id="codec-pcm24"),

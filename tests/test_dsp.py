@@ -71,8 +71,12 @@ GEOMETRIES = sorted({(960, 480), (2048, 512), (512, 128), (33, 16), (7, 3)}
 @pytest.mark.parametrize("n_fft,hop", GEOMETRIES)
 def test_stft_and_istft_bit_identical_to_references(n_fft, hop):
     rng = np.random.default_rng(n_fft * 1000 + hop)
-    # 1 and 2 samples, fewer than n_fft / 2, lengths hop does not divide
-    lengths = {1, 2, max(1, n_fft // 2 - 1), n_fft + 1, 5 * hop + 1, 4801}
+    # 1 and 2 samples, fewer than n_fft / 2, lengths hop does not divide, and
+    # on, one below and one above the first two block edges of stft's
+    # analysis loop (block frames x hop)
+    edges = [j * (dsp.SPECTRAL_BLOCK_SAMPLES // n_fft) * hop for j in (1, 2)]
+    lengths = {1, 2, max(1, n_fft // 2 - 1), n_fft + 1, 5 * hop + 1, 4801,
+               *(edge + d for edge in edges for d in (-1, 0, 1))}
     for n in sorted(lengths):
         x = rng.standard_normal(n)
         spec = stft(AudioBuffer(x, SR), StftConfig(n_fft, hop))
