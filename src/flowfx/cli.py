@@ -47,13 +47,10 @@ RING_N_FREQS = 8
 RING_FREQ_MAX = 100.0
 
 
-class _UsageError(Exception):
-    """Raised instead of argparse's sys.exit so main can map it to code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        # instead of argparse's sys.exit(2): a usage error exits 1
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _parse_bool(text):
@@ -460,30 +457,35 @@ def _dispatch(args) -> None:
 
 
 # The exit code of each error a command may end in; see the module docstring.
-_EXIT_CODES = {_UsageError: 1, ConfigError: 1, DomainError: 1, MemoryError: 1,
+_EXIT_CODES = {ConfigError: 1, DomainError: 1, MemoryError: 1,
                FileFormatError: 2, OSError: 2, SolverError: 3, DivergenceError: 3}
 # numpy's ValueError for an array whose byte size overflows: a size flag too
 # big to allocate, reported as MemoryError is.  Other ValueErrors are bugs.
 _ARRAY_TOO_BIG = "array is too big;"
+# every character str.splitlines breaks a line at, to its escape, so a path
+# or key holding one still prints on the one error line
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_ESCAPES = str.maketrans({c: c.encode("unicode_escape").decode() for c in _LINE_BREAKS})
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.  A failure prints one
-    ``error:`` line; warnings raised while the command runs are re-issued
-    only when it succeeds, so they never bury that line."""
+    ``error:`` line, its line breaks written as escapes; warnings raised
+    while the command runs are re-issued only when it succeeds, so they
+    never bury that line."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             _dispatch(build_parser().parse_args(argv))
     except SystemExit as exc:  # --help prints and exits 0
         return 0 if (exc.code or 0) == 0 else 1
-    except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-    except ValueError as exc:
-        if not str(exc).startswith(_ARRAY_TOO_BIG):
+    except Exception as exc:
+        codes = [code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)]
+        if isinstance(exc, ValueError) and str(exc).startswith(_ARRAY_TOO_BIG):
+            codes.append(1)
+        if not codes:
             raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"error: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
+        return codes[0]
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     return 0

@@ -229,8 +229,9 @@ def write_embedding_csv(path, emb: EmbeddingSet) -> None:
 
 
 def _csv_float(text) -> float:
-    """float(text), without the digit-group underscores Python's float takes."""
-    if "_" in text:
+    """float(text), without the digit-group underscores and the non-ASCII
+    digits (such as "１" or "١") that Python's float takes."""
+    if "_" in text or not text.isascii():
         raise ValueError(f"could not convert string to float: {text!r}")
     return float(text)
 

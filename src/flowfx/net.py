@@ -71,6 +71,10 @@ CHECKPOINT_FORMAT = "flowfx-checkpoint-v1"
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """A model's architecture.  Every size is exactly an int, never coerced
+    (a str, float or bool is refused); ``hidden`` is a tuple or list of at
+    least one hidden-layer width, kept as a tuple."""
+
     dim: int = 2
     hidden: tuple = (128, 128, 128)
     n_cond: int = 0
@@ -81,13 +85,19 @@ class ModelConfig:
     freq_max: float = 1000.0
 
     def __post_init__(self):
+        if not (isinstance(self.hidden, (tuple, list))
+                and all(type(h) is int for h in self.hidden)):
+            raise DomainError("hidden must be a list of integers")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        for f in fields(self):
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise DomainError(f"{f.name} must be an integer")
         if self.dim < 1 or self.cond_dim < 1 or self.embed_dim < 1:
             raise DomainError("dimensions must be positive")
         if self.n_cond < 0:
             raise DomainError("n_cond must be >= 0")
         if self.n_freqs < 1 or self.freq_min <= 0 or self.freq_max < self.freq_min:
             raise DomainError("bad frequency ladder")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if not self.hidden:
             raise DomainError("need at least one hidden layer")
         if any(h < 1 for h in self.hidden):
@@ -191,12 +201,11 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> VelocityModel:
 
 
 def _as_batch(x, dim):
+    """x as a float64 (rows, dim) array; any other shape is refused."""
     arr = np.asarray(x, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    arr = np.atleast_2d(arr)
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise DomainError(f"input shape {np.shape(x)} does not match dim {dim}")
-    return arr, squeeze
+        raise DomainError(f"input shape {arr.shape} does not match (rows, {dim})")
+    return arr
 
 
 def _as_scalar_batch(val, n, name):
@@ -375,14 +384,13 @@ class Field:
 
     ``__init__`` checks the condition ids and takes their cond_table @ Wc.T
     rows once, one row when all n ids are equal (the same bits as n equal
-    rows).  ``run`` checks x ((n, dim), or (dim,) when n is 1), t and r
-    (scalars or n-vectors) and the tangent, then runs ``_core``; u and du
-    come back in x's shape as new arrays.  The pass's other arrays, the
-    tape among them, and the chain-rule arrays of a replay of that tape
-    live in the Workspace ``ws`` (a fresh one when None) until the next
-    pass on it, so fields whose calls never interleave, such as a training
-    loss's student and teacher, may share one; fields run on different
-    threads may not."""
+    rows).  ``run`` checks x (n, dim), t and r (scalars or n-vectors) and
+    the tangent, then runs ``_core``; u and du come back (n, dim) as new
+    arrays.  The pass's other arrays, the tape among them, and the
+    chain-rule arrays of a replay of that tape live in the Workspace ``ws``
+    (a fresh one when None) until the next pass on it, so fields whose calls
+    never interleave, such as a training loss's student and teacher, may
+    share one; fields run on different threads may not."""
 
     def __init__(self, model: VelocityModel, cond, n: int, ws: Workspace | None = None):
         self.model = model
@@ -399,37 +407,29 @@ class Field:
         primal ops, and without ``readout`` the last hidden activations
         stand in for u (and du)."""
         dim, n = self.model.config.dim, self.n
-        x2, squeeze = _as_batch(x, dim)
+        x2 = _as_batch(x, dim)
         if len(x2) != n:
-            raise DomainError(f"input shape {np.shape(x)} does not match the field's {(n, dim)}")
+            raise DomainError(f"input shape {x2.shape} does not match the field's {(n, dim)}")
         t_rows, r_rows = _time_rows(t, r, n)
         if tangent is not None:
             dx, dt, dr = tangent
-            dx2, _ = _as_batch(dx, dim)
+            dx2 = _as_batch(dx, dim)
             if dx2.shape != x2.shape:
                 raise DomainError("tangent dx shape does not match x")
             tangent = (dx2, _as_scalar_batch(dt, n, "dt"), _as_scalar_batch(dr, n, "dr"))
-        u, du, tape = _core(self.model, x2, t_rows, r_rows, self.ids, self.cond_rows,
-                            self.take, want_tape, tangent, readout)
-        if squeeze:
-            u, du = u[0], du if du is None else du[0]
-        return u, du, tape
+        return _core(self.model, x2, t_rows, r_rows, self.ids, self.cond_rows,
+                     self.take, want_tape, tangent, readout)
 
     def __call__(self, x, t, r) -> np.ndarray:
         return self.run(x, t, r)[0]
 
 
-def _rows(x) -> int:
-    """The row count of a batch x: 1 for a single (dim,) sample."""
-    return len(x) if np.ndim(x) > 1 else 1
-
-
 def forward(model: VelocityModel, x, t, r, cond=None, ws=None) -> np.ndarray:
-    """Evaluate u(x, t, r, cond).  x is (dim,) or (batch, dim); t and r are
-    scalars or per-sample vectors; cond is None (unconditional), a scalar id,
-    or a per-sample id vector.  The pass's arrays go into the Workspace
-    ``ws``, a fresh one when None; u is new either way."""
-    return Field(model, cond, _rows(x), ws)(x, t, r)
+    """Evaluate u(x, t, r, cond).  x is (batch, dim); t and r are scalars
+    or per-sample vectors; cond is None (unconditional), a scalar id, or a
+    per-sample id vector.  The pass's arrays go into the Workspace ``ws``, a
+    fresh one when None; u is new either way."""
+    return Field(model, cond, len(x), ws)(x, t, r)
 
 
 def _hidden_chain(model, tape, g, grads):
@@ -489,17 +489,17 @@ def hidden_forward(model: VelocityModel, x, t, r, cond=None, want_tape=True, ws=
     """Penultimate hidden activations (the features feeding the output
     layer) plus a replay handle for hidden_input_gradient (None unless
     ``want_tape``).  Both live in the Workspace ``ws`` (see Field)."""
-    h, _, tape = Field(model, cond, _rows(x), ws).run(x, t, r, want_tape, readout=False)
+    h, _, tape = Field(model, cond, len(x), ws).run(x, t, r, want_tape, readout=False)
     return h, tape
 
 
 def hidden_input_gradient(model: VelocityModel, tape, upstream) -> np.ndarray:
     """Gradient of <hidden_forward features, upstream> with respect to x,
-    holding every parameter fixed (the net acts as a frozen feature map).
-    The chain rule's row-sized arrays, the result among them, live in the
-    workspace of the pass that recorded the tape."""
-    g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    return _hidden_chain(model, tape, g, None)[:, : model.config.dim]
+    for an (n, width) ``upstream``, holding every parameter fixed (the net
+    acts as a frozen feature map).  The chain rule's row-sized arrays, the
+    result among them, live in the workspace of the pass that recorded the
+    tape."""
+    return _hidden_chain(model, tape, upstream, None)[:, : model.config.dim]
 
 
 def _spans(arrays: dict) -> dict:
@@ -621,20 +621,11 @@ def _config_to_dict(config: ModelConfig) -> dict:
 
 
 def _config_from_dict(d: dict, path) -> ModelConfig:
-    """The config a checkpoint at ``path`` stores.  Sizes must be JSON
-    integers: ModelConfig would read a hidden of "64" as (6, 4) and keep a
-    dim of 2.0."""
+    """The config a checkpoint at ``path`` stores; ModelConfig refuses
+    sizes that are not JSON integers."""
     try:
-        d = dict(d)
-        hidden = d["hidden"]
-        if not (isinstance(hidden, list) and all(type(h) is int for h in hidden)):
-            raise DomainError("hidden must be a list of integers")
-        for f in fields(ModelConfig):
-            if f.type == "int" and type(d.get(f.name, 0)) is not int:
-                raise DomainError(f"{f.name} must be an integer")
-        d["hidden"] = tuple(hidden)
         return ModelConfig(**d)
-    except (TypeError, KeyError, DomainError) as exc:
+    except (TypeError, DomainError) as exc:
         raise FileFormatError(path, f"bad model config: {exc}") from exc
 
 

@@ -107,7 +107,7 @@ def _field(model, cond, config: SolverConfig, x1):
     raises, serial or on two threads.
     """
     guided = cond is not None and config.cfg_scale != cfg_neutral_scale(config.cfg_mode)
-    n = net._rows(x1)
+    n = len(x1)
     if callable(model):
         def bind(c):
             return lambda x, t, r: model(x, t, r, c)

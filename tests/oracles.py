@@ -28,19 +28,18 @@ from flowfx.net import VelocityModel
 
 
 def backward(model: VelocityModel, x, t, r, cond, upstream):
-    """Exact gradients of <forward(model, x, t, r, cond), upstream>:
-    returns (grads, grad_x), the parameter gradients of
-    ``net._tape_backward`` and the input gradient in x's shape.  grad_x is
-    the chain rule the discriminator runs: ``net.hidden_input_gradient``
-    from the readout's upstream on the last hidden layer."""
-    u, _, tape = net.Field(model, cond, net._rows(x)).run(x, t, r, want_tape=True)
-    squeeze = np.ndim(x) == 1
-    up, up_squeeze = net._as_batch(upstream, model.config.dim)
-    if up_squeeze != squeeze or up.shape[0] != np.atleast_2d(u).shape[0]:
+    """Exact gradients of <forward(model, x, t, r, cond), upstream> for an
+    (n, dim) x and upstream: returns (grads, grad_x), the parameter
+    gradients of ``net._tape_backward`` and the (n, dim) input gradient.
+    grad_x is the chain rule the discriminator runs:
+    ``net.hidden_input_gradient`` from the readout's upstream on the last
+    hidden layer."""
+    u, _, tape = net.Field(model, cond, len(x)).run(x, t, r, want_tape=True)
+    up = net._as_batch(upstream, model.config.dim)
+    if up.shape != u.shape:
         raise DomainError("upstream shape does not match output")
     grads = net._tape_backward(model, tape, up)
-    grad_x = net.hidden_input_gradient(model, tape, up @ model.params["w_out"])
-    return grads, grad_x[0] if squeeze else grad_x
+    return grads, net.hidden_input_gradient(model, tape, up @ model.params["w_out"])
 
 
 def jvp(model: VelocityModel, x, t, r, cond, tangent):
@@ -49,7 +48,7 @@ def jvp(model: VelocityModel, x, t, r, cond, tangent):
     Returns (value, derivative); the value is bit-identical to forward
     because both run the same primal expressions.
     """
-    u, du, _ = net.Field(model, cond, net._rows(x)).run(x, t, r, tangent=tangent)
+    u, du, _ = net.Field(model, cond, len(x)).run(x, t, r, tangent=tangent)
     return u, du
 
 

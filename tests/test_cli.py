@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import flowfx
-from flowfx import distill, dsp, flow, host, metrics, net
+from flowfx import cli, distill, dsp, flow, host, metrics, net
 from flowfx.cli import SCHEMAS, build_parser, load_config_file, main, ring_model_config
 from flowfx.errors import ConfigError
 
@@ -392,6 +392,45 @@ def _eval_wav_case(write, *flags):
     return argv
 
 
+def _named_config_case(name, data):
+    """train-fm with a config file called ``name`` holding ``data``."""
+    def argv(tmp_path):
+        conf = tmp_path / name
+        conf.write_bytes(data)
+        return ["train-fm", "--config", str(conf), "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _named_codec_case(name, data):
+    """codec on a file called ``name`` holding ``data``."""
+    def argv(tmp_path):
+        (tmp_path / name).write_bytes(data)
+        return ["codec", str(tmp_path / name), "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _eval_missing_real_case(name):
+    """eval whose --real names a directory ``name`` that does not exist."""
+    def argv(tmp_path):
+        (tmp_path / "fake").mkdir()
+        return ["eval", "--real", str(tmp_path / name), "--fake", str(tmp_path / "fake"),
+                "--out", str(tmp_path / "o")]
+    return argv
+
+
+def _eval_short_pair_case(name):
+    """eval on one WAV pair called ``name`` whose fake side is 10 samples short."""
+    def argv(tmp_path):
+        real, fake = tmp_path / "real", tmp_path / "fake"
+        real.mkdir(), fake.mkdir()
+        clip = dsp.AudioBuffer(np.zeros(64), 48000)
+        dsp.write_wav(real / name, clip)
+        dsp.write_wav(fake / name, dsp.AudioBuffer(clip.samples[:54], clip.sample_rate))
+        return ["eval", "--real", str(real), "--fake", str(fake),
+                "--out", str(tmp_path / "o")]
+    return argv
+
+
 def _run_python(*args, timeout=120, **env):
     """Run a fresh interpreter that imports this checkout's flowfx, with
     ``env`` added to the environment."""
@@ -520,6 +559,17 @@ class TestMalformedInputs:
             pytest.param(_eval_wav_case(_write_tone, "--k", "-5"), 1, id="eval-k-negative-wavs"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0,4.0\n2,0.5,1.0\n",
                                     "--k", "0"), 1, id="eval-k-zero-sets-of-other-sizes"),
+            # a line break in a key, path or file name is printed as its escape
+            pytest.param(_config_case("train-fm", "a\u2028b = 1\n".encode()), 1,
+                         id="unknown-config-key-holding-u2028"),
+            pytest.param(_named_config_case("run\n.conf", b"steps = 2\nno equals sign\n"), 1,
+                         id="config-named-with-newline-bad-line"),
+            pytest.param(_eval_missing_real_case("x\ny"), 2,
+                         id="eval-missing-real-named-with-newline"),
+            pytest.param(_named_codec_case("bad\nname.wav", b"not a RIFF file"), 2,
+                         id="codec-non-riff-named-with-newline"),
+            pytest.param(_eval_short_pair_case("a\nb.wav"), 1,
+                         id="eval-pair-named-with-newline-lengths-differ"),
         ],
     )
     def test_exit_code_and_one_error_line(self, argv, code, tmp_path, capsys):
@@ -527,6 +577,13 @@ class TestMalformedInputs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not (tmp_path / "o").exists()  # a refused run writes nothing
+
+    def test_error_line_escapes_every_line_break_of_splitlines(self):
+        breaks = {chr(c) for c in range(sys.maxunicode + 1)
+                  if len(f"a{chr(c)}b".splitlines()) > 1}
+        assert set(map(chr, cli._ESCAPES)) == breaks
+        for c in breaks:
+            assert len(f"a{c}b".translate(cli._ESCAPES).splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["sample", "distill"])
     @pytest.mark.parametrize(

@@ -13,6 +13,10 @@ still parses cannot run long or start many threads.  The huge integers are
 TiB-scale or larger, which numpy refuses at once, or values that a guard
 rejects before it allocates, such as a WAV chunk size past the end of its
 file.
+
+The other direction of the reader oracles runs seeded WAV files that
+scipy.io.wavfile.read refuses, and embedding CSVs with a cell np.loadtxt
+refuses, through the same contract: none of them may exit 0.
 """
 
 import json
@@ -20,8 +24,13 @@ import struct
 import warnings
 
 import numpy as np
+import pytest
+from scipy.io import wavfile
 
 from flowfx import cli, dsp, metrics, net
+
+from test_dsp import _WAV_FORMATS, _chunk, _extra_chunks, _random_fmt, _random_samples, _wave
+from test_metrics import _random_embedding_csv
 
 SEED = 1907
 CASES_PER_SOURCE = 30
@@ -245,4 +254,90 @@ def test_seeded_malformed_inputs_keep_the_exit_contract(tmp_path, capsys, monkey
             failures.append(f"{label}: exit {code} printed {err}")
         elif code and out.exists():
             failures.append(f"{label}: exit {code} left {out}")
+    assert not failures, "\n".join(failures)
+
+
+# format tags neither reader takes: unknown, ADPCM, IMA ADPCM, A-law, mu-law, MP3
+BAD_WAV_TAGS = [0, 2, 0x11, 6, 7, 0x55]
+# cells np.loadtxt refuses; Python's float reads the last two as 1.5 and 1.0
+BAD_CELLS = ["", "abc", "1.5.2", "0x10", "1e", "--1", "1 2", "1d5", ".", "1_0", "nan(",
+             "1j", '"1"', "\u0661.\u0665", "\uff11"]
+
+
+WAV_REFUSALS = ["format tag", "short fmt", "no data"]
+
+
+def _refused_wav(rng, kind):
+    """A seeded WAV that scipy.io.wavfile.read refuses, by ``kind``: a
+    format tag it does not know, a fmt chunk shorter than 16 bytes, or no
+    data chunk."""
+    tag, dtype = _WAV_FORMATS[rng.integers(len(_WAV_FORMATS))]
+    channels, frames = int(rng.integers(1, 5)), int(rng.integers(1, 41))
+    fmt = _random_fmt(rng, tag, dtype, channels, int(rng.choice([8000, 44100, 48000])))
+    data = _chunk(b"data", _random_samples(rng, dtype, frames, channels).tobytes())
+    if kind == "format tag":
+        fmt = fmt[:8] + struct.pack("<H", BAD_WAV_TAGS[rng.integers(len(BAD_WAV_TAGS))]) + fmt[10:]
+    elif kind == "short fmt":
+        fmt = _chunk(b"fmt ", fmt[8 : 8 + rng.integers(16)])
+    else:
+        data = b""
+    return _wave(*_extra_chunks(rng), fmt, *_extra_chunks(rng), data)
+
+
+def _refused_csv(rng, cell):
+    """A seeded embedding CSV, (dim, its bytes), with one data cell set to
+    ``cell``, which np.loadtxt refuses."""
+    data, dim = _random_embedding_csv(rng)
+    lines = data.decode().splitlines(keepends=True)
+    k = int(rng.integers(1, len(lines)))
+    body = lines[k].rstrip("\r\n")
+    cells = body.split(",")
+    cells[rng.integers(1, dim + 1)] = cell
+    lines[k] = ",".join(cells) + lines[k][len(body):]
+    return dim, "".join(lines).encode()
+
+
+def test_inputs_the_oracles_refuse_do_not_exit_0(tmp_path, capsys):
+    """The other direction of the reader oracles: 20 seeded WAV files that
+    scipy.io.wavfile.read refuses go through ``codec``, and 20 seeded
+    embedding CSVs with a cell that np.loadtxt refuses go through ``eval``.
+    Each must exit non-zero with one ``error:`` line and leave ``--out``
+    absent.  No refused input is accepted: the one case that was, a cell of
+    non-ASCII digits that Python's float reads, is now refused too."""
+    rng = np.random.default_rng(SEED + 1)
+    runs = []
+    for i in range(20):
+        kind = WAV_REFUSALS[i % len(WAV_REFUSALS)]
+        raw = _refused_wav(rng, kind)
+        wav = tmp_path / f"{i}.wav"
+        wav.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy's unknown-chunk warnings
+            # a file that ends after its last chunk without a data chunk
+            # ends scipy's chunk loop with its result unbound
+            with pytest.raises((ValueError, UnboundLocalError)):
+                wavfile.read(wav)
+        runs.append((f"wav {i} {kind}", ["codec", str(wav)]))
+    # the CSV is the real side's only embedding file and a WAV pair gives eval
+    # its report, so the run exits 0 exactly when the CSV is read
+    dsp.write_wav(tmp_path / "clip.wav", dsp.synth_signal(0, 0.02))
+    clip = (tmp_path / "clip.wav").read_bytes()
+    for i in range(20):
+        dim, raw = _refused_csv(rng, BAD_CELLS[i % len(BAD_CELLS)])
+        real, fake = tmp_path / f"real{i}", tmp_path / f"fake{i}"
+        real.mkdir(), fake.mkdir()
+        (real / "a.csv").write_bytes(raw)
+        (real / "a.wav").write_bytes(clip), (fake / "a.wav").write_bytes(clip)
+        with pytest.raises(ValueError):
+            np.loadtxt(real / "a.csv", delimiter=",", skiprows=1, usecols=range(1, dim + 1),
+                       ndmin=2)
+        runs.append((f"csv {i} {raw!r}", ["eval", "--real", str(real), "--fake", str(fake),
+                                         "--workers", "1"]))
+    failures = []
+    for n, (label, argv) in enumerate(runs):
+        out = tmp_path / f"out{n}"
+        code = cli.main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        if code == 0 or len(err) != 1 or not err[0].startswith("error: ") or out.exists():
+            failures.append(f"{label}: exit {code}, stderr {err}")
     assert not failures, "\n".join(failures)

@@ -400,6 +400,33 @@ class TestRecallAtK:
             recall_at_k(np.ones((3, 4)), 1)
 
 
+def _random_cell(rng, value):
+    """value as text in one of the forms a CSV writer may use."""
+    forms = [repr, "%.17g".__mod__, "%.16e".__mod__, "%.20E".__mod__, "%+.17g".__mod__,
+             "%e".__mod__]
+    return forms[rng.integers(len(forms))](value)
+
+
+_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                   1.7976931348623157e308, -1e300]
+
+
+def _random_embedding_csv(rng):
+    """One seeded embedding CSV, (its bytes, dim): 1-11 rows of 1-5 finite
+    values from 1e-320 to 1e300, a quarter of them signed zeros, subnormals
+    or extremes, each in a random writer's form, with LF or CRLF line ends
+    and with or without a final line end."""
+    n, dim = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+    rows = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-320, 300, (n, dim))
+    cells = rng.random((n, dim)) < 0.25
+    rows[cells] = rng.choice(_SPECIAL_VALUES, int(cells.sum()))
+    eol = "\r\n" if rng.random() < 0.5 else "\n"
+    lines = ["id," + ",".join(f"dim{j}" for j in range(dim))]
+    lines += [f"row{k}," + ",".join(_random_cell(rng, v) for v in row)
+              for k, row in enumerate(rows.tolist())]
+    return (eol.join(lines) + eol * int(rng.integers(2))).encode(), dim
+
+
 class TestCsv:
     def test_embedding_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -454,13 +481,6 @@ class TestCsv:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
         assert path.read_bytes() == want.getvalue().encode()
 
-    @staticmethod
-    def _random_cell(rng, value):
-        """value as text in one of the forms a CSV writer may use."""
-        forms = [repr, "%.17g".__mod__, "%.16e".__mod__, "%.20E".__mod__, "%+.17g".__mod__,
-                 "%e".__mod__]
-        return forms[rng.integers(len(forms))](value)
-
     def test_reader_matches_loadtxt_on_seeded_files(self, tmp_path):
         """Seeded files against np.loadtxt, bit for bit: cells written as
         repr, %.17g, exponent forms (some with more digits than a double
@@ -473,19 +493,10 @@ class TestCsv:
         (checked at the end); it refuses digit-group underscores (see
         test_underscore_in_number_reports_offset)."""
         rng = np.random.default_rng(92)
-        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
-                   1.7976931348623157e308, -1e300]
         for i in range(60):
-            n, dim = int(rng.integers(1, 12)), int(rng.integers(1, 6))
-            rows = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-320, 300, (n, dim))
-            cells = rng.random((n, dim)) < 0.25
-            rows[cells] = rng.choice(special, int(cells.sum()))
-            eol = "\r\n" if rng.random() < 0.5 else "\n"
-            lines = ["id," + ",".join(f"dim{j}" for j in range(dim))]
-            lines += [f"row{k}," + ",".join(self._random_cell(rng, v) for v in row)
-                      for k, row in enumerate(rows.tolist())]
+            data, dim = _random_embedding_csv(rng)
             path = tmp_path / f"{i}.csv"
-            path.write_bytes((eol.join(lines) + eol * int(rng.integers(2))).encode())
+            path.write_bytes(data)
             got = read_embedding_csv(path).rows
             want = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(1, dim + 1),
                               ndmin=2)
@@ -513,6 +524,15 @@ class TestCsv:
         # Python's float reads "1_0" as 10.0
         path = tmp_path / "bad.csv"
         path.write_text("id,dim0\nrow0,1.5\nrow1,1_0\n")
+        with pytest.raises(FileFormatError, match="bad number") as exc:
+            read_embedding_csv(path)
+        assert exc.value.offset == len("id,dim0\nrow0,1.5\n")
+
+    @pytest.mark.parametrize("cell", ["\uff11", "\u0661.\u0665"])
+    def test_non_ascii_digits_report_offset(self, cell, tmp_path):
+        # Python's float reads "１" as 1.0 and "١.٥" as 1.5; np.loadtxt refuses both
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,dim0\nrow0,1.5\nrow1,{cell}\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match="bad number") as exc:
             read_embedding_csv(path)
         assert exc.value.offset == len("id,dim0\nrow0,1.5\n")

@@ -47,15 +47,15 @@ def test_zero_parameters_zero_output():
     model = small_model()
     for k in model.params:
         model.params[k][:] = 0.0
-    u = forward(model, np.ones(3), 0.5, 0.25, cond=1)
-    assert np.array_equal(u, np.zeros(3))
+    u = forward(model, np.ones((1, 3)), 0.5, 0.25, cond=1)
+    assert np.array_equal(u, np.zeros((1, 3)))
 
 
 def test_forward_deterministic_and_seeded():
-    a = forward(small_model(7), np.ones(3), 0.3, 0.1, cond=0)
-    b = forward(small_model(7), np.ones(3), 0.3, 0.1, cond=0)
+    a = forward(small_model(7), np.ones((1, 3)), 0.3, 0.1, cond=0)
+    b = forward(small_model(7), np.ones((1, 3)), 0.3, 0.1, cond=0)
     assert np.array_equal(a, b)
-    c = forward(small_model(8), np.ones(3), 0.3, 0.1, cond=0)
+    c = forward(small_model(8), np.ones((1, 3)), 0.3, 0.1, cond=0)
     assert not np.array_equal(a, c)
 
 
@@ -67,25 +67,25 @@ def test_forward_batch_matches_single():
     cond = np.array([0, 1, 2, 2])
     batch = forward(model, xs, t, r, cond)
     for i in range(4):
-        one = forward(model, xs[i], t[i], r[i], cond=int(cond[i]))
-        assert np.allclose(batch[i], one, rtol=1e-13, atol=1e-15)
+        one = forward(model, xs[i : i + 1], t[i], r[i], cond=int(cond[i]))
+        assert np.allclose(batch[i], one[0], rtol=1e-13, atol=1e-15)
 
 
 def test_forward_shape_validation():
     model = small_model()
     with pytest.raises(DomainError):
-        forward(model, np.ones(4), 0.5, 0.5)
+        forward(model, np.ones((1, 4)), 0.5, 0.5)
     with pytest.raises(DomainError):
         forward(model, np.ones((2, 3)), np.zeros(3), 0.5)
     with pytest.raises(DomainError):
-        forward(model, np.ones(3), 0.5, 0.5, cond=5)
+        forward(model, np.ones((1, 3)), 0.5, 0.5, cond=5)
     with pytest.raises(DomainError):
-        forward(model, np.ones(3), 0.5, 0.5, cond=-1)
+        forward(model, np.ones((1, 3)), 0.5, 0.5, cond=-1)
 
 
 def test_null_cond_is_default():
     model = small_model(2)
-    x = np.ones(3)
+    x = np.ones((1, 3))
     assert np.array_equal(
         forward(model, x, 0.5, 0.5),
         forward(model, x, 0.5, 0.5, cond=SMALL.null_cond),
@@ -127,23 +127,23 @@ def test_backward_matches_finite_differences():
 def test_backward_grad_x_matches_finite_differences():
     rng = np.random.default_rng(6)
     model = small_model(6)
-    x = rng.standard_normal(3)
-    upstream = rng.standard_normal(3)
+    x = rng.standard_normal((1, 3))
+    upstream = rng.standard_normal((1, 3))
     _, grad_x = backward(model, x, 0.6, 0.2, 1, upstream)
     h = 1e-5
     for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
+        e = np.zeros((1, 3))
+        e[0, j] = h
         fd = (
             _loss(model, x + e, 0.6, 0.2, 1, upstream)
             - _loss(model, x - e, 0.6, 0.2, 1, upstream)
         ) / (2 * h)
-        assert abs(grad_x[j] - fd) <= 1e-4 * max(abs(fd), 1e-2)
+        assert abs(grad_x[0, j] - fd) <= 1e-4 * max(abs(fd), 1e-2)
 
 
 def test_backward_zero_upstream():
     model = small_model(1)
-    grads, grad_x = backward(model, np.ones(3), 0.5, 0.5, None, np.zeros(3))
+    grads, grad_x = backward(model, np.ones((1, 3)), 0.5, 0.5, None, np.zeros((1, 3)))
     for g in grads.values():
         assert not np.any(g)
     assert not np.any(grad_x)
@@ -152,12 +152,12 @@ def test_backward_zero_upstream():
 def test_backward_linear_weight_gradient_closed_form():
     # the readout is linear in its features h: d<W h + b, up>/dW = up h^T
     model = small_model(2)
-    x = np.array([1.5, -2.0, 0.5])
-    up = np.array([0.5, 3.0, -1.0])
+    x = np.array([[1.5, -2.0, 0.5]])
+    up = np.array([[0.5, 3.0, -1.0]])
     h, _ = net.hidden_forward(model, x, 0.3, 0.1, 1, want_tape=False)
     grads, _ = backward(model, x, 0.3, 0.1, 1, up)
     assert np.array_equal(grads["w_out"], np.outer(up, h))
-    assert np.array_equal(grads["b_out"], up)
+    assert np.array_equal(grads["b_out"], up[0])
 
 
 def test_jvp_value_bit_identical_to_forward():
@@ -173,8 +173,8 @@ def test_jvp_value_bit_identical_to_forward():
 
 def test_jvp_zero_tangent():
     model = small_model(4)
-    _, d = jvp(model, np.ones(3), 0.4, 0.2, 0, (np.zeros(3), 0.0, 0.0))
-    assert np.array_equal(d, np.zeros(3))
+    _, d = jvp(model, np.ones((1, 3)), 0.4, 0.2, 0, (np.zeros((1, 3)), 0.0, 0.0))
+    assert np.array_equal(d, np.zeros((1, 3)))
 
 
 def test_jvp_matches_finite_differences():
@@ -186,8 +186,8 @@ def test_jvp_matches_finite_differences():
     )
     rng = np.random.default_rng(12)
     model = init_model(cfg, rng)
-    x = rng.standard_normal(3)
-    dx = rng.standard_normal(3)
+    x = rng.standard_normal((1, 3))
+    dx = rng.standard_normal((1, 3))
     t, r = 0.5, 0.2
     _, d = jvp(model, x, t, r, 1, (dx, 1.0, 0.0))
     h = 1e-5
@@ -200,9 +200,9 @@ def test_jvp_matches_finite_differences():
 def test_jvp_linearity():
     rng = np.random.default_rng(13)
     model = small_model(13)
-    x = rng.standard_normal(3)
-    u1 = (rng.standard_normal(3), 0.7, -0.2)
-    u2 = (rng.standard_normal(3), -0.3, 0.9)
+    x = rng.standard_normal((1, 3))
+    u1 = (rng.standard_normal((1, 3)), 0.7, -0.2)
+    u2 = (rng.standard_normal((1, 3)), -0.3, 0.9)
     a, b = 1.7, -2.5
     _, d1 = jvp(model, x, 0.6, 0.3, 0, u1)
     _, d2 = jvp(model, x, 0.6, 0.3, 0, u2)
@@ -216,14 +216,14 @@ def test_backward_jvp_adjoint_consistency():
     # derivative for tangent (dx, 0, 0)
     rng = np.random.default_rng(14)
     model = small_model(14)
-    x = rng.standard_normal(3)
-    dx = rng.standard_normal(3)
+    x = rng.standard_normal((1, 3))
+    dx = rng.standard_normal((1, 3))
     _, d = jvp(model, x, 0.3, 0.1, 2, (dx, 0.0, 0.0))
     for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
+        e = np.zeros((1, 3))
+        e[0, i] = 1.0
         _, grad_x = backward(model, x, 0.3, 0.1, 2, e)
-        assert abs(float(grad_x @ dx) - d[i]) <= 1e-9
+        assert abs(float(grad_x[0] @ dx[0]) - d[0, i]) <= 1e-9
 
 
 def test_logistic_within_4_ulp_of_expit():
@@ -416,6 +416,19 @@ def test_model_needs_a_hidden_layer():
         ModelConfig(hidden=())
 
 
+@pytest.mark.parametrize("kwargs, why", [
+    pytest.param({"hidden": "64"}, "hidden must be a list of integers", id="hidden-string"),
+    pytest.param({"hidden": (64.9, 2.5)}, "hidden must be a list of integers",
+                 id="hidden-floats"),
+    pytest.param({"dim": 2.0}, "dim must be an integer", id="dim-float"),
+    pytest.param({"n_cond": True}, "n_cond must be an integer", id="n-cond-bool"),
+])
+def test_model_config_refuses_sizes_that_are_not_integers(kwargs, why):
+    # refused, not coerced: int("6"), int("4") once read "64" as (6, 4)
+    with pytest.raises(DomainError, match=why):
+        ModelConfig(**kwargs)
+
+
 def test_frequencies_cached_and_read_only():
     freqs = SMALL.frequencies()
     assert freqs is ModelConfig(dim=1, n_freqs=4).frequencies()
@@ -460,8 +473,8 @@ def test_field_run_refuses_a_tangent_or_x_of_another_shape():
     field = net.Field(model, 1, 4)
     u, du, tape = field.run(x, 0.5, 0.25, want_tape=True, tangent=(dx, 1.0, 0.0))
     assert u.shape == du.shape == (4, 3) and tape is not None
-    for bad_dx, why in [(dx[:3], "tangent dx shape"), (dx[0], "tangent dx shape"),
-                        (dx[:, :2], "does not match dim")]:
+    for bad_dx, why in [(dx[:3], "tangent dx shape"), (dx[0], r"does not match \(rows, 3\)"),
+                        (dx[:, :2], r"does not match \(rows, 3\)")]:
         with pytest.raises(DomainError, match=why):
             field.run(x, 0.5, 0.25, want_tape=True, tangent=(bad_dx, 1.0, 0.0))
     with pytest.raises(DomainError, match="does not match the field's"):

@@ -233,7 +233,8 @@ def _forward_oracle(model):
 @pytest.mark.parametrize("kind", ["euler", "dopri5"])
 def test_bound_model_matches_forward_callable(kind, cfg_scale, cond, rows):
     # a model is bound once per request (net.Field); every step must give
-    # the bits of the same request through net.forward
+    # the bits of the same request through net.forward, and a single (dim,)
+    # sample is refused on both paths
     model = small_model(80)
     shape = (2,) if rows == "1-D" else (rows, 2)
     x1 = np.random.default_rng(81).standard_normal(shape)
@@ -241,6 +242,11 @@ def test_bound_model_matches_forward_callable(kind, cfg_scale, cond, rows):
     ids = {None: None, "scalar": 1, "cycling": np.arange(n) % model.config.n_cond}[cond]
     sample = euler_sample if kind == "euler" else dopri5_sample
     config = SolverConfig(kind=kind, steps=4, cfg_scale=cfg_scale)
+    if rows == "1-D":
+        for field in (model, _forward_oracle(model)):
+            with pytest.raises(DomainError, match="does not match"):
+                sample(field, x1, cond=ids, config=config)
+        return
     bound = sample(model, x1, cond=ids, config=config)
     oracle = sample(_forward_oracle(model), x1, cond=ids, config=config)
     assert bound.final.shape == x1.shape
@@ -256,7 +262,6 @@ def test_field_refuses_x_with_another_row_count():
     for x in (np.ones((4, 2)), np.ones((1, 2)), np.ones(2), np.ones((3, 3))):
         with pytest.raises(DomainError, match="does not match"):
             field(x, 0.5, 0.25)
-    assert net.Field(model, None, 1, net.Workspace())(np.ones(2), 0.5, 0.5).shape == (2,)
 
 
 def _two_threads(monkeypatch):
