@@ -86,12 +86,15 @@ def _parse_seed(text):
 
 # Tunables: key -> (caster, default, help), the same for flag and config file.
 # COMMON holds the keys every command takes.  Path arguments are command
-# inputs (see COMMANDS) and never come from the config file.
+# inputs (see COMMANDS) and never come from the config file.  A key that a
+# library config holds takes that config's default.
 COMMON = {"seed": (_parse_seed, 0, "global seed")}
+_STFT, _SOLVER = dsp.StftConfig, solvers.SolverConfig
+_DISTILL, _GUIDE = distill.DistillConfig, flow.CfgSpec
 SCHEMAS = {
     "codec": {
-        "n_fft": (_parse_int, 960, "STFT frame size"),
-        "hop": (_parse_int, 480, "STFT hop size"),
+        "n_fft": (_parse_int, _STFT.n_fft, "STFT frame size"),
+        "hop": (_parse_int, _STFT.hop, "STFT hop size"),
     },
     "train-fm": {
         "steps": (_parse_int, 4000, "optimizer steps"),
@@ -103,24 +106,26 @@ SCHEMAS = {
     "distill": {
         "steps": (_parse_int, 800, "distillation steps"),
         "batch_size": (_parse_int, 256, "samples per step"),
-        "lr": (float, 1e-3, "peak Adam learning rate for student and discriminator, reached "
-               f"after a {distill.LR_WARMUP}-step linear warmup"),
-        "warmup_steps": (_parse_int, 500, "steps before the adversarial term activates"),
-        "adv_weight": (float, 0.5, "adversarial loss weight"),
+        "lr": (float, _DISTILL.lr, "peak Adam learning rate for student and discriminator, "
+               f"reached after a {distill.LR_WARMUP}-step linear warmup"),
+        "warmup_steps": (_parse_int, _DISTILL.warmup_steps,
+                         "steps before the adversarial term activates"),
+        "adv_weight": (float, _DISTILL.adv_weight, "adversarial loss weight"),
         "guidance": (_parse_bool, False, "distill the guided field"),
-        "cfg_lo": (float, 1.0, "low end of the guidance scale range"),
-        "cfg_hi": (float, 9.0, "high end of the guidance scale range"),
-        "drop_prob": (float, 0.1, "condition dropout probability under guidance"),
+        "cfg_lo": (float, _GUIDE.scale_range[0], "low end of the guidance scale range"),
+        "cfg_hi": (float, _GUIDE.scale_range[1], "high end of the guidance scale range"),
+        "drop_prob": (float, _GUIDE.drop_prob, "condition dropout probability under guidance"),
     },
     "sample": {
-        "solver": (str, "euler", "euler or dopri5"),
-        "steps": (_parse_int, 4, "step count (euler only)"),
+        "solver": (str, _SOLVER.kind, "euler or dopri5"),
+        "steps": (_parse_int, _SOLVER.steps, "step count (euler only)"),
         "n": (_parse_int, 256, "number of samples"),
-        "rtol": (float, 1e-3, "relative tolerance (dopri5 only)"),
-        "atol": (float, 1e-3, "absolute tolerance (dopri5 only)"),
-        "cfg_scale": (float, 1.0, "guidance scale at sampling time (both solvers)"),
-        "cfg_mode": (str, "standard", "guidance mode, standard or paper_literal (both solvers)"),
-        "max_nfe": (_parse_int, 10000, "model-evaluation budget (both solvers)"),
+        "rtol": (float, _SOLVER.rtol, "relative tolerance (dopri5 only)"),
+        "atol": (float, _SOLVER.atol, "absolute tolerance (dopri5 only)"),
+        "cfg_scale": (float, _SOLVER.cfg_scale, "guidance scale at sampling time (both solvers)"),
+        "cfg_mode": (str, _SOLVER.cfg_mode,
+                     "guidance mode, standard or paper_literal (both solvers)"),
+        "max_nfe": (_parse_int, _SOLVER.max_nfe, "model-evaluation budget (both solvers)"),
         "cond": (_parse_int, -1, "class id, or -1 to cycle over classes"),
     },
     "eval": {

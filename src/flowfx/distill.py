@@ -41,49 +41,43 @@ LR_WARMUP = 1000
 
 @dataclass(frozen=True)
 class DistillConfig:
-    warmup_steps: int = 5000
+    """The distill command's settings; the loop's net.OptimizerState checks lr."""
+
+    warmup_steps: int = 500
     adv_weight: float = 0.5
-    lr: float = 5e-6
+    lr: float = 1e-3
 
     def __post_init__(self):
         if self.warmup_steps < 0:
             raise DomainError("warmup_steps must be >= 0")
         if not (math.isfinite(self.adv_weight) and self.adv_weight >= 0.0):
             raise DomainError(f"adv_weight must be finite and >= 0, got {self.adv_weight}")
-        if self.lr <= 0.0:
-            raise DomainError("lr must be positive")
 
 
 @dataclass
 class Discriminator:
-    """Frozen feature trunk (a copy of the teacher) plus trainable dense
-    heads, each mapping trunk features to one scalar score per sample.
+    """Frozen feature trunk (a copy of the teacher) plus DISC_HEADS
+    trainable dense heads, each mapping trunk features to one scalar score
+    per sample.
 
-    ``params`` stacks the heads: ``w1`` (n_heads*head_hidden, F) and ``b1``
-    form one SiLU layer whose rows come in per-head blocks, and ``w2``
-    (n_heads, head_hidden) and ``b2`` (n_heads,) are the per-head readouts.
-    Only ``params`` train; the trunk never updates.
+    ``params`` stacks the heads: ``w1`` (DISC_HEADS*HEAD_HIDDEN, F) and
+    ``b1`` form one SiLU layer whose rows come in per-head blocks, and
+    ``w2`` (DISC_HEADS, HEAD_HIDDEN) and ``b2`` (DISC_HEADS,) are the
+    per-head readouts.  Only ``params`` train; the trunk never updates.
     """
 
     trunk: net.VelocityModel
     params: dict
 
 
-def init_discriminator(
-    teacher: net.VelocityModel,
-    rng: np.random.Generator,
-    n_heads: int = DISC_HEADS,
-    head_hidden: int = HEAD_HIDDEN,
-) -> Discriminator:
-    if n_heads < 1 or head_hidden < 1:
-        raise DomainError("need at least one head and one hidden unit")
+def init_discriminator(teacher: net.VelocityModel, rng: np.random.Generator) -> Discriminator:
     feat_dim = teacher.config.hidden[-1]
     w1, w2 = [], []
-    for _ in range(n_heads):  # head by head, so a seed gives the same numbers
-        w1.append(rng.normal(0.0, (2.0 / feat_dim) ** 0.5, (head_hidden, feat_dim)))
-        w2.append(rng.normal(0.0, head_hidden**-0.5, head_hidden))
-    p = {"w1": np.concatenate(w1), "b1": np.zeros(n_heads * head_hidden),
-         "w2": np.stack(w2), "b2": np.zeros(n_heads)}
+    for _ in range(DISC_HEADS):  # head by head, so a seed gives the same numbers
+        w1.append(rng.normal(0.0, (2.0 / feat_dim) ** 0.5, (HEAD_HIDDEN, feat_dim)))
+        w2.append(rng.normal(0.0, HEAD_HIDDEN**-0.5, HEAD_HIDDEN))
+    p = {"w1": np.concatenate(w1), "b1": np.zeros(DISC_HEADS * HEAD_HIDDEN),
+         "w2": np.stack(w2), "b2": np.zeros(DISC_HEADS)}
     return Discriminator(teacher.clone(), p)
 
 
@@ -124,7 +118,7 @@ def disc_scores(disc: Discriminator, x: np.ndarray, r: np.ndarray, want_tape=Tru
     "heads" part; without ``ws`` a fresh workspace stands in for "disc".
     """
     ws = net.Workspace() if ws is None else ws.part("disc")
-    feats, handle = net.hidden_forward(disc.trunk, x, r, r, None, want_tape, ws)
+    feats, handle = net.hidden_forward(disc.trunk, x, r, r, want_tape, ws)
     return _head_scores(disc, feats, handle, ws.part("heads"))
 
 

@@ -395,6 +395,14 @@ def _log_spectrogram(frames: np.ndarray, config: StftConfig, weights):
     return run
 
 
+def check_pair(a: AudioBuffer, b: AudioBuffer) -> None:
+    """Refuse a pair recorded at two sample rates, then one of two lengths."""
+    if a.sample_rate != b.sample_rate:
+        raise DomainError("sample rates differ")
+    if len(a.samples) != len(b.samples):
+        raise DomainError(f"lengths differ: {len(a.samples)} vs {len(b.samples)} samples")
+
+
 def spectral_l1(
     a: AudioBuffer, b: AudioBuffer, config: StftConfig, n_mels: int | None = None
 ) -> float:
@@ -405,10 +413,7 @@ def spectral_l1(
     When a side windows at least SPECTRAL_PARALLEL_MIN_SAMPLES samples
     (frames x n_fft), the two sides run through ``host.pair``.
     """
-    if a.sample_rate != b.sample_rate:
-        raise DomainError("sample rates differ")
-    if len(a.samples) != len(b.samples):
-        raise DomainError(f"lengths differ: {len(a.samples)} vs {len(b.samples)} samples")
+    check_pair(a, b)
     frames_a, frames_b = (_frames(x.samples, config) for x in (a, b))
     weights = None if n_mels is None else mel_filterbank(n_mels, config, a.sample_rate).weights
     side_a, side_b = (_log_spectrogram(f, config, weights) for f in (frames_a, frames_b))

@@ -101,13 +101,12 @@ def cfg_combine(
     vu = np.asarray(v_uncond, dtype=np.float64)
     if vc.shape != vu.shape:
         raise DomainError("velocity shapes differ")
-    if np.ndim(scale) == 0 and scale == cfg_neutral_scale(mode):
+    neutral = cfg_neutral_scale(mode)  # an unknown mode raises here
+    if np.ndim(scale) == 0 and scale == neutral:
         return vc.copy()  # exact: the neutral scale must not perturb v_cond
     if mode == "standard":
         return vu + scale * (vc - vu)
-    if mode == "paper_literal":
-        return (1.0 - scale) * vc + scale * vu
-    raise DomainError(f"unknown guidance mode {mode!r}")
+    return (1.0 - scale) * vc + scale * vu
 
 
 def cfg_neutral_scale(mode: str = "standard") -> float:

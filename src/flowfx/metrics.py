@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import AudioBuffer, StftConfig, spectral_l1
+from .dsp import AudioBuffer, StftConfig, check_pair, spectral_l1
 from .errors import DomainError, FileFormatError
 from .fileio import write_atomic
 
@@ -44,10 +44,9 @@ def si_sdr(reference: AudioBuffer, estimate: AudioBuffer) -> float:
     identically.  A side whose squares sum to 0 (silence, or samples whose
     squares underflow) scores the floor, -SDR_CAP_DB, even on a silent pair.
     """
+    check_pair(reference, estimate)
     s = reference.samples
     s_hat = estimate.samples
-    if len(s) != len(s_hat):
-        raise DomainError(f"lengths differ: {len(s)} vs {len(s_hat)} samples")
     # numpy's own reductions, not BLAS dots, whose sums depend on the thread count
     denom = float(np.sum(s * s))
     if denom == 0.0:
@@ -86,7 +85,8 @@ def frechet_from_stats(mu1, cov1, mu2, cov2) -> float:
     """Gaussian Frechet distance ||mu1-mu2||^2 + Tr(C1 + C2 - 2 (C1 C2)^1/2).
 
     The matrix square root uses the symmetric form sqrt(S1 C2 S1) with
-    S1 = C1^1/2, which keeps everything in eigh territory.
+    S1 = C1^1/2, which keeps everything in eigh territory; an eigh that does
+    not converge is a DomainError naming the metric.
     """
     mu1 = np.asarray(mu1, dtype=np.float64)
     mu2 = np.asarray(mu2, dtype=np.float64)
@@ -94,10 +94,13 @@ def frechet_from_stats(mu1, cov1, mu2, cov2) -> float:
     cov2 = np.asarray(cov2, dtype=np.float64)
     if mu1.shape != mu2.shape or cov1.shape != cov2.shape:
         raise DomainError("statistic shapes differ")
-    s1 = _psd_sqrt(cov1)
-    inner = s1 @ cov2 @ s1
-    inner = (inner + inner.T) / 2.0
-    vals = np.linalg.eigh(inner)[0]
+    try:
+        s1 = _psd_sqrt(cov1)
+        inner = s1 @ cov2 @ s1
+        inner = (inner + inner.T) / 2.0
+        vals = np.linalg.eigh(inner)[0]
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"frechet: {exc}") from exc
     vals = np.maximum(vals, 0.0)
     diff = mu1 - mu2
     dist = float(diff @ diff + np.trace(cov1) + np.trace(cov2) - 2.0 * np.sum(np.sqrt(vals)))
@@ -153,27 +156,27 @@ def kl_divergence(p_logits, q_logits) -> float:
     return float(np.mean(terms.sum(axis=1)))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm; a zero row has no direction and is refused."""
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0.0):
+        raise DomainError("zero-norm embedding row has no direction")
+    return norms
+
+
 def clap_score(text_emb: EmbeddingSet, audio_emb: EmbeddingSet) -> float:
     """Mean cosine similarity between matched (same-index) rows."""
     t, a = text_emb.rows, audio_emb.rows
     if t.shape != a.shape:
         raise DomainError("embedding sets must share a shape")
-    tn = np.linalg.norm(t, axis=1)
-    an = np.linalg.norm(a, axis=1)
-    if np.any(tn == 0.0) or np.any(an == 0.0):
-        raise DomainError("zero-norm embedding row has no direction")
-    return float(np.mean(np.sum(t * a, axis=1) / (tn * an)))
+    return float(np.mean(np.sum(t * a, axis=1) / (_row_norms(t) * _row_norms(a))))
 
 
 def cosine_similarity_matrix(text_emb: EmbeddingSet, audio_emb: EmbeddingSet) -> np.ndarray:
     t, a = text_emb.rows, audio_emb.rows
     if t.shape[1] != a.shape[1]:
         raise DomainError("embedding dimensions differ")
-    tn = np.linalg.norm(t, axis=1, keepdims=True)
-    an = np.linalg.norm(a, axis=1, keepdims=True)
-    if np.any(tn == 0.0) or np.any(an == 0.0):
-        raise DomainError("zero-norm embedding row has no direction")
-    return (t / tn) @ (a / an).T
+    return (t / _row_norms(t)[:, None]) @ (a / _row_norms(a)[:, None]).T
 
 
 def recall_at_k(sim: np.ndarray, k: int):
@@ -289,7 +292,10 @@ def read_embedding_csv(path) -> EmbeddingSet:
 
 
 def write_report_csv(path, entries) -> None:
-    """Write `metric,value,n_items` rows."""
-    rows = ((metric, float(value), int(n_items)) for metric, value, n_items in entries)
+    """Write `metric,value,n_items` rows; a non-finite value is refused."""
+    rows = [(metric, float(value), int(n_items)) for metric, value, n_items in entries]
+    for metric, value, _ in rows:
+        if not np.isfinite(value):
+            raise DomainError(f"{metric} is not finite: {value!r}")
     write_csv(path, ["metric", "value", "n_items"], rows)
 

@@ -429,6 +429,7 @@ def forward(model: VelocityModel, x, t, r, cond=None, ws=None) -> np.ndarray:
     or per-sample vectors; cond is None (unconditional), a scalar id, or a
     per-sample id vector.  The pass's arrays go into the Workspace ``ws``, a
     fresh one when None; u is new either way."""
+    x = _as_batch(x, model.config.dim)
     return Field(model, cond, len(x), ws)(x, t, r)
 
 
@@ -485,11 +486,12 @@ def _tape_backward(model, tape, upstream) -> dict:
     return grads
 
 
-def hidden_forward(model: VelocityModel, x, t, r, cond=None, want_tape=True, ws=None):
-    """Penultimate hidden activations (the features feeding the output
-    layer) plus a replay handle for hidden_input_gradient (None unless
-    ``want_tape``).  Both live in the Workspace ``ws`` (see Field)."""
-    h, _, tape = Field(model, cond, len(x), ws).run(x, t, r, want_tape, readout=False)
+def hidden_forward(model: VelocityModel, x, t, r, want_tape=True, ws=None):
+    """Penultimate hidden activations of the unconditional pass (the features
+    feeding the output layer) plus a replay handle for hidden_input_gradient
+    (None unless ``want_tape``).  Both live in the Workspace ``ws`` (see Field)."""
+    x = _as_batch(x, model.config.dim)
+    h, _, tape = Field(model, None, len(x), ws).run(x, t, r, want_tape, readout=False)
     return h, tape
 
 

@@ -370,12 +370,12 @@ def _codec_case(write, *flags):
     return argv
 
 
-def _eval_case(real_csv, *flags):
+def _eval_case(real_csv, *flags, fake_rows=np.eye(2)):
     def argv(tmp_path):
         real, fake = tmp_path / "real", tmp_path / "fake"
         real.mkdir(), fake.mkdir()
         (real / "a.csv").write_text(real_csv)
-        metrics.write_embedding_csv(fake / "a.csv", metrics.EmbeddingSet(np.eye(2)))
+        metrics.write_embedding_csv(fake / "a.csv", metrics.EmbeddingSet(fake_rows))
         return ["eval", "--real", str(real), "--fake", str(fake), *flags,
                 "--out", str(tmp_path / "o")]
     return argv
@@ -555,6 +555,16 @@ class TestMalformedInputs:
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,inf\n"), 2, id="eval-inf-cell"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0,4.0\n", "--workers", "0"), 1,
                          id="eval-workers-zero"),
+            # finite embeddings whose covariance eigh cannot take, and whose
+            # Frechet distance is not finite: both refused, naming the metric
+            pytest.param(_eval_case("id,dim0,dim1,dim2\n0,1e300,0.5,1\n1,-1e300,0.25,2\n"
+                                    "2,0.0,0.125,3\n", fake_rows=np.eye(3)[:2]), 1,
+                         id="eval-covariance-beyond-eigh"),
+            pytest.param(_eval_case("id,dim0,dim1\n0,-1.321048632913019e+206,0.6404226504432821\n"
+                                    "1,0.0,-5.35669373161111e+264\n2,0.0,0.0\n"
+                                    "3,9.470809631292421e+236,-7.037352358069926e+225\n"
+                                    "4,-1.2654214710460526e+262,-6.232744625373522e+53\n"), 1,
+                         id="eval-frechet-not-finite"),
             # no recall row is written in either case, so only the up-front check refuses k
             pytest.param(_eval_wav_case(_write_tone, "--k", "-5"), 1, id="eval-k-negative-wavs"),
             pytest.param(_eval_case("id,dim0,dim1\n0,1.0,2.0\n1,3.0,4.0\n2,0.5,1.0\n",

@@ -15,6 +15,8 @@ import pytest
 
 from flowfx import distill, flow, net
 from flowfx.distill import (
+    DISC_HEADS,
+    HEAD_HIDDEN,
     DistillConfig,
     Discriminator,
     disc_input_gradient,
@@ -64,21 +66,22 @@ def _two_mode_batch(rng, n):
 class TestDiscriminator:
     def test_init_shapes_and_frozen_trunk_copy(self):
         teacher = _teacher()
-        disc = init_discriminator(teacher, np.random.default_rng(0), 4, 16)
+        disc = init_discriminator(teacher, np.random.default_rng(0))
         shapes = {k: v.shape for k, v in disc.params.items()}
-        assert shapes == {"w1": (64, 16), "b1": (64,), "w2": (4, 16), "b2": (4,)}
+        assert shapes == {"w1": (DISC_HEADS * HEAD_HIDDEN, 16), "b1": (DISC_HEADS * HEAD_HIDDEN,),
+                          "w2": (DISC_HEADS, HEAD_HIDDEN), "b2": (DISC_HEADS,)}
         _assert_bitwise_equal(disc.trunk.params, teacher.params)
         assert disc.trunk.params["w0"] is not teacher.params["w0"]
 
     def test_scores_shape(self):
         teacher = _teacher()
-        disc = init_discriminator(teacher, np.random.default_rng(1), 4, 16)
+        disc = init_discriminator(teacher, np.random.default_rng(1))
         rng = np.random.default_rng(2)
         s, _ = disc_scores(disc, rng.standard_normal((6, 2)), rng.uniform(0.1, 1, 6))
-        assert s.shape == (6, 4)
+        assert s.shape == (6, DISC_HEADS)
 
     def test_untaped_scores_match_taped(self):
-        disc = init_discriminator(_teacher(), np.random.default_rng(10), 4, 16)
+        disc = init_discriminator(_teacher(), np.random.default_rng(10))
         rng = np.random.default_rng(11)
         x, r = rng.standard_normal((7, 2)), rng.uniform(0.0, 1.0, 7)
         scores, cache = disc_scores(disc, x, r)
@@ -90,11 +93,11 @@ class TestDiscriminator:
 
     def test_head_gradients_match_finite_differences(self):
         teacher = _teacher()
-        disc = init_discriminator(teacher, np.random.default_rng(3), 3, 8)
+        disc = init_discriminator(teacher, np.random.default_rng(3))
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 2))
         r = rng.uniform(0.1, 1.0, 5)
-        up = rng.standard_normal((5, 3))
+        up = rng.standard_normal((5, DISC_HEADS))
 
         def value():
             s, _ = disc_scores(disc, x, r)
@@ -119,11 +122,11 @@ class TestDiscriminator:
 
     def test_input_gradient_matches_finite_differences(self):
         teacher = _teacher()
-        disc = init_discriminator(teacher, np.random.default_rng(6), 2, 8)
+        disc = init_discriminator(teacher, np.random.default_rng(6))
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 2))
         r = rng.uniform(0.1, 1.0, 4)
-        up = rng.standard_normal((4, 2))
+        up = rng.standard_normal((4, DISC_HEADS))
         _, cache = disc_scores(disc, x, r)
         gx = disc_input_gradient(disc, cache, up)
         h = 1e-6
@@ -148,17 +151,13 @@ class TestDiscriminator:
         assert np.array_equal(up_true, np.zeros((5, 4)))
         assert np.array_equal(up_fake, np.zeros((5, 4)))
         teacher = _teacher()
-        disc = init_discriminator(teacher, np.random.default_rng(8), 4, 8)
+        disc = init_discriminator(teacher, np.random.default_rng(8))
         rng = np.random.default_rng(9)
         _, cache = disc_scores(disc, rng.standard_normal((5, 2)), rng.uniform(0.1, 1, 5))
         grads = distill._head_param_grads(disc, cache, np.zeros((5, 4)))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
         gx = disc_input_gradient(disc, cache, np.zeros((5, 4)))
         assert np.array_equal(gx, np.zeros_like(gx))
-
-    def test_bad_head_geometry_rejected(self):
-        with pytest.raises(DomainError):
-            init_discriminator(_teacher(), np.random.default_rng(0), 0, 8)
 
 
 def _per_head_reference(disc, x, r, up):
@@ -167,7 +166,7 @@ def _per_head_reference(disc, x, r, up):
     of <scores, up>."""
     p = disc.params
     n_heads, k = p["w2"].shape
-    feats, handle = net.hidden_forward(disc.trunk, x, r, r, None)
+    feats, handle = net.hidden_forward(disc.trunk, x, r, r)
     cols = []
     grads = {"w1": [], "b1": [], "w2": [], "b2": []}
     g_feats = np.zeros_like(feats)
@@ -201,24 +200,24 @@ class TestStackedHeads:
     the sum over heads for the input gradient."""
 
     @pytest.mark.parametrize(
-        "hidden, n_heads, head_hidden, n",
+        "hidden, n",
         [
-            ((16, 16), 3, 8, 5),
-            ((64, 64), 4, 64, 512),  # the distill command's geometry
+            ((16, 16), 5),
+            ((64, 64), 512),  # the distill command's trunk and batch
         ],
     )
-    def test_matches_per_head_loop(self, hidden, n_heads, head_hidden, n):
+    def test_matches_per_head_loop(self, hidden, n):
         teacher = net.init_model(
             net.ModelConfig(dim=2, hidden=hidden, n_cond=2, cond_dim=4,
                             embed_dim=8, n_freqs=4, freq_max=100.0),
             np.random.default_rng(15),
         )
-        disc = init_discriminator(teacher, np.random.default_rng(16), n_heads, head_hidden)
+        disc = init_discriminator(teacher, np.random.default_rng(16))
         rng = np.random.default_rng(17)
         x = rng.standard_normal((n, 2))
         r = rng.uniform(0.0, 1.0, n)
         # sparse upstream, like the hinge loss's
-        up = rng.standard_normal((n, n_heads)) * (rng.uniform(size=(n, n_heads)) < 0.5)
+        up = rng.standard_normal((n, DISC_HEADS)) * (rng.uniform(size=(n, DISC_HEADS)) < 0.5)
         want_scores, want_grads, want_gx = _per_head_reference(disc, x, r, up)
 
         scores, cache = disc_scores(disc, x, r)
@@ -245,7 +244,7 @@ class TestHeadBuffers:
     def test_iterations_match_fresh_clones(self):
         teacher = _teacher(61)
         student = teacher.clone()
-        disc = init_discriminator(teacher, np.random.default_rng(62), 4, 64)
+        disc = init_discriminator(teacher, np.random.default_rng(62))
         state = (disc, student, net.init_optimizer(disc, lr=1e-3),
                  net.init_optimizer(student, lr=1e-3),
                  np.random.default_rng(63), np.random.default_rng(64))
@@ -262,10 +261,10 @@ class TestHeadBuffers:
             _assert_bitwise_equal(state[1].params, fresh[1].params)
 
     def test_warm_head_scores_allocate_no_head_block(self):
-        disc = init_discriminator(_teacher(66), np.random.default_rng(67), 4, 64)
+        disc = init_discriminator(_teacher(66), np.random.default_rng(67))
         rng = np.random.default_rng(68)
         x, r = rng.standard_normal((512, 2)), rng.uniform(0.0, 1.0, 512)
-        feats, handle = net.hidden_forward(disc.trunk, x, r, r, None)
+        feats, handle = net.hidden_forward(disc.trunk, x, r, r)
         ws = net.Workspace()
         distill._head_scores(disc, feats, handle, ws)
         feats = feats[:256].copy()
@@ -284,7 +283,7 @@ class TestWorkspace:
 
     def _state(self, seed):
         teacher = _teacher(seed)
-        disc = init_discriminator(teacher, np.random.default_rng(seed + 1), 4, 64)
+        disc = init_discriminator(teacher, np.random.default_rng(seed + 1))
         student = teacher.clone()
         return teacher, (disc, student, net.init_optimizer(disc, lr=1e-3),
                          net.init_optimizer(student, lr=1e-3),
@@ -329,17 +328,17 @@ class TestDiscStep:
     def test_loss_regression_locked(self):
         teacher = _teacher(11)
         student = teacher.clone()
-        disc = init_discriminator(teacher, np.random.default_rng(12), 4, 16)
+        disc = init_discriminator(teacher, np.random.default_rng(12))
         opt = net.init_optimizer(disc, lr=1e-3)
         rng = np.random.default_rng(13)
         x0 = 0.5 * np.random.default_rng(14).standard_normal((8, 2))
         loss = disc_step(disc, student, x0, opt, rng)
-        assert loss == 1.980535122821055
+        assert loss == 2.0193869637623787
 
     def test_student_and_trunk_untouched(self):
         teacher = _teacher(11)
         student = teacher.clone()
-        disc = init_discriminator(teacher, np.random.default_rng(12), 4, 16)
+        disc = init_discriminator(teacher, np.random.default_rng(12))
         opt = net.init_optimizer(disc, lr=1e-3)
         before_student = _snapshot(student.params)
         before_trunk = _snapshot(disc.trunk.params)
@@ -359,7 +358,7 @@ class TestDiscStep:
         # so the hinge loss is at least 2 regardless of the discriminator.
         monkeypatch.setattr(flow, "sample_times", _equal_times)
         teacher = _teacher(21)
-        disc = init_discriminator(teacher, np.random.default_rng(22), 4, 16)
+        disc = init_discriminator(teacher, np.random.default_rng(22))
         opt = net.init_optimizer(disc, lr=1e-3)
         loss = disc_step(
             disc, teacher.clone(), np.random.default_rng(23).standard_normal((10, 2)),
@@ -372,7 +371,7 @@ class TestAdversarialGrads:
     def test_student_gradients_match_finite_differences(self):
         teacher = _teacher(31)
         student = teacher.clone()
-        disc = init_discriminator(teacher, np.random.default_rng(32), 2, 8)
+        disc = init_discriminator(teacher, np.random.default_rng(32))
         rng = np.random.default_rng(33)
         xt = rng.standard_normal((5, 2))
         t = np.full(5, 0.8)
@@ -398,7 +397,7 @@ class TestAdversarialGrads:
         # At r = t the state x_r does not depend on u, so nothing flows back.
         teacher = _teacher(41)
         student = teacher.clone()
-        disc = init_discriminator(teacher, np.random.default_rng(42), 2, 8)
+        disc = init_discriminator(teacher, np.random.default_rng(42))
         rng = np.random.default_rng(43)
         xt = rng.standard_normal((5, 2))
         t = rng.uniform(0.2, 1.0, 5)
@@ -407,7 +406,7 @@ class TestAdversarialGrads:
 
     def test_disc_read_only(self):
         teacher = _teacher(44)
-        disc = init_discriminator(teacher, np.random.default_rng(45), 2, 8)
+        disc = init_discriminator(teacher, np.random.default_rng(45))
         before = _snapshot(disc.params)
         rng = np.random.default_rng(46)
         adversarial_grads(
@@ -422,7 +421,7 @@ class TestGenStep:
         # before the warmup ends distill_loop hands gen_step no discriminator
         teacher = _teacher(51)
         student = teacher.clone()
-        disc = init_discriminator(teacher, np.random.default_rng(52), 4, 16)
+        disc = init_discriminator(teacher, np.random.default_rng(52))
         before_disc = _snapshot(disc.params)
         opt = net.init_optimizer(student, lr=1e-3)
         rng = np.random.default_rng(53)
@@ -437,7 +436,7 @@ class TestGenStep:
     def test_after_warmup_total_includes_weighted_adv(self):
         teacher = _teacher(54)
         student = teacher.clone()
-        disc = init_discriminator(teacher, np.random.default_rng(55), 4, 16)
+        disc = init_discriminator(teacher, np.random.default_rng(55))
         before_disc = _snapshot(disc.params)
         before_trunk = _snapshot(disc.trunk.params)
         opt = net.init_optimizer(student, lr=1e-3)
@@ -521,7 +520,7 @@ class TestFusedGenStep:
         teacher = _teacher(seed)
         student = teacher.clone()
         student.params["w_out"] = student.params["w_out"] * 0.7  # imperfect student
-        disc = init_discriminator(teacher, np.random.default_rng(seed + 1), 4, 16)
+        disc = init_discriminator(teacher, np.random.default_rng(seed + 1))
         rng = np.random.default_rng(seed + 2)
         x0, cond = _two_mode_batch(rng, 16)
         return teacher, student, disc, x0, cond
@@ -679,16 +678,22 @@ class TestDistillLoop:
 
 class TestDistillConfig:
     def test_defaults(self):
+        # the distill command's defaults
         config = DistillConfig()
-        assert config.warmup_steps == 5000
+        assert config.warmup_steps == 500
         assert config.adv_weight == 0.5
-        assert config.lr == 5e-6
+        assert config.lr == 1e-3
 
     def test_validation(self):
         with pytest.raises(DomainError):
             DistillConfig(adv_weight=-0.1)
-        with pytest.raises(DomainError):
-            DistillConfig(lr=0.0)
+        teacher = _teacher(77)
+        with pytest.raises(DomainError, match="lr must"):  # the loop's optimizer refuses it
+            distill_loop(
+                teacher.clone(), teacher, _two_mode_batch, n_steps=1, batch_size=4,
+                config=DistillConfig(lr=0.0), rng_gen=np.random.default_rng(0),
+                rng_disc=np.random.default_rng(1),
+            )
         with pytest.raises(DomainError):
             flow.CfgSpec(scale_range=(9.0, 1.0))
         with pytest.raises(DomainError):

@@ -84,6 +84,25 @@ def test_stft_and_istft_bit_identical_to_references(n_fft, hop):
         assert np.array_equal(istft(spec, n), _istft_loop(spec, n)), n
 
 
+# scipy.signal.ShortTimeFFT (scipy >= 1.12) is an independent STFT: its slice
+# p is centred on sample p * hop + k_offset, so k_offset = n_fft // 2 lines it
+# up with frame p of the reflect-padded signal; phase_shift=None leaves each
+# slice's FFT unrotated, as stft's is
+@pytest.mark.parametrize("n_fft,hop,n", [(64, 16, 500), (960, 480, 4801), (2048, 512, 6000),
+                                         (512, 128, 1000), (33, 16, 301)])
+def test_stft_matches_scipy_short_time_fft(n_fft, hop, n):
+    from scipy.signal import ShortTimeFFT
+    from scipy.signal.windows import hann
+
+    x = np.random.default_rng(n_fft + hop + n).standard_normal(n)
+    spec = stft(AudioBuffer(x, SR), StftConfig(n_fft, hop))
+    sft = ShortTimeFFT(hann(n_fft, sym=False), hop, SR, phase_shift=None)
+    padded = np.pad(x, n_fft // 2, mode="reflect")
+    want = sft.stft(padded, p0=0, p1=spec.frames, k_offset=n_fft // 2).T
+    assert want.shape == spec.data.shape
+    assert np.max(np.abs(spec.data - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n_fft,hop", GEOMETRIES)
 def test_codec_roundtrip_bit_identical_to_whole_signal_chain(n_fft, hop):
     config = StftConfig(n_fft, hop)

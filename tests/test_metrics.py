@@ -104,6 +104,12 @@ class TestSiSdr:
         with pytest.raises(DomainError):
             si_sdr(_buf(np.ones(10)), _buf(np.ones(11)))
 
+    def test_rate_mismatch_rejected(self):
+        # equal lengths, so only the rates tell the two recordings apart
+        x = synth_signal(1, 0.05).samples
+        with pytest.raises(DomainError, match="sample rates differ"):
+            si_sdr(AudioBuffer(x, 48000), AudioBuffer(x, 16000))
+
 
 class TestSpectralDistances:
     def test_identical_signals_give_zero(self):
@@ -197,6 +203,25 @@ class TestFrechet:
                 EmbeddingSet(rng.standard_normal((4, 2))),
             )
 
+    def test_matches_sqrtm_on_non_commuting_covariances(self):
+        # an independent oracle: the general matrix square root of C1 C2
+        from scipy.linalg import sqrtm
+
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            d = int(rng.integers(2, 9))
+            w1, w2 = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+            c1, c2 = w1 @ w1.T + 0.1 * np.eye(d), w2 @ w2.T + 0.1 * np.eye(d)
+            m1, m2 = rng.standard_normal(d), rng.standard_normal(d)
+            want = float((m1 - m2) @ (m1 - m2)
+                         + np.trace(c1 + c2 - 2.0 * np.real(sqrtm(c1 @ c2))))
+            assert frechet_from_stats(m1, c1, m2, c2) == pytest.approx(want, rel=1e-10)
+
+    def test_covariance_beyond_eigh_is_refused_naming_the_metric(self):
+        rows = np.array([[1e300, 0.5, 1.0], [-1e300, 0.25, 2.0], [0.0, 0.125, 3.0]])
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="frechet"):
+            frechet_distance(EmbeddingSet(rows), EmbeddingSet(np.eye(3)[:2]))
+
 
 class TestKl:
     def test_hand_value_against_uniform(self):
@@ -231,6 +256,18 @@ class TestKl:
         rows = [kl_divergence(p[i], q[i]) for i in range(6)]
         assert kl_divergence(p, q) == pytest.approx(np.mean(rows), abs=1e-12)
 
+    def test_matches_scipy_rel_entr(self):
+        # logits of spread 2 over 8 classes keep every probability above the
+        # 1e-10 floor, so the floor changes nothing
+        from scipy.special import rel_entr, softmax
+
+        rng = np.random.default_rng(38)
+        p, q = 2.0 * rng.standard_normal((50, 8)), 2.0 * rng.standard_normal((50, 8))
+        pp, qq = softmax(p, axis=1), softmax(q, axis=1)
+        assert min(pp.min(), qq.min()) > 1e-10
+        want = float(np.mean(rel_entr(pp, qq).sum(axis=1)))
+        assert kl_divergence(p, q) == pytest.approx(want, rel=1e-12)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
             kl_divergence(np.zeros(3), np.zeros(4))
@@ -260,6 +297,14 @@ class TestClapScore:
         a = EmbeddingSet(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(DomainError):
             clap_score(t, a)
+
+    def test_similarity_matrix_matches_scipy_cdist(self):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(39)
+        t, a = rng.standard_normal((40, 16)), 3.0 * rng.standard_normal((30, 16))
+        got = cosine_similarity_matrix(EmbeddingSet(t), EmbeddingSet(a))
+        assert np.max(np.abs(got - (1.0 - cdist(t, a, "cosine")))) <= 1e-14
 
     def test_similarity_matrix_agrees_on_diagonal(self):
         rng = np.random.default_rng(53)
@@ -556,6 +601,13 @@ class TestCsv:
         assert lines[0] == "metric,value,n_items"
         assert lines[1] == "si_sdr,42.5,10"
         assert lines[2] == "mel_dist,0.125,10"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_report_refuses_a_non_finite_value_naming_its_metric(self, value, tmp_path):
+        path = tmp_path / "report.csv"
+        with pytest.raises(DomainError, match="^frechet is not finite"):
+            write_report_csv(path, [("kl", 0.5, 2), ("frechet", value, 2)])
+        assert not path.exists()
 
 
 class TestEmbeddingSet:

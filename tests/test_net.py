@@ -83,6 +83,22 @@ def test_forward_shape_validation():
         forward(model, np.ones((1, 3)), 0.5, 0.5, cond=-1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda m: forward(m, np.float64(1.0), 0.5, 0.5), id="forward-0-d"),
+        pytest.param(lambda m: forward(m, np.ones(3), 0.5, 0.5, np.array([1])),
+                     id="forward-dim-vector-with-cond"),
+        pytest.param(lambda m: net.hidden_forward(m, np.float64(1.0), 0.5, 0.5),
+                     id="hidden-forward-0-d"),
+    ],
+)
+def test_x_is_checked_before_its_rows_are_counted(call):
+    # the x check comes first, so neither len() nor the condition check sees x
+    with pytest.raises(DomainError, match=r"input shape \(.*\) does not match \(rows, 3\)"):
+        call(small_model())
+
+
 def test_null_cond_is_default():
     model = small_model(2)
     x = np.ones((1, 3))
@@ -154,7 +170,7 @@ def test_backward_linear_weight_gradient_closed_form():
     model = small_model(2)
     x = np.array([[1.5, -2.0, 0.5]])
     up = np.array([[0.5, 3.0, -1.0]])
-    h, _ = net.hidden_forward(model, x, 0.3, 0.1, 1, want_tape=False)
+    h, _, _ = _run(model, x, 0.3, 0.1, 1, readout=False)
     grads, _ = backward(model, x, 0.3, 0.1, 1, up)
     assert np.array_equal(grads["w_out"], np.outer(up, h))
     assert np.array_equal(grads["b_out"], up[0])
@@ -443,7 +459,7 @@ def test_untaped_features_match_hidden_forward():
     model = small_model(25)
     rng = np.random.default_rng(26)
     x, r = rng.standard_normal((6, 3)), rng.uniform(0.0, 1.0, 6)
-    feats, tape = net.hidden_forward(model, x, r, r, None)
+    feats, tape = net.hidden_forward(model, x, r, r)
     untaped, _, no_tape = _run(model, x, r, r, None, readout=False)
     assert no_tape is None
     assert np.array_equal(untaped, feats) and feats is tape["inputs"][-1]
@@ -490,11 +506,11 @@ def test_forward_only_pass_takes_no_slope_buffer():
     x, t = np.random.default_rng(30).standard_normal((6, 3)), np.linspace(0.1, 0.9, 6)
     ws = net.Workspace()
     forward(model, x, t, 0.5 * t, None, ws)
-    net.hidden_forward(model, x, t, t, 1, want_tape=False, ws=ws)
+    net.hidden_forward(model, x, t, t, want_tape=False, ws=ws)
     net.Field(model, None, 6, ws)(x, 0.5, 0.25)
     names = {name for name, _ in ws.bufs}
     assert ("h", 0) in names and not [name for name in names if name[0] == "slope"]
-    net.hidden_forward(model, x, t, t, 1, ws=ws)  # a tape keeps its slopes
+    net.hidden_forward(model, x, t, t, ws=ws)  # a tape keeps its slopes
     assert ("slope", 0) in {name for name, _ in ws.bufs}
 
 
@@ -571,8 +587,8 @@ def test_one_workspace_for_every_pass_kind_matches_fresh_ones():
             fresh = _run(model, x, t, r, cond, want_tape=want_tape, tangent=tan)
             for a, b in zip(shared[:2], fresh[:2]):
                 assert (a is None and b is None) or a.tobytes() == b.tobytes()
-            h_shared = net.hidden_forward(model, x, t, r, cond, want_tape, ws)[0]
-            h_fresh = net.hidden_forward(model, x, t, r, cond, want_tape)[0]
+            h_shared = net.hidden_forward(model, x, t, r, want_tape, ws)[0]
+            h_fresh = net.hidden_forward(model, x, t, r, want_tape)[0]
             assert h_shared.tobytes() == h_fresh.tobytes()
 
 
